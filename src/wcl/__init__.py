@@ -21,7 +21,6 @@ from .chaos import (
     chaos_term_eval,
     multi_indices,
     sobolev_partial_norm,
-    term_second_moment_mc,
 )
 from .fac import (
     MCConfig,

@@ -24,6 +24,7 @@ from .analytic import (
     QuadratureRule,
     gauss_hermite_rule,
     gauss_kernel_sq,
+    gauss_legendre,
     hermite_eval,
     integrate_interval,
     integrate_simplex,
@@ -213,7 +214,7 @@ def rice_closed_form(omega: float, level: float) -> float:
 def rice_quadrature(omega: float, level: float, n_nodes: int = 400) -> float:
     """Expected upcrossings via the double integral of x times the joint
     density of (xi(t), xi'(t)); independent N(0,1) and N(0, omega^2)."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = gauss_legendre(n_nodes)
     # x-integral over (0, 8*omega); t-integral over (0, 1)
     xv = 4.0 * omega * (x + 1.0)
     xw = 4.0 * omega * w
@@ -260,7 +261,7 @@ def kac_moment_quadrature(n: int, rule_nodes: int = 160) -> float:
     n! * (2 pi)^{-n/2} * int_{Delta_n} t_1^{-1/2} prod (t_j - t_{j-1})^{-1/2}."""
     if n == 1:
         # 1-D case: int_0^1 (2 pi t)^{-1/2} dt, t = s^2
-        x, w = np.polynomial.legendre.leggauss(rule_nodes)
+        x, w = gauss_legendre(rule_nodes)
         s = 0.5 * (x + 1.0)
         return float(np.dot(0.5 * w, 2.0 / SQRT_2PI * np.ones_like(s)))
     def integrand(*ts):
@@ -317,7 +318,7 @@ def bridge_weighted_second_moment_quadrature(eps: float, n_nodes: int = 200) -> 
     smooth zeta axis uses Gauss-Hermite.
     """
     half_width = 10.0 * math.sqrt(eps / (1.0 + eps))
-    y, wy = np.polynomial.legendre.leggauss(n_nodes)
+    y, wy = gauss_legendre(n_nodes)
     y = half_width * y
     wy = half_width * wy
     prior = gauss_kernel_sq(y**2, 1.0)

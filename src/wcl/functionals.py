@@ -97,18 +97,43 @@ def interval_weights(n_steps: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def triangle_rule(n_steps: int):
-    """Node-pair rule for the triangle {0 <= s <= t <= 1}.
+    """Per-lag rule for the triangle {0 <= s <= t <= 1}.
 
-    Returns (i_idx, j_idx, weights, tau) over pairs i <= j; weights are
-    products of trapezoid weights, halved on the diagonal, and sum to
-    exactly 1/2.
+    Returns (tau, weights).  weights[L] holds the weights of the node
+    pairs (i, i + L), i = 0..n_steps - L, whose time gap is
+    tau[L] = L / n_steps: products of trapezoid weights, halved on the
+    diagonal L = 0, summing to exactly 1/2 over all lags.  Read-only,
+    since the cache shares them.
     """
     w1 = interval_weights(n_steps)
-    i_idx, j_idx = np.triu_indices(n_steps + 1, k=0)
-    weights = w1[i_idx] * w1[j_idx]
-    weights[i_idx == j_idx] *= 0.5
-    tau = (j_idx - i_idx) / n_steps
-    return i_idx, j_idx, weights, tau
+    weights = [w1[: n_steps + 1 - lag] * w1[lag:] for lag in range(n_steps + 1)]
+    weights[0] = 0.5 * weights[0]
+    tau = np.arange(n_steps + 1) / n_steps
+    for a in (tau, *weights):
+        a.flags.writeable = False
+    return tau, tuple(weights)
+
+
+# Paths per block of the pair kernels times nodes per path.  A per-lag
+# temporary then holds at most 512 kB per coordinate and Hermite order,
+# so a block stays in cache while its lags are swept.  Timed at 2^13 to
+# 2^18 and n_steps = 256 to 2048, 2^15 to 2^17 were the fastest.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def lag_blocks(values: np.ndarray):
+    """Yield (lo, coords) over consecutive blocks of paths, coords being a
+    contiguous (d, block, n+1) copy so that every lag slice
+    coords[j, :, L:] - coords[j, :, :-L] walks memory in order.
+
+    Each path's value depends on its own row only, never on the block it
+    lands in.
+    """
+    n_paths, n_nodes, _ = values.shape
+    step = max(1, _BLOCK_ELEMENTS // n_nodes)
+    coords = np.moveaxis(values, 2, 0)
+    for lo in range(0, n_paths, step):
+        yield lo, np.ascontiguousarray(coords[:, lo : lo + step], dtype=float)
 
 
 def _spec_dim(spec: FunctionalSpec) -> int | None:
@@ -124,7 +149,7 @@ def eval_functional(spec: FunctionalSpec, path: Path) -> float:
 
 def eval_functional_many(spec: FunctionalSpec, values: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over a batch of paths of shape (N, n+1, d)."""
-    n_paths, n_nodes, d = values.shape
+    _, n_nodes, d = values.shape
     n_steps = n_nodes - 1
     want = _spec_dim(spec)
     if want is not None and d != want:
@@ -140,26 +165,33 @@ def eval_functional_many(spec: FunctionalSpec, values: np.ndarray) -> np.ndarray
         sq = np.sum((values - u[None, None, :]) ** 2, axis=2)
         return gauss_kernel_sq(sq, spec.eps, d=d) @ w
     if isinstance(spec, SelfIntersection):
-        i_idx, j_idx, weights, _ = triangle_rule(n_steps)
-        # single precision in the O(n_steps^2) pair table for Monte Carlo
-        # batches: the ~1e-5 relative rounding is far below the sampling
-        # noise floor; small batches keep full precision
-        dtype = np.float32 if n_paths > 8 else np.float64
-        uu = np.asarray(spec.u, dtype=dtype)
-        ww = weights.astype(dtype)
-        vv = values.astype(dtype)
-        out = np.empty(n_paths)
-        norm = (2.0 * np.pi * spec.eps) ** (-0.5 * d)
-        chunk = max(1, int(2e7 // len(i_idx)))
-        for lo in range(0, n_paths, chunk):
-            v = vv[lo : lo + chunk]
-            diff = v[:, j_idx, :] - v[:, i_idx, :] - uu[None, None, :]
-            sq = np.einsum("pqa,pqa->pq", diff, diff)
-            np.multiply(sq, dtype(-0.5 / spec.eps), out=sq)
-            np.exp(sq, out=sq)
-            out[lo : lo + chunk] = (sq @ ww) * norm
-        return out
+        return _self_intersection_many(values, spec.eps, np.asarray(spec.u, dtype=float))
     raise TypeError(f"unknown functional spec {spec!r}")
+
+
+def _self_intersection_many(values, eps, u):
+    """G_eps per path, summed lag by lag in float64.
+
+    Lag L adds exp(-|v[i+L] - v[i] - u|^2 / 2 eps) against the lag-L
+    weights of ``triangle_rule``.  Measured against a long-double sum
+    over node pairs, the relative error is below 5e-15 for d = 1, 2,
+    n_steps = 256 to 2048 and eps = 0.01 to 1.
+    """
+    _, n_nodes, d = values.shape
+    _, weights = triangle_rule(n_nodes - 1)
+    out = np.empty(values.shape[0])
+    for lo, v in lag_blocks(values):
+        acc = np.zeros(v.shape[1])
+        for lag, w in enumerate(weights):
+            diff = v[:, :, lag:] - v[:, :, : n_nodes - lag]
+            diff -= u[:, None, None]
+            diff *= diff
+            sq = np.sum(diff, axis=0)
+            sq *= -0.5 / eps
+            np.exp(sq, out=sq)
+            acc += sq @ w
+        out[lo : lo + len(acc)] = acc
+    return out * (2.0 * math.pi * eps) ** (-0.5 * d)
 
 
 def indicator_local_time(path: Path, x: float, eps: float) -> float:

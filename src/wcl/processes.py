@@ -223,8 +223,9 @@ def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
             )
         basis = op.node_image_matrix()  # (n, n+1)
         dw = rng.normal(0.0, math.sqrt(h), size=(n_paths, n, model.d))
-        values = np.einsum("pij,ik->pkj", dw, basis)
-        return values, None
+        # one BLAS product for all paths and coordinates: (N*d, n) @ (n, n+1)
+        values = np.tensordot(dw, basis, axes=(1, 0)).transpose(0, 2, 1)
+        return np.ascontiguousarray(values), None
     if isinstance(model, SmoothStationary):
         xi = rng.normal(size=(n_paths, 2))
         t = grid.times

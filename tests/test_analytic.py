@@ -8,6 +8,7 @@ from wcl.analytic import (
     QuadratureRule,
     gauss_hermite_rule,
     gauss_kernel_sq,
+    gauss_legendre,
     heat_convolve_variance,
     heat_kernel,
     hermite_bound_constant,
@@ -50,6 +51,9 @@ class TestHermite:
         assert seq.shape == (9, 17)
         for n in range(9):
             assert np.allclose(seq[n], hermite_eval(n, xs), rtol=1e-12)
+        seq = hermite_sequence(8, 1.5)
+        assert seq.shape == (9,)
+        assert seq[8] == pytest.approx(hermite_eval(8, 1.5), rel=1e-12)
 
     def test_values_at_zero(self):
         # H_n(0): 0 for odd n, (-1)^(n/2) (n-1)!! for even n
@@ -223,3 +227,18 @@ class TestGaussHermiteRule:
         x, w = gauss_hermite_rule(400)
         assert np.all(np.isfinite(w))
         assert np.dot(w, x**2) == pytest.approx(1.0, rel=1e-10)
+
+
+class TestGaussLegendre:
+    def test_matches_numpy(self):
+        for n in (2, 60, 400, 1000):
+            x, w = gauss_legendre(n)
+            x_np, w_np = np.polynomial.legendre.leggauss(n)
+            np.testing.assert_allclose(x, x_np, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(w, w_np, rtol=0.0, atol=1e-12)
+
+    def test_built_once_and_read_only(self):
+        x, w = gauss_legendre(50)
+        assert gauss_legendre(50)[0] is x
+        with pytest.raises(ValueError):
+            w[0] = 0.0

@@ -15,10 +15,9 @@ from wcl.chaos import (
     multi_indices,
     self_intersection_mean_quadrature,
     sobolev_partial_norm,
-    term_second_moment_mc,
     term_table_to_csv,
 )
-from wcl.processes import BrownianMotion, TimeGrid, sample, sample_values
+from wcl.processes import BrownianMotion, TimeGrid, replica_seed, sample, sample_values
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -160,18 +159,9 @@ class TestChaosTerms:
         assert chaos_partial_sum(p, 3, 0.2, [0.5]) == pytest.approx(
             math.fsum(terms), rel=1e-10)
 
-    def test_forms_differ(self):
-        grid = TimeGrid(64)
-        p = sample(BrownianMotion(1), grid, 9)
-        proj = chaos_term_eval(p, 2, 0.2, [0.5], form="projection")
-        verb = chaos_term_eval(p, 2, 0.2, [0.5], form="verbatim")
-        assert proj != verb
-
     def test_validation(self):
         grid = TimeGrid(32)
         values, _ = sample_values(BrownianMotion(1), grid, 0, n_paths=2)
-        with pytest.raises(ValueError):
-            chaos_terms_many(values, 2, 0.1, [0.5], form="other")
         with pytest.raises(ValueError):
             chaos_terms_many(values, 2, 0.0, [0.5])
         with pytest.raises(ValueError):
@@ -201,15 +191,14 @@ class TestMonteCarloTables:
         grid = TimeGrid(128)
         model = BrownianMotion(1)
         table = chaos_term_table(model, 3, 0.1, [0.5], 400, 7, grid)
-        single = term_second_moment_mc(model, 2, 0.1, [0.5], 400, 7, grid)
-        # same seeds, same paths: identical estimates
-        assert table[2].mean == pytest.approx(single.mean, rel=1e-12)
-        assert table[2].n_samples == single.n_samples == 400
+        # 400 samples fit in the first replica chunk: the same paths
+        values, _ = sample_values(model, grid, replica_seed(7, 0), n_paths=400)
+        single = chaos_terms_many(values, 2, 0.1, [0.5])[2] ** 2
+        assert table[2].mean == pytest.approx(np.mean(single), rel=1e-12)
+        assert table[2].n_samples == 400
 
     def test_sample_count_guard(self):
         grid = TimeGrid(128)
-        with pytest.raises(ValueError):
-            term_second_moment_mc(BrownianMotion(1), 0, 0.1, [0.5], 50, 0, grid)
         with pytest.raises(ValueError):
             chaos_term_table(BrownianMotion(1), 2, 0.1, [0.5], 50, 0, grid)
 

@@ -35,13 +35,17 @@ class TestWeights:
 
     def test_triangle_weights_sum_to_half(self):
         for n in (4, 33, 256):
-            _, _, w, _ = triangle_rule(n)
-            assert math.fsum(w) == pytest.approx(0.5, rel=1e-13)
+            _, weights = triangle_rule(n)
+            assert math.fsum(np.concatenate(weights)) == pytest.approx(0.5, rel=1e-13)
 
     def test_triangle_tau_is_time_gap(self):
-        i, j, _, tau = triangle_rule(8)
-        assert np.allclose(tau, (j - i) / 8)
-        assert np.all(i <= j)
+        grid = TimeGrid(8)
+        tau, weights = triangle_rule(8)
+        for lag in range(9):
+            # lag L weighs the pairs (i, i + L), whose time gap is L / n
+            assert len(weights[lag]) == 9 - lag
+            assert tau[lag] == lag / 8
+            assert np.allclose(grid.times[lag:] - grid.times[: 9 - lag], tau[lag])
 
 
 class TestSpecValidation:
@@ -103,8 +107,7 @@ class TestClosedFormValues:
         spec = SelfIntersection(0.1, (0.4, 0.3))
         batch = eval_functional_many(spec, values)
         singles = [eval_functional(spec, p) for p in paths]
-        # the large-batch path may use reduced precision internally
-        assert np.allclose(batch, singles, rtol=1e-4)
+        assert np.allclose(batch, singles, rtol=1e-12, atol=0.0)
 
     def test_everything_non_negative(self):
         grid = TimeGrid(64)

@@ -85,6 +85,15 @@ class TestSampling:
         values, _ = sample_values(model, grid, 11, n_paths=40000)
         assert np.var(values[:, -1, 0]) == pytest.approx(1.0, rel=0.03)
 
+    def test_integrator_matmul_matches_einsum(self):
+        grid = TimeGrid(32)
+        op = IntegratorOperator.from_profile(lambda s: 1.0 + s, 32)
+        values, _ = sample_values(Integrator(op, d=2), grid, 5, n_paths=7)
+        # the same draws, contracted index by index
+        dw = np.random.default_rng(5).normal(0.0, math.sqrt(grid.h), size=(7, 32, 2))
+        expect = np.einsum("pij,ik->pkj", dw, op.node_image_matrix())
+        np.testing.assert_allclose(values, expect, rtol=1e-12, atol=1e-12)
+
     def test_integrator_grid_mismatch(self):
         with pytest.raises(ValueError):
             sample_values(Integrator(IntegratorOperator.identity(8)), TimeGrid(16), 0)
