@@ -19,7 +19,6 @@ from .chaos import (
     bridge_term_variance,
     chaos_partial_sum,
     chaos_term_eval,
-    multi_indices,
     sobolev_partial_norm,
 )
 from .fac import (
@@ -53,6 +52,7 @@ from .processes import (
     TimeGrid,
     covariance,
     integrator_inequality,
+    mc_moments,
     operator_bounds,
     sample,
     sigma_interval,

@@ -197,6 +197,9 @@ class QuadratureRule:
 
 DEFAULT_INTERVAL_RULE = QuadratureRule("trapezoid", 2000)
 DEFAULT_SIMPLEX_RULE = QuadratureRule("gauss-legendre", 200)
+# tensor nodes of one simplex quadrature; each of its ~2n + 3 work arrays
+# takes 8 bytes per node
+MAX_SIMPLEX_NODES = 10**7
 
 
 def integrate_interval(f, rule: QuadratureRule = DEFAULT_INTERVAL_RULE) -> float:
@@ -222,11 +225,17 @@ def integrate_simplex(f, n, rule: QuadratureRule = DEFAULT_SIMPLEX_RULE,
     and each cube coordinate optionally passes through u = sin^2(theta).
     The substitution removes inverse-square-root endpoint singularities
     (Kac-moment integrands), letting tensor Gauss-Legendre converge.
+    The tensor rule has rule.n ** n nodes; more than MAX_SIMPLEX_NODES
+    is refused before anything is allocated (the default 200-node rule
+    at n = 4 would need 1.6e9).
     """
     if n not in (2, 3, 4):
         raise ValueError("simplex order must be 2, 3 or 4")
     if rule.kind != "gauss-legendre":
         raise ValueError("simplex integration requires a gauss-legendre rule")
+    if rule.n**n > MAX_SIMPLEX_NODES:
+        raise ValueError(f"{rule.n}^{n} tensor nodes exceed the budget of "
+                         f"{MAX_SIMPLEX_NODES}; use a coarser rule")
     x, w = gauss_legendre(rule.n)
     if sqrt_substitution:
         theta = (x + 1.0) * (math.pi / 4.0)

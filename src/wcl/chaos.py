@@ -18,29 +18,14 @@ import numpy as np
 
 from .analytic import gauss_legendre, hermite_eval, hermite_sequence
 from .functionals import lag_blocks, triangle_rule
-from .processes import Path, ProcessModel, TimeGrid, replica_seed, sample_values
+from .processes import Path, ProcessModel, TimeGrid, mc_moments
+from .processes import sample_values  # noqa: F401  (perfbench wraps each binding)
 
 MAX_TERM_ORDER = 30
 MAX_PARTIAL_ORDER = 12
 MAX_BRIDGE_ORDER = 40
-MAX_DIMENSION = 8
 
 _FACTORIALS = np.array([math.factorial(n) for n in range(MAX_BRIDGE_ORDER + 1)], dtype=float)
-
-
-def multi_indices(k: int, d: int):
-    """All d-tuples of non-negative integers summing to k."""
-    if k < 0 or k > MAX_TERM_ORDER:
-        raise ValueError(f"order must be in [0, {MAX_TERM_ORDER}]")
-    if d < 1 or d > MAX_DIMENSION:
-        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}]")
-    if d == 1:
-        return [(k,)]
-    out = []
-    for first in range(k, -1, -1):
-        for rest in multi_indices(k - first, d - 1):
-            out.append((first,) + rest)
-    return out
 
 
 def chaos_terms_many(values: np.ndarray, k_max: int, eps: float, u) -> np.ndarray:
@@ -172,22 +157,11 @@ def chaos_term_table(model: ProcessModel, k_max: int, eps: float, u,
     sampling pass; returns a list of ChaosTermEstimate."""
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    chunk = 1000
-    sums = np.zeros(k_max + 1)
-    sq_sums = np.zeros(k_max + 1)
-    n = 0
-    for r, lo in enumerate(range(0, n_samples, chunk)):
-        nb = min(chunk, n_samples - lo)
-        values, _ = sample_values(model, grid, replica_seed(seed, r), n_paths=nb)
-        t2 = chaos_terms_many(values, k_max, eps, u) ** 2
-        sums += np.sum(t2, axis=1)
-        sq_sums += np.sum(t2**2, axis=1)
-        n += nb
-    means = sums / n
-    variances = np.maximum(sq_sums / n - means**2, 0.0)
+    means, se = mc_moments(model, grid, seed, n_samples,
+                           lambda v: chaos_terms_many(v, k_max, eps, u) ** 2)
     return [
-        ChaosTermEstimate(k, float(means[k]), float(variances[k]),
-                          float(np.sqrt(variances[k] / n)), n)
+        ChaosTermEstimate(k, float(means[k]), float(se[k] ** 2 * n_samples),
+                          float(se[k]), n_samples)
         for k in range(k_max + 1)
     ]
 
@@ -214,48 +188,26 @@ def expansion_study_mc(model: ProcessModel, k_max: int, eps: float, u,
 
     u = np.asarray(u, dtype=float)
     spec = SelfIntersection(eps, tuple(u))
-    chunk = 1000
     m = k_max + 1
-    sum_g = sum_g2 = 0.0
-    sum_res = np.zeros(m)
-    sum_res2 = np.zeros(m)
-    sum_t = np.zeros(m)
-    sum_tt = np.zeros((m, m))
-    sum_tt2 = np.zeros((m, m))
-    n = 0
-    for r, lo in enumerate(range(0, n_samples, chunk)):
-        nb = min(chunk, n_samples - lo)
-        values, _ = sample_values(model, grid, replica_seed(seed, r), n_paths=nb)
+
+    def stats(values):
         g = eval_functional_many(spec, values)
         terms = chaos_terms_many(values, k_max, eps, u)
-        sum_g += float(np.sum(g))
-        sum_g2 += float(np.sum(g**2))
-        partial = np.cumsum(terms, axis=0)
-        res = (g[None, :] - partial) ** 2
-        sum_res += np.sum(res, axis=1)
-        sum_res2 += np.sum(res**2, axis=1)
-        sum_t += np.sum(terms, axis=1)
-        sum_tt += terms @ terms.T
-        sum_tt2 += terms**2 @ (terms**2).T
-        n += nb
-    mean_g = sum_g / n
-    var_g = max(sum_g2 / n - mean_g**2, 0.0)
-    res_mean = sum_res / n
-    res_se = np.sqrt(np.maximum(sum_res2 / n - res_mean**2, 0.0) / n)
-    t_mean = sum_t / n
-    prod_mean = sum_tt / n
-    cov = prod_mean - np.outer(t_mean, t_mean)
-    prod_var = np.maximum(sum_tt2 / n - prod_mean**2, 0.0)
-    cov_se = np.sqrt(prod_var / n)
+        res = (g - np.cumsum(terms, axis=0)) ** 2
+        return np.concatenate([g[None], res, terms,
+                               (terms[:, None, :] * terms).reshape(m * m, -1)])
+
+    mean, se = mc_moments(model, grid, seed, n_samples, stats)
+    t_mean = mean[1 + m : 1 + 2 * m]
     return ExpansionStudy(
-        mean_g=mean_g,
-        var_g=var_g,
-        se_mean_g=math.sqrt(var_g / n),
-        residual_moments=tuple(float(x) for x in res_mean),
-        residual_std_errors=tuple(float(x) for x in res_se),
-        cross_cov=cov,
-        cross_cov_std_errors=cov_se,
-        n_samples=n,
+        mean_g=float(mean[0]),
+        var_g=float(se[0] ** 2 * n_samples),
+        se_mean_g=float(se[0]),
+        residual_moments=tuple(float(x) for x in mean[1 : 1 + m]),
+        residual_std_errors=tuple(float(x) for x in se[1 : 1 + m]),
+        cross_cov=mean[1 + 2 * m :].reshape(m, m) - np.outer(t_mean, t_mean),
+        cross_cov_std_errors=se[1 + 2 * m :].reshape(m, m),
+        n_samples=n_samples,
     )
 
 

@@ -5,6 +5,7 @@ failure, 2 usage error)."""
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .experiments import EXPERIMENTS, ExperimentConfig
@@ -29,14 +30,41 @@ def build_parser():
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--config", help="JSON config file with ExperimentConfig keys "
+                       "(n_samples, n_steps, ...); flags override it")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--samples", type=int, help="Monte Carlo sample count")
         p.add_argument("--steps", type=int, help="time grid steps")
-        p.add_argument("--eps-grid", help="comma-separated decreasing eps values")
+        p.add_argument("--eps-grid", help="comma-separated positive eps values")
         p.add_argument("--quiet", action="store_true", help="suppress row printout")
     return parser
+
+
+def build_config(args) -> ExperimentConfig:
+    """One validated config: the experiment's default budget, overridden
+    by the config file, overridden by the flags."""
+    data = dict(_DEFAULTS[args.experiment])
+    if args.config:
+        with open(args.config) as fh:
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.config}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config} must hold a JSON object")
+        data.update(loaded)
+    flags = {"seed": args.seed, "out_dir": args.out, "n_samples": args.samples,
+             "n_steps": args.steps}
+    if args.eps_grid is not None:
+        try:
+            flags["eps_grid"] = [float(v) for v in args.eps_grid.split(",")]
+        except ValueError:
+            raise ValueError(f"--eps-grid {args.eps_grid!r} is not a comma-separated "
+                             "list of numbers") from None
+    data.update({k: v for k, v in flags.items() if v is not None})
+    data["experiment"] = args.experiment
+    return ExperimentConfig.from_dict(data)
 
 
 def cli_main(argv=None) -> int:
@@ -46,24 +74,12 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    name = args.experiment
-    if args.config:
-        config = ExperimentConfig.from_json(args.config)
-        config.experiment = name
-    else:
-        config = ExperimentConfig(experiment=name, **_DEFAULTS[name])
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.samples is not None:
-        config.n_samples = args.samples
-    if args.steps is not None:
-        config.n_steps = args.steps
-    if args.eps_grid is not None:
-        config.eps_grid = [float(v) for v in args.eps_grid.split(",")]
-
-    report = EXPERIMENTS[name](config)
+    try:
+        config = build_config(args)
+    except (OSError, ValueError) as exc:
+        print(f"wcl {args.experiment}: error: {exc}", file=sys.stderr)
+        return 2
+    report = EXPERIMENTS[args.experiment](config)
     report.write()
     report.print_summary(quiet=args.quiet)
     return 0 if report.all_passed else 1

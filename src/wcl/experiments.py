@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -42,46 +42,11 @@ from .processes import (
     IntegratorOperator,
     SmoothStationary,
     TimeGrid,
-    replica_seed,
-    sample_values,
+    mc_moments,
+    sample_values,  # noqa: F401  (module namespace: perfbench wraps each binding)
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def thread_cap() -> int:
-    """Worker cap from the WCL_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("WCL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _chunked_mc(model, grid, seed, n_samples, fn, chunk=1000):
-    """Deterministic chunked MC with optional thread parallelism.
-
-    fn(values) returns a per-path array; results are pooled in replica
-    order regardless of scheduling, so the outcome is seed-reproducible.
-    """
-    jobs = []
-    for r, lo in enumerate(range(0, n_samples, chunk)):
-        jobs.append((r, min(chunk, n_samples - lo)))
-
-    def run(job):
-        r, nb = job
-        values, deriv = sample_values(model, grid, replica_seed(seed, r), n_paths=nb)
-        return np.asarray(fn(values, deriv), dtype=float)
-
-    workers = thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(j) for j in jobs]
-    x = np.concatenate(parts)
-    mean = float(math.fsum(np.sum(p) for p in parts) / len(x))
-    var = max(float(math.fsum(np.sum(p**2) for p in parts) / len(x)) - mean**2, 0.0)
-    return mean, math.sqrt(var / len(x)), x
 
 
 @dataclass
@@ -96,19 +61,49 @@ class ExperimentConfig:
     omega: float = 2.0 * math.pi
     dimension: int = 1
     u: list = field(default_factory=lambda: [0.5])
-    operator_csv: str | None = None
 
     def __post_init__(self):
+        """Reject every invalid setting with a one-line ValueError."""
+        for name in ("n_steps", "n_samples", "seed", "dimension"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_steps < 256:
             raise ValueError("n_steps must be >= 256")
         if self.n_samples < 100:
             raise ValueError("n_samples must be >= 100")
+        if not isinstance(self.eps_grid, list) or not self.eps_grid:
+            raise ValueError("eps_grid must be a non-empty list")
+        for eps in self.eps_grid:
+            if not (_is_real(eps) and 0.0 < eps < math.inf):
+                raise ValueError(f"eps_grid values must be positive and finite, got {eps!r}")
+        if not (_is_real(self.omega) and 0.0 < self.omega < math.inf):
+            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
+        if self.dimension not in (1, 2, 3):
+            raise ValueError("dimension must be 1, 2 or 3")
+        if (not isinstance(self.u, list) or len(self.u) != self.dimension
+                or not all(_is_real(x) and math.isfinite(x) for x in self.u)):
+            raise ValueError(f"u must be a list of {self.dimension} finite numbers")
+        if not isinstance(self.tolerances, dict) or not all(
+                _is_real(v) for v in self.tolerances.values()):
+            raise ValueError("tolerances must map check names to numbers")
+
+    @classmethod
+    def from_dict(cls, data):
+        """Config from a mapping of field names; an unknown key is an error."""
+        if not isinstance(data, dict):
+            raise ValueError("a config must be a JSON object")
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(names))
+        if unknown:
+            raise ValueError(f"unknown config key(s) {', '.join(unknown)}; "
+                             f"the keys are {', '.join(names)}")
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
-            data = json.load(fh)
-        return cls(**data)
+            return cls.from_dict(json.load(fh))
 
     def tolerance(self, name, default):
         return float(self.tolerances.get(name, default))
@@ -191,6 +186,10 @@ class ExperimentReport:
               f"({self.runtime:.1f} s)")
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _fmt(x):
     return "" if x is None else f"{x:.12g}"
 
@@ -233,23 +232,20 @@ def rice_experiment(config: ExperimentConfig) -> ExperimentReport:
     closed = rice_closed_form(config.omega, 0.0)
     rows.append(ReportRow("rice_quadrature_vs_closed_c0", quad, 0.0, closed,
                           config.tolerance("rice_quadrature", 1e-9)))
-    for level in (0.0, 1.0):
-        oracle = rice_closed_form(config.omega, level)
+    levels = (0.0, 1.0, 6.0)
 
-        def count(values, deriv, c=level):
-            v = values[:, :, 0]
-            return np.sum((v[:, :-1] < c) & (v[:, 1:] >= c), axis=1).astype(float)
+    def count(values):
+        v = values[:, :, 0]
+        return np.stack([np.sum((v[:, :-1] < c) & (v[:, 1:] >= c), axis=1)
+                         for c in levels]).astype(float)
 
-        mean, se, _ = _chunked_mc(model, grid, config.seed, config.n_samples, count)
-        rows.append(ReportRow(f"upcrossings_mc_c{level:g}", mean, se, oracle,
+    mean, se = mc_moments(model, grid, config.seed, config.n_samples, count)
+    for i, level in enumerate(levels[:2]):
+        rows.append(ReportRow(f"upcrossings_mc_c{level:g}", mean[i], se[i],
+                              rice_closed_form(config.omega, level),
                               config.tolerance("rice_bias", 0.02)))
     # deep tail: no upcrossings of level 6 expected at this sample size
-    def count6(values, deriv):
-        v = values[:, :, 0]
-        return np.sum((v[:, :-1] < 6.0) & (v[:, 1:] >= 6.0), axis=1).astype(float)
-
-    mean6, se6, _ = _chunked_mc(model, grid, config.seed, config.n_samples, count6)
-    rows.append(ReportRow("upcrossings_mc_c6", mean6, se6, 0.0,
+    rows.append(ReportRow("upcrossings_mc_c6", mean[2], se[2], 0.0,
                           config.tolerance("rice_tail", 1e-3)))
     return ExperimentReport(config, rows)
 
@@ -296,13 +292,15 @@ def kac_experiment(config: ExperimentConfig) -> ExperimentReport:
     # the 4*SE gate
     eps = 0.01
     quads = {1: q1, 2: q2, 3: q3_fine}
-    for n in (1, 2, 3):
-        def moment(values, deriv, n=n):
-            return indicator_local_time_many(values, 0.0, eps) ** n
 
-        mean, se, _ = _chunked_mc(model, grid, config.seed, config.n_samples, moment)
-        rows.append(ReportRow(f"kac_mc_moment_n{n}", mean, se, quads[n],
-                              config.tolerance(f"kac_mc_n{n}", 4.0 * se)))
+    def moments(values):
+        band = indicator_local_time_many(values, 0.0, eps)
+        return np.stack([band**n for n in quads])
+
+    mean, se = mc_moments(model, grid, config.seed, config.n_samples, moments)
+    for i, n in enumerate(quads):
+        rows.append(ReportRow(f"kac_mc_moment_n{n}", mean[i], se[i], quads[n],
+                              config.tolerance(f"kac_mc_n{n}", 4.0 * se[i])))
     return ExperimentReport(config, rows)
 
 
@@ -354,22 +352,13 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     model = BrownianMotion(1)
     half = grid.n_steps // 2
-    # accumulate the three weighted sums jointly for the ratio estimate
-    sums = np.zeros(3)
-    sq = np.zeros(3)
-    n = 0
-    chunk = 1000
-    for r, lo in enumerate(range(0, config.n_samples, chunk)):
-        nb = min(chunk, config.n_samples - lo)
-        values, _ = sample_values(model, grid, replica_seed(config.seed, r), n_paths=nb)
+
+    def weighted(values):  # the three means of the ratio estimates
         kern = gauss_kernel_sq(values[:, -1, 0] ** 2, eps)
         x_half = values[:, half, 0]
-        cols = np.column_stack([kern, kern * x_half, kern * x_half**2])
-        sums += np.sum(cols, axis=0)
-        sq += np.sum(cols**2, axis=0)
-        n += nb
-    mean = sums / n
-    se = np.sqrt(np.maximum(sq / n - mean**2, 0.0) / n)
+        return np.stack([kern, kern * x_half, kern * x_half**2])
+
+    mean, se = mc_moments(model, grid, config.seed, config.n_samples, weighted)
     second = mean[2] / mean[0]
     second_se = second * math.hypot(se[2] / mean[2], se[0] / mean[0])
     first = mean[1] / mean[0]
@@ -383,21 +372,15 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
     mass = degenerate_outside_mass_quadrature(eps_deg, delta)
     rows.append(ReportRow("degenerate_outside_mass_quadrature", mass, 0.0, 0.0,
                           config.tolerance("degenerate_mass", 0.01)))
-    # importance-weighted MC on the degenerate model
-    deg = DegenerateLine()
-    sums = np.zeros(2)
-    n = 0
-    for r, lo in enumerate(range(0, config.n_samples, chunk)):
-        nb = min(chunk, config.n_samples - lo)
-        values, _ = sample_values(deg, grid, replica_seed(config.seed, r), n_paths=nb)
-        xi = values[:, -1, 0]  # eta(1) = xi
-        kern = gauss_kernel_sq(xi**2, eps_deg)
-        sums += np.array([
-            float(np.sum(kern)),
-            float(np.sum(kern * (np.max(np.abs(values[:, :, 0]), axis=1) > delta))),
-        ])
-        n += nb
-    mc_mass = sums[1] / sums[0] if sums[0] > 0 else 0.0
+
+    def outside(values):  # importance-weighted MC on the degenerate model
+        kern = gauss_kernel_sq(values[:, -1, 0] ** 2, eps_deg)  # eta(1) = xi
+        far = np.max(np.abs(values[:, :, 0]), axis=1) > delta
+        return np.stack([kern, kern * far])
+
+    (kern_mean, far_mean), _ = mc_moments(DegenerateLine(), grid, config.seed,
+                                          config.n_samples, outside)
+    mc_mass = far_mean / kern_mean if kern_mean > 0 else 0.0
     rows.append(ReportRow("degenerate_outside_mass_mc", mc_mass, None, 0.0,
                           config.tolerance("degenerate_mass", 0.01)))
     return ExperimentReport(config, rows)
@@ -408,11 +391,7 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
 @_timed
 def chaos_table(config: ExperimentConfig) -> ExperimentReport:
     d = config.dimension
-    if d not in (1, 2, 3):
-        raise ValueError("chaos table supports d in {1, 2, 3}")
     u = list(config.u)
-    if len(u) != d:
-        raise ValueError("offset length must equal the dimension")
     model = BrownianMotion(d)
     grid = TimeGrid(config.n_steps)
     rows = []
@@ -545,7 +524,13 @@ def sweep_experiment(config: ExperimentConfig) -> ExperimentReport:
     model = BrownianMotion(1)
     grid = TimeGrid(config.n_steps)
     rows = []
-    for eps in config.eps_grid:
+
+    def phi(values):
+        return np.stack([eval_functional_many(LocalTime(eps), values)
+                         for eps in config.eps_grid])
+
+    mean, se = mc_moments(model, grid, config.seed, config.n_samples, phi)
+    for i, eps in enumerate(config.eps_grid):
         oracle = math.sqrt(2.0 / math.pi) * (math.sqrt(1.0 + eps) - math.sqrt(eps))
         # p_{t+eps}(0) = 1/sqrt(2 pi (t+eps))
         quad = integrate_interval(
@@ -554,13 +539,8 @@ def sweep_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
         rows.append(ReportRow(f"local_time_mean_quadrature_eps{eps:g}", quad, 0.0,
                               oracle, config.tolerance("sweep_quadrature", 1e-8)))
-
-        def phi(values, deriv, eps=eps):
-            return eval_functional_many(LocalTime(eps), values)
-
-        mean, se, _ = _chunked_mc(model, grid, config.seed, config.n_samples, phi)
-        rows.append(ReportRow(f"local_time_mean_mc_eps{eps:g}", mean, se, oracle,
-                              config.tolerance("sweep_mc", 4.0 * se + 0.01)))
+        rows.append(ReportRow(f"local_time_mean_mc_eps{eps:g}", mean[i], se[i], oracle,
+                              config.tolerance("sweep_mc", 4.0 * se[i] + 0.01)))
     return ExperimentReport(config, rows)
 
 

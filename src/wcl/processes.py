@@ -9,16 +9,23 @@ All node-level covariances are exact finite-dimensional linear algebra:
 increments are sampled exactly, the operator acts on cell coefficients
 under the h-weighted inner product <u,v> = h * sum(u_i v_i), so
 statistical tests downstream carry no discretization bias at the nodes.
+
+``mc_moments`` is the package's one Monte Carlo engine: every estimate
+samples its replica chunks through it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 _MIN_SINGULAR_VALUE = 1e-10
+# default paths per replica chunk of a Monte Carlo estimate (see mc_moments)
+MC_CHUNK = 1000
 
 
 @dataclass(frozen=True)
@@ -190,14 +197,17 @@ def model_dimension(model: ProcessModel) -> int:
     return 1
 
 
-def _rng(seed):
-    # counter-based: sequence fully determined by (master seed, replica)
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def replica_seed(master_seed: int, replica: int):
     """Derived seed for one replica; order-independent across replicas."""
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(replica,))
+
+
+def _increments(rng, h, shape):
+    """N(0, h) draws, bit for bit those of rng.normal(0, sqrt(h), shape),
+    which spends a quarter of its time on per-draw loc/scale arithmetic."""
+    dw = rng.standard_normal(size=shape)
+    dw *= math.sqrt(h)
+    return dw
 
 
 def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
@@ -210,10 +220,10 @@ def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
     n = grid.n_steps
     h = grid.h
     if isinstance(model, BrownianMotion):
-        dw = rng.normal(0.0, math.sqrt(h), size=(n_paths, n, model.d))
-        values = np.concatenate(
-            [np.zeros((n_paths, 1, model.d)), np.cumsum(dw, axis=1)], axis=1
-        )
+        dw = _increments(rng, h, (n_paths, n, model.d))
+        values = np.empty((n_paths, n + 1, model.d))
+        values[:, 0] = 0.0
+        np.cumsum(dw, axis=1, out=values[:, 1:])
         return values, None
     if isinstance(model, Integrator):
         op = model.operator
@@ -222,7 +232,7 @@ def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
                 f"operator has {op.n_cells} cells but the grid has {n} steps"
             )
         basis = op.node_image_matrix()  # (n, n+1)
-        dw = rng.normal(0.0, math.sqrt(h), size=(n_paths, n, model.d))
+        dw = _increments(rng, h, (n_paths, n, model.d))
         # one BLAS product for all paths and coordinates: (N*d, n) @ (n, n+1)
         values = np.tensordot(dw, basis, axes=(1, 0)).transpose(0, 2, 1)
         return np.ascontiguousarray(values), None
@@ -240,6 +250,70 @@ def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
         values = (xi * grid.times[None, :])[:, :, None]
         return values, None
     raise TypeError(f"unknown model {model!r}")
+
+
+def thread_cap() -> int:
+    """Worker cap from the WCL_THREADS environment variable (default 1)."""
+    try:
+        return max(1, int(os.environ.get("WCL_THREADS", "1")))
+    except ValueError:
+        return 1
+
+
+def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn, *,
+               chunk: int = MC_CHUNK):
+    """Monte Carlo means and standard errors of k per-path statistics.
+
+    Replica chunk r holds the paths r * chunk onwards, at most ``chunk``
+    of them, drawn once from ``replica_seed(seed, r)``.
+    ``fn(values)`` maps a chunk of values (paths, n_steps + 1, d) to a
+    (k, paths) array, or (paths,) for k = 1, of statistics of the same
+    paths.  Chunks run on ``thread_cap()`` threads but are reduced in
+    replica order, so the result does not depend on the thread count.
+
+    Each mean is the compensated sum (``math.fsum``) of the per-chunk
+    sums over n.  Variances merge the per-chunk (count, mean, M2) by the
+    update of Chan, Golub & LeVeque (Am. Stat. 1983), which does not
+    cancel when the mean is large against the spread, as E[x^2] - mean^2
+    does.  Returns (mean, std_error), two arrays of shape (k,).
+    """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    jobs = [(r, min(chunk, n_samples - lo))
+            for r, lo in enumerate(range(0, n_samples, chunk))]
+
+    def run(job):
+        r, nb = job
+        values, _ = sample_values(model, grid, replica_seed(seed, r), n_paths=nb)
+        x = np.atleast_2d(np.asarray(fn(values), dtype=float))
+        if x.ndim != 2 or x.shape[1] != nb:
+            raise ValueError(f"fn must return (k, {nb}) statistics, got {x.shape}")
+        s = np.sum(x, axis=1)
+        return nb, s, np.sum((x - (s / nb)[:, None]) ** 2, axis=1)
+
+    workers = min(thread_cap(), len(jobs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return _merge_chunks(pool.map(run, jobs))
+    return _merge_chunks(map(run, jobs))
+
+
+def _merge_chunks(parts):
+    """(mean, std_error) from per-chunk (count, sums, M2) in replica order."""
+    sums = []
+    n = 0
+    for nb, s, m2_chunk in parts:
+        mean_chunk = s / nb
+        if n == 0:
+            running, m2 = mean_chunk, m2_chunk
+        else:
+            delta = mean_chunk - running
+            running = running + delta * (nb / (n + nb))
+            m2 = m2 + m2_chunk + delta**2 * (n * nb / (n + nb))
+        sums.append(s)
+        n += nb
+    mean = np.array([math.fsum(col) for col in zip(*sums)]) / n
+    return mean, np.sqrt(m2 / n / n)
 
 
 def sample(model: ProcessModel, grid: TimeGrid, seed) -> Path:

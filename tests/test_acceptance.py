@@ -14,7 +14,6 @@ import pytest
 from wcl.analytic import gauss_kernel_sq, hermite_bound_constant, hermite_eval
 from wcl.chaos import expansion_study_mc, self_intersection_mean_quadrature
 from wcl.experiments import (
-    _chunked_mc,
     bridge_weighted_second_moment_quadrature,
     degenerate_outside_mass_quadrature,
     kac_moment_quadrature,
@@ -44,6 +43,7 @@ from wcl.processes import (
     SmoothStationary,
     TimeGrid,
     integrator_inequality,
+    mc_moments,
     operator_bounds,
     replica_seed,
     sample,
@@ -119,11 +119,11 @@ def test_criterion_03_rice_upcrossings(announce):
     for level, oracle in ((0.0, 1.0), (1.0, 0.6065306597126334)):
         assert rice_closed_form(omega, level) == pytest.approx(oracle, rel=1e-10)
 
-        def count(values, deriv, c=level):
+        def count(values, c=level):
             v = values[:, :, 0]
             return np.sum((v[:, :-1] < c) & (v[:, 1:] >= c), axis=1).astype(float)
 
-        mean, se, _ = _chunked_mc(model, grid, 12345, 20000, count)
+        (mean,), (se,) = mc_moments(model, grid, 12345, 20000, count)
         bias = abs(mean - oracle)
         ok = ok and bias <= 3.0 * se and bias <= 0.02
         details.append(f"c={level:g}: {mean:.4f} vs {oracle:.4f} "
@@ -136,9 +136,9 @@ def test_criterion_04_local_time_mean(announce):
     target = math.sqrt(2.0 / math.pi)
     grid = TimeGrid(4096)
     eps = 1e-4
-    mean, se, _ = _chunked_mc(
+    (mean,), (se,) = mc_moments(
         BrownianMotion(1), grid, 99, 10000,
-        lambda v, d: eval_functional_many(LocalTime(eps), v))
+        lambda v: eval_functional_many(LocalTime(eps), v))
     err = abs(mean - target)
     announce(4, err <= 0.01,
              f"E local time at 0, eps=1e-4, 1e4 paths x 4096 steps: "
@@ -153,9 +153,9 @@ def test_criterion_05_kac_moments(announce):
     grid = TimeGrid(4096)
     eps = 0.01
     for n, oracle in ((1, q1), (2, q2)):
-        mean, se, _ = _chunked_mc(
+        (mean,), (se,) = mc_moments(
             BrownianMotion(1), grid, 12345, 10000,
-            lambda v, d, n=n: indicator_local_time_many(v, 0.0, eps) ** n)
+            lambda v, n=n: indicator_local_time_many(v, 0.0, eps) ** n)
         good = abs(mean - oracle) <= 4.0 * se
         ok = ok and good
         details.append(f"MC n={n}: {mean:.4f} vs {oracle:.4f} (4SE {4 * se:.4f})")
@@ -261,9 +261,9 @@ def test_criterion_09_self_intersection_mean(announce):
         u = tuple([0.5 / math.sqrt(d)] * d)
         for eps in (0.1, 0.01):
             oracle = self_intersection_mean_quadrature(eps, u, d)
-            mean, se, _ = _chunked_mc(
+            (mean,), (se,) = mc_moments(
                 BrownianMotion(d), grid, 7, 2000,
-                lambda v, deriv, eps=eps, u=u: eval_functional_many(
+                lambda v, eps=eps, u=u: eval_functional_many(
                     SelfIntersection(eps, u), v))
             good = abs(mean - oracle) <= 4.0 * se
             ok = ok and good

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,20 @@ class TestQuadrature:
             lambda s, t: 1.0 / np.sqrt(s * (t - s)), 2,
             QuadratureRule("gauss-legendre", 200))
         assert val == pytest.approx(math.pi, rel=1e-8)
+
+    def test_simplex_node_budget(self):
+        # the default 200-node rule at n = 4 would need 1.6e9 tensor nodes:
+        # refused before the integrand is called or any array allocated
+        calls = []
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                integrate_simplex(lambda *ts: calls.append(ts), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 1e6
 
     def test_simplex_order_guard(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from wcl.chaos import (
     chaos_term_table,
     chaos_terms_many,
     expansion_study_mc,
-    multi_indices,
     self_intersection_mean_quadrature,
     sobolev_partial_norm,
     term_table_to_csv,
@@ -20,32 +19,6 @@ from wcl.chaos import (
 from wcl.processes import BrownianMotion, TimeGrid, replica_seed, sample, sample_values
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-class TestMultiIndices:
-    def test_one_dimension(self):
-        assert multi_indices(5, 1) == [(5,)]
-
-    def test_counts_are_binomial(self):
-        # number of d-tuples summing to k is C(k + d - 1, d - 1)
-        for k in (0, 1, 4, 7):
-            for d in (1, 2, 3, 5):
-                assert len(multi_indices(k, d)) == math.comb(k + d - 1, d - 1)
-
-    def test_entries_sum_to_order(self):
-        for idx in multi_indices(6, 3):
-            assert sum(idx) == 6
-            assert all(n >= 0 for n in idx)
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            multi_indices(-1, 2)
-        with pytest.raises(ValueError):
-            multi_indices(31, 2)
-        with pytest.raises(ValueError):
-            multi_indices(2, 0)
-        with pytest.raises(ValueError):
-            multi_indices(2, 9)
 
 
 class TestBridgeTerms:

@@ -15,8 +15,8 @@ from wcl.experiments import (
     rice_closed_form,
     rice_quadrature,
     selftest_experiment,
-    thread_cap,
 )
+from wcl.processes import thread_cap
 
 
 class TestOracles:
@@ -169,6 +169,42 @@ class TestCli:
         assert data["config"]["seed"] == 77
 
 
+class TestCliValidation:
+    """Invalid settings exit 2 with a one-line message, before any run."""
+
+    def assert_usage_error(self, argv, capsys):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_steps_below_minimum(self, tmp_path, capsys):
+        err = self.assert_usage_error(
+            ["selftest", "--steps", "8", "--out", str(tmp_path), "--quiet"], capsys)
+        assert "n_steps" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_selftest_negative_eps(self, tmp_path, capsys):
+        err = self.assert_usage_error(
+            ["selftest", "--eps-grid", "0.1,-1", "--out", str(tmp_path), "--quiet"],
+            capsys)
+        assert "eps_grid" in err
+
+    def test_sweep_negative_eps(self, tmp_path, capsys):
+        err = self.assert_usage_error(
+            ["sweep", "--eps-grid", "0.1,-1", "--out", str(tmp_path), "--quiet"], capsys)
+        assert "eps_grid" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_config_file_with_flag_name(self, tmp_path, capsys):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"samples": 200}))
+        err = self.assert_usage_error(
+            ["selftest", "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
+        assert "samples" in err and "n_samples" in err
+
+
 class TestThreading:
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.delenv("WCL_THREADS", raising=False)
@@ -181,12 +217,15 @@ class TestThreading:
         assert thread_cap() == 1
 
     def test_threaded_run_reproduces_serial(self, tmp_path, monkeypatch):
-        reports = []
-        for sub, threads in (("serial", "1"), ("threaded", "4")):
-            monkeypatch.setenv("WCL_THREADS", threads)
-            d = tmp_path / sub
-            cfg = ExperimentConfig("sweep", n_steps=256, n_samples=2100,
-                                   out_dir=str(d), eps_grid=[1.0, 0.1, 0.01])
-            EXPERIMENTS["sweep"](cfg).write()
-            reports.append(json.loads((d / "report.json").read_text()))
-        assert reports[0]["rows"] == reports[1]["rows"]
+        # several replica chunks per driver, so two threads share the work
+        for name, n_samples in (("sweep", 2100), ("rice", 2100), ("kac", 2100),
+                                ("bridge", 2100), ("chaos", 1100)):
+            reports = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("WCL_THREADS", threads)
+                d = tmp_path / f"{name}-{threads}"
+                cfg = ExperimentConfig(name, n_steps=256, n_samples=n_samples,
+                                       out_dir=str(d), eps_grid=[1.0, 0.1, 0.01])
+                EXPERIMENTS[name](cfg).write()
+                reports.append(json.loads((d / "report.json").read_text()))
+            assert reports[0]["rows"] == reports[1]["rows"], name

@@ -13,6 +13,7 @@ from wcl.processes import (
     TimeGrid,
     covariance,
     integrator_inequality,
+    mc_moments,
     operator_bounds,
     replica_seed,
     sample,
@@ -110,6 +111,66 @@ class TestSampling:
         p = sample(SmoothStationary(2.0 * math.pi), grid, 9)
         fd = np.gradient(p.values[:, 0], grid.h)
         assert np.max(np.abs(fd - p.derivative[:, 0])) < 0.01
+
+
+class TestMonteCarloEngine:
+    grid = TimeGrid(16)
+
+    def per_path(self, fn, seed, n_samples):
+        """fn's statistics of all paths, drawn chunk by chunk as the engine does."""
+        parts = []
+        for r, lo in enumerate(range(0, n_samples, 1000)):
+            values, _ = sample_values(DegenerateLine(), self.grid, replica_seed(seed, r),
+                                      n_paths=min(1000, n_samples - lo))
+            parts.append(np.atleast_2d(fn(values)))
+        return parts
+
+    def test_mean_is_compensated_sum_of_chunk_sums(self):
+        def fn(v):
+            return np.stack([v[:, -1, 0], v[:, -1, 0] ** 2])
+
+        mean, se = mc_moments(DegenerateLine(), self.grid, 3, 2500, fn)
+        parts = self.per_path(fn, 3, 2500)
+        x = np.concatenate(parts, axis=1)
+        for k in range(2):
+            assert mean[k] == math.fsum(np.sum(p[k]) for p in parts) / 2500
+            assert se[k] == pytest.approx(np.std(x[k]) / math.sqrt(2500), rel=1e-12)
+
+    def test_merged_variance_does_not_cancel(self):
+        # a mean of 1e8 against a unit spread: E[x^2] - mean^2 loses the
+        # variance to cancellation, the merged (count, mean, M2) keeps it
+        def fn(v):
+            return 1e8 + v[:, -1, 0]
+
+        n = 2500
+        (mean,), (se,) = mc_moments(DegenerateLine(), self.grid, 11, n, fn)
+        x = np.concatenate(self.per_path(fn, 11, n), axis=1)[0]
+        expect = np.std(x) / math.sqrt(n)
+        naive_var = math.fsum(x**2) / n - mean**2
+        naive = math.sqrt(max(naive_var, 0.0) / n)
+        assert abs(naive - expect) > 0.1 * expect
+        assert se == pytest.approx(expect, rel=1e-9)
+
+    def test_threads_reproduce_serial(self, monkeypatch):
+        def fn(v):
+            return np.stack([v[:, -1, 0], np.max(v[:, :, 0], axis=1)])
+
+        monkeypatch.setenv("WCL_THREADS", "1")
+        serial = mc_moments(DegenerateLine(), self.grid, 5, 3100, fn)
+        monkeypatch.setenv("WCL_THREADS", "2")
+        threaded = mc_moments(DegenerateLine(), self.grid, 5, 3100, fn)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+
+    def test_one_statistic_and_shape_check(self):
+        one = mc_moments(DegenerateLine(), self.grid, 5, 300, lambda v: v[:, -1, 0])
+        two = mc_moments(DegenerateLine(), self.grid, 5, 300, lambda v: v[None, :, -1, 0])
+        assert one[0].shape == (1,)
+        assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
+        with pytest.raises(ValueError):
+            mc_moments(DegenerateLine(), self.grid, 5, 300, lambda v: v[:5, -1, 0])
+        with pytest.raises(ValueError):
+            mc_moments(DegenerateLine(), self.grid, 5, 0, lambda v: v[:, -1, 0])
 
 
 class TestCovariance:
