@@ -17,18 +17,13 @@ from .chaos import (
     ChaosTermEstimate,
     bridge_term,
     bridge_term_variance,
-    chaos_partial_sum,
-    chaos_term_eval,
     sobolev_partial_norm,
 )
 from .fac import (
     MCConfig,
     PolyFunctional,
-    eval_poly,
     fac_ratio,
     holder_moment_diagnostic,
-    l2_norm_mc,
-    pairing_mc,
     tail_moment_diagnostic,
     uniform_fac_study,
 )
@@ -37,8 +32,6 @@ from .functionals import (
     LocalTime,
     OffsetLocalTime,
     SelfIntersection,
-    eval_functional,
-    indicator_local_time,
     local_time_field,
     occupation_identity,
 )
@@ -47,16 +40,13 @@ from .processes import (
     DegenerateLine,
     Integrator,
     IntegratorOperator,
-    Path,
     SmoothStationary,
     TimeGrid,
     covariance,
     integrator_inequality,
     mc_moments,
     operator_bounds,
-    sample,
     sigma_interval,
-    upcrossing_count,
 )
 
 __version__ = "0.1.0"

@@ -216,13 +216,12 @@ def integrate_interval(f, rule: QuadratureRule = DEFAULT_INTERVAL_RULE) -> float
     return float(np.dot(w, vals))
 
 
-def integrate_simplex(f, n, rule: QuadratureRule = DEFAULT_SIMPLEX_RULE,
-                      sqrt_substitution=True) -> float:
+def integrate_simplex(f, n, rule: QuadratureRule = DEFAULT_SIMPLEX_RULE) -> float:
     """Integral of f(t_1, ..., t_n) over the ordered simplex
     0 <= t_1 <= ... <= t_n <= 1, for n in {2, 3, 4}.
 
     The simplex is mapped to the unit cube by t_n = u_n, t_j = t_{j+1}*u_j,
-    and each cube coordinate optionally passes through u = sin^2(theta).
+    and each cube coordinate passes through u = sin^2(theta).
     The substitution removes inverse-square-root endpoint singularities
     (Kac-moment integrands), letting tensor Gauss-Legendre converge.
     The tensor rule has rule.n ** n nodes; more than MAX_SIMPLEX_NODES
@@ -237,13 +236,9 @@ def integrate_simplex(f, n, rule: QuadratureRule = DEFAULT_SIMPLEX_RULE,
         raise ValueError(f"{rule.n}^{n} tensor nodes exceed the budget of "
                          f"{MAX_SIMPLEX_NODES}; use a coarser rule")
     x, w = gauss_legendre(rule.n)
-    if sqrt_substitution:
-        theta = (x + 1.0) * (math.pi / 4.0)
-        u = np.sin(theta) ** 2
-        wu = w * (math.pi / 4.0) * np.sin(2.0 * theta)
-    else:
-        u = 0.5 * (x + 1.0)
-        wu = 0.5 * w
+    theta = (x + 1.0) * (math.pi / 4.0)
+    u = np.sin(theta) ** 2
+    wu = w * (math.pi / 4.0) * np.sin(2.0 * theta)
     grids = np.meshgrid(*([u] * n), indexing="ij")
     weight = np.ones_like(grids[0])
     for g in np.meshgrid(*([wu] * n), indexing="ij"):

@@ -10,7 +10,6 @@ residual second moments decrease in the cutoff.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -18,11 +17,10 @@ import numpy as np
 
 from .analytic import gauss_legendre, hermite_eval, hermite_sequence
 from .functionals import lag_blocks, triangle_rule
-from .processes import Path, ProcessModel, TimeGrid, mc_moments
+from .processes import ProcessModel, TimeGrid, mc_moments
 from .processes import sample_values  # noqa: F401  (perfbench wraps each binding)
 
 MAX_TERM_ORDER = 30
-MAX_PARTIAL_ORDER = 12
 MAX_BRIDGE_ORDER = 40
 
 _FACTORIALS = np.array([math.factorial(n) for n in range(MAX_BRIDGE_ORDER + 1)], dtype=float)
@@ -90,22 +88,6 @@ def _order_product(a, b):
     return c
 
 
-def chaos_term_eval(path: Path, k: int, eps: float, u) -> float:
-    """Order-k expansion term evaluated on one path.
-
-    Order 0 is path-independent and equals
-    int_0^1 (1 - tau) p^d_{tau+eps}(u) dtau at the grid discretization.
-    """
-    return float(chaos_terms_many(path.values[None, :, :], k, eps, u)[k, 0])
-
-
-def chaos_partial_sum(path: Path, k_max: int, eps: float, u) -> float:
-    """Sum of the expansion terms of order 0..k_max on one path."""
-    if k_max > MAX_PARTIAL_ORDER:
-        raise ValueError(f"partial-sum order must be <= {MAX_PARTIAL_ORDER}")
-    return float(np.sum(chaos_terms_many(path.values[None, :, :], k_max, eps, u)[:, 0]))
-
-
 def bridge_term(end_value: float, n: int) -> float:
     """Order-n term of the endpoint-kernel limit expansion:
     H_n(0) * H_n(end_value) / (n! * sqrt(2 pi))."""
@@ -146,7 +128,6 @@ class ChaosTermEstimate:
 
     k: int
     mean: float
-    variance: float
     std_error: float
     n_samples: int
 
@@ -160,8 +141,7 @@ def chaos_term_table(model: ProcessModel, k_max: int, eps: float, u,
     means, se = mc_moments(model, grid, seed, n_samples,
                            lambda v: chaos_terms_many(v, k_max, eps, u) ** 2)
     return [
-        ChaosTermEstimate(k, float(means[k]), float(se[k] ** 2 * n_samples),
-                          float(se[k]), n_samples)
+        ChaosTermEstimate(k, float(means[k]), float(se[k]), n_samples)
         for k in range(k_max + 1)
     ]
 
@@ -222,23 +202,3 @@ def self_intersection_mean_quadrature(eps: float, u, d: int, n_nodes: int = 4000
         -float(np.dot(u, u)) / (2.0 * s)
     )
     return float(np.dot(0.5 * w, vals))
-
-
-def term_table_to_csv(path, estimates, eps, u, gamma):
-    """Write a chaos-term table; one row per order."""
-    u = np.asarray(u, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "estimate", "std_error", "n_samples", "eps", "u", "d",
-                         "gamma_weighted"])
-        for est in estimates:
-            writer.writerow([
-                est.k,
-                f"{est.mean:.12g}",
-                f"{est.std_error:.12g}",
-                est.n_samples,
-                f"{eps:.12g}",
-                " ".join(f"{x:.12g}" for x in u),
-                len(u),
-                f"{(est.k + 1.0) ** gamma * est.mean:.12g}",
-            ])

@@ -9,6 +9,7 @@ import json
 import sys
 
 from .experiments import EXPERIMENTS, ExperimentConfig
+from .processes import thread_cap
 
 # per-experiment default budgets; all finish in a few minutes
 _DEFAULTS = {
@@ -76,6 +77,7 @@ def cli_main(argv=None) -> int:
 
     try:
         config = build_config(args)
+        thread_cap()  # a bad WCL_THREADS is a usage error, caught before any run
     except (OSError, ValueError) as exc:
         print(f"wcl {args.experiment}: error: {exc}", file=sys.stderr)
         return 2

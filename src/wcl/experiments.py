@@ -35,6 +35,7 @@ from .functionals import (
     SelfIntersection,
     eval_functional_many,
     indicator_local_time_many,
+    upcrossing_count_many,
 )
 from .processes import (
     BrownianMotion,
@@ -99,11 +100,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown config key(s) {', '.join(unknown)}; "
                              f"the keys are {', '.join(names)}")
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     def tolerance(self, name, default):
         return float(self.tolerances.get(name, default))
@@ -235,9 +231,7 @@ def rice_experiment(config: ExperimentConfig) -> ExperimentReport:
     levels = (0.0, 1.0, 6.0)
 
     def count(values):
-        v = values[:, :, 0]
-        return np.stack([np.sum((v[:, :-1] < c) & (v[:, 1:] >= c), axis=1)
-                         for c in levels]).astype(float)
+        return np.stack([upcrossing_count_many(values, c) for c in levels]).astype(float)
 
     mean, se = mc_moments(model, grid, config.seed, config.n_samples, count)
     for i, level in enumerate(levels[:2]):

@@ -23,7 +23,6 @@ import numpy as np
 from .functionals import FunctionalSpec, eval_functional_many, interval_weights
 from .processes import (
     ProcessModel,
-    Path,
     TimeGrid,
     mc_moments,
     model_dimension,
@@ -90,10 +89,6 @@ class PolyFunctional:
         )
 
 
-def eval_poly(p: PolyFunctional, path: Path) -> float:
-    return float(eval_poly_many(p, path.values[None, :, :], path.grid)[0])
-
-
 def eval_poly_many(p: PolyFunctional, values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Batched polynomial evaluation over paths (N, n+1, d)."""
     d = values.shape[2]
@@ -117,26 +112,6 @@ def _mc(model, grid, mc: MCConfig, fn):
     return mc_moments(model, grid, mc.seed, mc.n_samples, fn, chunk=_CHUNK)
 
 
-def _norm(m2, se2):
-    """sqrt(E P^2) from E P^2, with delta-method standard error."""
-    norm = math.sqrt(m2)
-    return norm, se2 / (2.0 * norm) if norm > 0 else float("inf")
-
-
-def pairing_mc(model: ProcessModel, spec: FunctionalSpec, p: PolyFunctional,
-               mc: MCConfig, grid: TimeGrid):
-    """MC estimate of int Phi(f) P(f) mu(df) with standard error."""
-    mean, se = _mc(model, grid, mc,
-                   lambda v: eval_functional_many(spec, v) * eval_poly_many(p, v, grid))
-    return float(mean[0]), float(se[0])
-
-
-def l2_norm_mc(model: ProcessModel, p: PolyFunctional, mc: MCConfig, grid: TimeGrid):
-    """sqrt(E P^2) under mu, with delta-method standard error."""
-    m2, se2 = _mc(model, grid, mc, lambda v: eval_poly_many(p, v, grid) ** 2)
-    return _norm(float(m2[0]), float(se2[0]))
-
-
 class IllConditionedDenominator(RuntimeError):
     """The L2 norm estimate is too noisy to divide by."""
 
@@ -151,7 +126,9 @@ def fac_ratio(model: ProcessModel, spec: FunctionalSpec, p: PolyFunctional,
         return np.stack([eval_functional_many(spec, v) * pv, pv**2])
 
     (num, m2), (num_se, se2) = _mc(model, grid, mc, stats)
-    den, den_se = _norm(m2, se2)
+    # sqrt(E P^2), with delta-method standard error
+    den = math.sqrt(m2)
+    den_se = se2 / (2.0 * den) if den > 0 else float("inf")
     if not den > 5.0 * den_se:
         raise IllConditionedDenominator(
             f"L2 norm {den:.3g} is below 5 standard errors ({den_se:.3g})"
@@ -171,17 +148,16 @@ def _weighted_rows(phi, x):
     return (phi[:, None, :] * x).reshape(-1, x.shape[-1])
 
 
-def random_poly(rng: np.random.Generator, degree: int, grid: TimeGrid, d: int,
-                n_points: int | None = None) -> PolyFunctional:
+def random_poly(rng: np.random.Generator, degree: int, grid: TimeGrid,
+                d: int) -> PolyFunctional:
     """Draw a random polynomial for the FAC search distribution.
 
-    Evaluation times are uniform over interior grid nodes, coordinates
-    uniform over 1..d, exponent vectors uniform over total degree <=
+    One to four evaluation times, uniform over interior grid nodes,
+    coordinates uniform over 1..d, exponent vectors uniform over total degree <=
     ``degree``, coefficients standard Gaussian.  Callers normalize by an
     estimated L2 norm.
     """
-    if n_points is None:
-        n_points = int(rng.integers(1, min(4, MAX_POLY_POINTS) + 1))
+    n_points = int(rng.integers(1, min(4, MAX_POLY_POINTS) + 1))
     ks = rng.integers(1, grid.n_steps + 1, size=n_points)
     times = tuple(float(k) * grid.h for k in ks)
     coords = tuple(int(c) for c in rng.integers(1, d + 1, size=n_points))
@@ -211,7 +187,6 @@ class FacStudyReport:
     max_ratios: list
     max_ratio_std_errors: list
     sup_ratio: float
-    oracle_bound: float | None = None
     n_polynomials: int = 0
     n_samples: int = 0
 
@@ -231,7 +206,6 @@ class FacStudyReport:
 
 def uniform_fac_study(model: ProcessModel, family, eps_grid, degree: int,
                       n_random_polys: int, mc: MCConfig, grid: TimeGrid,
-                      oracle_bound: float | None = None,
                       family_name: str = "") -> FacStudyReport:
     """Max FAC ratio over random polynomials, for each eps of a
     decreasing grid, on one seed-matched path set.
@@ -273,7 +247,6 @@ def uniform_fac_study(model: ProcessModel, family, eps_grid, degree: int,
         max_ratios=max_ratios,
         max_ratio_std_errors=max_se,
         sup_ratio=float(max(max_ratios)),
-        oracle_bound=oracle_bound,
         n_polynomials=n_random_polys,
         n_samples=mc.n_samples,
     )

@@ -1,7 +1,8 @@
 """Approximating functionals on sampled paths: smoothed local time at a
 level, offset local time, smoothed self-intersection local time, the
-endpoint kernel, band-occupation local time, the local-time field and
-the occupation-formula identity.
+endpoint kernel, band-occupation local time, upcrossing counts, the
+local-time field and the occupation-formula identity.  Each takes a batch
+of path values (N, n+1, d) and returns one result per path.
 
 Time integrals use node values with trapezoid weights; the triangle
 {s < t} uses the product-trapezoid weights of the square restricted to
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import gauss_kernel_sq
-from .processes import Path
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,6 @@ def _spec_dim(spec: FunctionalSpec) -> int | None:
     return len(np.asarray(spec.u))
 
 
-def eval_functional(spec: FunctionalSpec, path: Path) -> float:
-    """Value of the functional on one path; always non-negative."""
-    return float(eval_functional_many(spec, path.values[None, :, :])[0])
-
-
 def eval_functional_many(spec: FunctionalSpec, values: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over a batch of paths of shape (N, n+1, d)."""
     _, n_nodes, d = values.shape
@@ -194,34 +189,42 @@ def _self_intersection_many(values, eps, u):
     return out * (2.0 * math.pi * eps) ** (-0.5 * d)
 
 
-def indicator_local_time(path: Path, x: float, eps: float) -> float:
-    """Band-occupation average (1/2 eps) * time spent in [x-eps, x+eps],
-    time measured by trapezoid weights of the node values."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    v = path.scalar()
-    w = interval_weights(path.grid.n_steps)
-    inside = np.abs(v - x) <= eps
-    return float(np.dot(w, inside)) / (2.0 * eps)
+def _scalar_paths(values: np.ndarray) -> np.ndarray:
+    """The (N, n+1) node values of a batch of scalar paths (N, n+1, 1)."""
+    d = values.shape[2]
+    if d != 1:
+        raise ValueError(f"operation requires scalar paths (d = 1), got d = {d}")
+    return values[:, :, 0]
 
 
 def indicator_local_time_many(values: np.ndarray, x: float, eps: float) -> np.ndarray:
-    """Batched band-occupation average over paths (N, n+1, 1)."""
+    """Batched band-occupation average (1/2 eps) * time spent in
+    [x-eps, x+eps] over scalar paths (N, n+1, 1), time measured by
+    trapezoid weights of the node values."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    w = interval_weights(values.shape[1] - 1)
-    inside = np.abs(values[:, :, 0] - x) <= eps
+    v = _scalar_paths(values)
+    w = interval_weights(v.shape[1] - 1)
+    inside = np.abs(v - x) <= eps
     return (inside @ w) / (2.0 * eps)
 
 
-def local_time_field(path: Path, eps: float, x_grid) -> np.ndarray:
-    """Smoothed field ell_eps(x) = int_0^1 p_eps(f(t) - x) dt on x_grid."""
+def upcrossing_count_many(values: np.ndarray, level: float) -> np.ndarray:
+    """Per scalar path (N, n+1, 1), the number of grid intervals with
+    value[k] < level <= value[k+1]."""
+    v = _scalar_paths(values)
+    return np.sum((v[:, :-1] < level) & (v[:, 1:] >= level), axis=1)
+
+
+def local_time_field(values: np.ndarray, eps: float, x_grid) -> np.ndarray:
+    """Smoothed field ell_eps(x) = int_0^1 p_eps(f(t) - x) dt of each
+    scalar path (N, n+1, 1) on x_grid; shape (N, len(x_grid))."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    v = path.scalar()
-    w = interval_weights(path.grid.n_steps)
+    v = _scalar_paths(values)
+    w = interval_weights(v.shape[1] - 1)
     x_grid = np.asarray(x_grid, dtype=float)
-    sq = (v[None, :] - x_grid[:, None]) ** 2
+    sq = (v[:, None, :] - x_grid[None, :, None]) ** 2
     return gauss_kernel_sq(sq, eps, d=1) @ w
 
 
@@ -242,22 +245,23 @@ def _smoothed_poly_coeffs(coeffs, eps):
     return out
 
 
-def occupation_identity(path: Path, eps: float, coeffs):
+def occupation_identity(values: np.ndarray, eps: float, coeffs):
     """Both sides of the occupation identity for a polynomial test
-    function f given by ``coeffs`` (degree <= 4, ascending powers).
+    function f given by ``coeffs`` (degree <= 4, ascending powers), one
+    value per scalar path (N, n+1, 1).
 
     lhs integrates f against the local-time field, with the x-integral
     done analytically node by node; rhs integrates the Gaussian-smoothed
     polynomial along the path.  Equality is exact Fubini at the shared
-    time discretization.
+    time discretization.  Returns (lhs, rhs), two arrays of shape (N,).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if len(coeffs) > MAX_OCCUPATION_DEGREE + 1:
         raise ValueError(f"polynomial degree must be <= {MAX_OCCUPATION_DEGREE}")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    v = path.scalar()
-    w = interval_weights(path.grid.n_steps)
+    v = _scalar_paths(values)
+    w = interval_weights(v.shape[1] - 1)
     # lhs: per node m, int f(x) p_eps(m - x) dx via central moments of N(m, eps)
     s = math.sqrt(eps)
     lhs_node = np.zeros_like(v)
@@ -268,8 +272,8 @@ def occupation_identity(path: Path, eps: float, coeffs):
         for i in range(0, j + 1, 2):
             moment_j += math.comb(j, i) * _GAUSS_MOMENTS[i] * s**i * v ** (j - i)
         lhs_node += c * moment_j
-    lhs = float(np.dot(w, lhs_node))
+    lhs = lhs_node @ w
     # rhs: evaluate the smoothed polynomial along the path
     g = _smoothed_poly_coeffs(coeffs, eps)
-    rhs = float(np.dot(w, np.polynomial.polynomial.polyval(v, g)))
+    rhs = np.polynomial.polynomial.polyval(v, g) @ w
     return lhs, rhs

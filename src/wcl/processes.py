@@ -10,6 +10,10 @@ increments are sampled exactly, the operator acts on cell coefficients
 under the h-weighted inner product <u,v> = h * sum(u_i v_i), so
 statistical tests downstream carry no discretization bias at the nodes.
 
+Paths have one representation: the values array of ``sample_values``,
+shape (paths, n_steps + 1, d), with values[p, k, j] = X_j(t_k) of path p
+and values[:, 0] = 0.  A single path is a batch of one.
+
 ``mc_moments`` is the package's one Monte Carlo engine: every estimate
 samples its replica chunks through it.
 """
@@ -53,34 +57,6 @@ class TimeGrid:
         return int(k)
 
 
-@dataclass
-class Path:
-    """A sampled path: values[k, j] = X_j(t_k); values[0] = 0.
-
-    ``derivative`` is filled only for the smooth stationary model, where
-    it is computed analytically alongside the path.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    derivative: np.ndarray | None = None
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-    def scalar(self) -> np.ndarray:
-        if self.d != 1:
-            raise ValueError("operation requires a scalar path")
-        return self.values[:, 0]
-
-    def to_csv(self, path_or_file):
-        t = self.grid.times
-        data = np.column_stack([t, self.values])
-        header = "t," + ",".join(f"x{j + 1}" for j in range(self.d))
-        np.savetxt(path_or_file, data, delimiter=",", header=header, comments="")
-
-
 class IntegratorOperator:
     """Matrix representation of a bounded invertible operator on
     L2([0,1]) restricted to step functions on the grid cells.
@@ -117,24 +93,6 @@ class IntegratorOperator:
         midpoints."""
         s = (np.arange(n_cells) + 0.5) / n_cells
         return cls(np.diag(np.asarray([g(si) for si in s], dtype=float)))
-
-    @classmethod
-    def from_csv(cls, path):
-        """Load a row-major matrix from CSV with header line 'n_cells,<n>'."""
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if header[0] != "n_cells":
-                raise ValueError("operator CSV must start with an 'n_cells' header")
-            n = int(header[1])
-            matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if matrix.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix, got {matrix.shape}")
-        return cls(matrix)
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"n_cells,{self.n_cells}\n")
-            np.savetxt(fh, self.matrix, delimiter=",")
 
     def indicator_coefficients(self, i, j):
         """Cell-coefficient vector of the indicator of [t_i, t_j]."""
@@ -253,11 +211,18 @@ def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
 
 
 def thread_cap() -> int:
-    """Worker cap from the WCL_THREADS environment variable (default 1)."""
+    """Worker cap from the WCL_THREADS environment variable (default 1).
+
+    Raises ValueError unless the variable is unset or a positive integer.
+    """
+    raw = os.environ.get("WCL_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("WCL_THREADS", "1")))
+        cap = int(raw)
     except ValueError:
-        return 1
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"WCL_THREADS must be a positive integer, got {raw!r}")
+    return cap
 
 
 def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn, *,
@@ -314,12 +279,6 @@ def _merge_chunks(parts):
         n += nb
     mean = np.array([math.fsum(col) for col in zip(*sums)]) / n
     return mean, np.sqrt(m2 / n / n)
-
-
-def sample(model: ProcessModel, grid: TimeGrid, seed) -> Path:
-    """Sample a single path; exact node-level Gaussian law per model."""
-    values, deriv = sample_values(model, grid, seed, n_paths=1)
-    return Path(grid, values[0], None if deriv is None else deriv[0])
 
 
 def covariance(model: ProcessModel, s: float, t: float) -> np.ndarray:
@@ -389,9 +348,3 @@ def integrator_inequality(op: IntegratorOperator, partition, coeffs):
     _, big = operator_bounds(op)
     rhs = big * float(np.sum(coeffs**2 * np.diff(partition)))
     return lhs, rhs
-
-
-def upcrossing_count(path: Path, level: float) -> int:
-    """Number of grid intervals with value[k] < level <= value[k+1]."""
-    v = path.scalar()
-    return int(np.sum((v[:-1] < level) & (v[1:] >= level)))

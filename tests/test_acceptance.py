@@ -46,7 +46,6 @@ from wcl.processes import (
     mc_moments,
     operator_bounds,
     replica_seed,
-    sample,
     sample_values,
     sigma_interval,
 )
@@ -167,9 +166,9 @@ def test_criterion_06_occupation_identity(announce):
     rng = np.random.default_rng(314)
     worst = 0.0
     for s in range(100):
-        p = sample(BrownianMotion(1), grid, s)
+        values, _ = sample_values(BrownianMotion(1), grid, s, n_paths=1)
         coeffs = rng.standard_normal(5)
-        lhs, rhs = occupation_identity(p, 0.01, coeffs)
+        (lhs,), (rhs,) = occupation_identity(values, 0.01, coeffs)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         worst = max(worst, abs(lhs - rhs) / scale)
     announce(6, worst <= 1e-12,

@@ -7,18 +7,21 @@ from wcl.analytic import gauss_hermite_rule, gauss_kernel_sq, hermite_eval
 from wcl.chaos import (
     bridge_term,
     bridge_term_variance,
-    chaos_partial_sum,
-    chaos_term_eval,
     chaos_term_table,
     chaos_terms_many,
     expansion_study_mc,
     self_intersection_mean_quadrature,
     sobolev_partial_norm,
-    term_table_to_csv,
 )
-from wcl.processes import BrownianMotion, TimeGrid, replica_seed, sample, sample_values
+from wcl.processes import BrownianMotion, TimeGrid, replica_seed, sample_values
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def term0(model, grid, seed, eps, u):
+    """Order-0 term on the path that seed draws."""
+    values, _ = sample_values(model, grid, seed, n_paths=1)
+    return chaos_terms_many(values, 0, eps, u)[0, 0]
 
 
 class TestBridgeTerms:
@@ -99,23 +102,19 @@ class TestSobolevNorm:
 class TestChaosTerms:
     def test_order_zero_is_path_independent(self):
         grid = TimeGrid(256)
-        a = sample(BrownianMotion(1), grid, 0)
-        b = sample(BrownianMotion(1), grid, 1)
-        va = chaos_term_eval(a, 0, 0.1, [0.5])
-        vb = chaos_term_eval(b, 0, 0.1, [0.5])
+        va = term0(BrownianMotion(1), grid, 0, 0.1, [0.5])
+        vb = term0(BrownianMotion(1), grid, 1, 0.1, [0.5])
         assert va == pytest.approx(vb, rel=1e-12)
 
     def test_order_zero_matches_quadrature(self):
         grid = TimeGrid(512)
-        p = sample(BrownianMotion(1), grid, 3)
-        got = chaos_term_eval(p, 0, 0.1, [0.5])
+        got = term0(BrownianMotion(1), grid, 3, 0.1, [0.5])
         oracle = self_intersection_mean_quadrature(0.1, [0.5], 1)
         assert got == pytest.approx(oracle, rel=1e-4)
 
     def test_order_zero_matches_quadrature_d2(self):
         grid = TimeGrid(512)
-        p = sample(BrownianMotion(2), grid, 3)
-        got = chaos_term_eval(p, 0, 0.1, [0.4, 0.3])
+        got = term0(BrownianMotion(2), grid, 3, 0.1, [0.4, 0.3])
         oracle = self_intersection_mean_quadrature(0.1, [0.4, 0.3], 2)
         assert got == pytest.approx(oracle, rel=1e-4)
 
@@ -124,13 +123,6 @@ class TestChaosTerms:
         values, _ = sample_values(BrownianMotion(2), grid, 5, n_paths=7)
         out = chaos_terms_many(values, 4, 0.5, [0.4, 0.3])
         assert out.shape == (5, 7)
-
-    def test_partial_sum_is_sum_of_terms(self):
-        grid = TimeGrid(64)
-        p = sample(BrownianMotion(1), grid, 9)
-        terms = [chaos_term_eval(p, k, 0.2, [0.5]) for k in range(4)]
-        assert chaos_partial_sum(p, 3, 0.2, [0.5]) == pytest.approx(
-            math.fsum(terms), rel=1e-10)
 
     def test_validation(self):
         grid = TimeGrid(32)
@@ -141,9 +133,6 @@ class TestChaosTerms:
             chaos_terms_many(values, 2, 0.1, [0.5, 0.5])
         with pytest.raises(ValueError):
             chaos_terms_many(values, 31, 0.1, [0.5])
-        p = sample(BrownianMotion(1), grid, 0)
-        with pytest.raises(ValueError):
-            chaos_partial_sum(p, 13, 0.1, [0.5])
 
 
 class TestEndpointPairing:
@@ -183,20 +172,8 @@ class TestMonteCarloTables:
         assert st.cross_cov.shape == (4, 4)
         assert st.var_g >= 0.0
         # the mean of G matches the order-0 term up to MC noise
-        term0 = chaos_term_eval(sample(BrownianMotion(1), grid, 0), 0, 0.1, [0.5])
-        assert abs(st.mean_g - term0) <= 5.0 * st.se_mean_g
-
-    def test_csv_export_schema(self, tmp_path):
-        grid = TimeGrid(128)
-        table = chaos_term_table(BrownianMotion(1), 2, 0.1, [0.5], 200, 7, grid)
-        out = tmp_path / "table.csv"
-        term_table_to_csv(out, table, 0.1, [0.5], -1.0)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "k,estimate,std_error,n_samples,eps,u,d,gamma_weighted"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[7]) == pytest.approx(float(first[1]), rel=1e-10)
+        mean0 = term0(BrownianMotion(1), grid, 0, 0.1, [0.5])
+        assert abs(st.mean_g - mean0) <= 5.0 * st.se_mean_g
 
 
 class TestQuadratureOracle:

@@ -64,13 +64,15 @@ class TestConfig:
     def test_from_json(self, tmp_path):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps({
-            "experiment": "rice", "n_steps": 512, "n_samples": 300,
+            "experiment": "selftest", "n_steps": 512, "n_samples": 300,
             "seed": 5, "eps_grid": [1.0, 0.5, 0.25],
         }))
-        cfg = ExperimentConfig.from_json(f)
-        assert cfg.n_steps == 512
-        assert cfg.seed == 5
-        assert cfg.eps_grid == [1.0, 0.5, 0.25]
+        assert cli_main(["selftest", "--config", str(f), "--out", str(tmp_path),
+                         "--quiet"]) == 0
+        cfg = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert cfg["n_steps"] == 512
+        assert cfg["seed"] == 5
+        assert cfg["eps_grid"] == [1.0, 0.5, 0.25]
 
     def test_tolerance_override(self):
         cfg = ExperimentConfig("rice", tolerances={"rice_bias": 0.5})
@@ -113,13 +115,15 @@ class TestSelftest:
         assert lines[0] == "name,estimate,std_error,oracle,tolerance,passed"
         assert len(lines) == len(report.rows) + 1
 
-    def test_byte_identical_reports(self, tmp_path):
-        # identical configs must give byte-identical files
+    @pytest.mark.parametrize("name, n_samples", [("selftest", 100), ("rice", 2100)])
+    def test_byte_identical_reports(self, tmp_path, name, n_samples):
+        # identical configs must give byte-identical files, Monte Carlo
+        # drivers over several replica chunks included
         outs = []
         for sub in ("a", "b"):
             d = tmp_path / sub
-            cfg = ExperimentConfig("selftest", n_steps=256, n_samples=100)
-            selftest_experiment(cfg).write(out_dir=str(d))
+            cfg = ExperimentConfig(name, n_steps=256, n_samples=n_samples)
+            EXPERIMENTS[name](cfg).write(out_dir=str(d))
             outs.append((d / "report.json").read_bytes())
         assert outs[0] == outs[1]
 
@@ -206,15 +210,20 @@ class TestCliValidation:
 
 
 class TestThreading:
-    def test_thread_cap_env(self, monkeypatch):
+    def test_thread_cap_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("WCL_THREADS", raising=False)
         assert thread_cap() == 1
         monkeypatch.setenv("WCL_THREADS", "4")
         assert thread_cap() == 4
-        monkeypatch.setenv("WCL_THREADS", "junk")
-        assert thread_cap() == 1
-        monkeypatch.setenv("WCL_THREADS", "0")
-        assert thread_cap() == 1
+        for bad in ("junk", "0", "-3"):
+            monkeypatch.setenv("WCL_THREADS", bad)
+            with pytest.raises(ValueError, match="WCL_THREADS"):
+                thread_cap()
+            # the CLI refuses it as a usage error before the driver runs
+            assert cli_main(["selftest", "--out", str(tmp_path), "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1 and "WCL_THREADS" in err
+            assert not (tmp_path / "report.json").exists()
 
     def test_threaded_run_reproduces_serial(self, tmp_path, monkeypatch):
         # several replica chunks per driver, so two threads share the work

@@ -12,43 +12,48 @@ from wcl.fac import (
     TailDiagnostic,
     bm_kl_second_moment,
     endpoint_hermite_bound,
-    eval_poly,
     eval_poly_many,
     fac_ratio,
     holder_moment_diagnostic,
     kl_basis,
-    l2_norm_mc,
-    pairing_mc,
     random_poly,
     tail_moment_diagnostic,
     uniform_fac_study,
 )
-from wcl.functionals import EndpointKernel, LocalTime, OffsetLocalTime
-from wcl.processes import BrownianMotion, TimeGrid, sample, sample_values
+from wcl.functionals import EndpointKernel, LocalTime, OffsetLocalTime, SelfIntersection
+from wcl.processes import BrownianMotion, TimeGrid, sample_values
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def one_path(model, grid, seed):
+    """The path that seed draws, as a batch of one."""
+    values, _ = sample_values(model, grid, seed, n_paths=1)
+    return values
 
 
 class TestPolyFunctional:
     def test_constant(self):
         p = PolyFunctional.constant(2.5)
-        path = sample(BrownianMotion(1), TimeGrid(8), 0)
-        assert eval_poly(p, path) == 2.5
+        grid = TimeGrid(8)
+        path = one_path(BrownianMotion(1), grid, 0)
+        assert eval_poly_many(p, path, grid)[0] == 2.5
 
     def test_point_evaluation(self):
         grid = TimeGrid(8)
-        path = sample(BrownianMotion(2), grid, 3)
+        path = one_path(BrownianMotion(2), grid, 3)
         p = PolyFunctional((0.5,), (2,), (((1,), 1.0),))
-        assert eval_poly(p, path) == pytest.approx(path.values[4, 1], rel=1e-14)
+        assert eval_poly_many(p, path, grid)[0] == pytest.approx(path[0, 4, 1], rel=1e-14)
 
     def test_polynomial_combination(self):
         grid = TimeGrid(8)
-        path = sample(BrownianMotion(1), grid, 3)
-        x, y = path.values[2, 0], path.values[8, 0]
+        path = one_path(BrownianMotion(1), grid, 3)
+        x, y = path[0, 2, 0], path[0, 8, 0]
         # 3 x^2 y - y + 1
         p = PolyFunctional((0.25, 1.0), (1, 1),
                            (((2, 1), 3.0), ((0, 1), -1.0), ((0, 0), 1.0)))
-        assert eval_poly(p, path) == pytest.approx(3.0 * x * x * y - y + 1.0, rel=1e-12)
+        assert eval_poly_many(p, path, grid)[0] == pytest.approx(3.0 * x * x * y - y + 1.0,
+                                                                rel=1e-12)
 
     def test_degree_property(self):
         p = PolyFunctional((0.5,), (1,), (((3,), 1.0), ((1,), 2.0)))
@@ -57,8 +62,10 @@ class TestPolyFunctional:
     def test_scaled(self):
         p = PolyFunctional((0.5,), (1,), (((1,), 2.0),))
         q = p.scaled(0.5)
-        path = sample(BrownianMotion(1), TimeGrid(8), 1)
-        assert eval_poly(q, path) == pytest.approx(0.5 * eval_poly(p, path), rel=1e-14)
+        grid = TimeGrid(8)
+        path = one_path(BrownianMotion(1), grid, 1)
+        assert eval_poly_many(q, path, grid)[0] == pytest.approx(
+            0.5 * eval_poly_many(p, path, grid)[0], rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -79,19 +86,12 @@ class TestPolyFunctional:
 
 
 class TestMCEstimators:
-    def test_l2_norm_of_endpoint(self):
-        # E w(1)^2 = 1, so ||P|| = 1 for P = w(1)
-        grid = TimeGrid(64)
-        p = PolyFunctional((1.0,), (1,), (((1,), 1.0),))
-        norm, se = l2_norm_mc(BrownianMotion(1), p, MCConfig(20000, 5), grid)
-        assert abs(norm - 1.0) <= 4.0 * se
-
     def test_pairing_with_constant_poly(self):
-        # pairing with P = 1 is just E Phi
+        # ||1|| = 1 exactly, so the ratio against P = 1 is just E Phi
         grid = TimeGrid(256)
         eps = 0.5
-        mean, se = pairing_mc(BrownianMotion(1), EndpointKernel(eps),
-                              PolyFunctional.constant(1.0), MCConfig(20000, 5), grid)
+        mean, se = fac_ratio(BrownianMotion(1), EndpointKernel(eps),
+                             PolyFunctional.constant(1.0), MCConfig(20000, 5), grid)
         oracle = 1.0 / math.sqrt(2.0 * math.pi * (1.0 + eps))
         assert abs(mean - oracle) <= 4.0 * se
 
@@ -228,3 +228,24 @@ class TestEndpointBound:
                 assert val > prev
                 prev = val
             assert endpoint_hermite_bound(n) == pytest.approx(prev, rel=1e-5)
+
+
+class TestThreads:
+    def test_threads_reproduce_serial(self, monkeypatch):
+        # 2100 samples make two replica chunks, so two threads share the work
+        grid = TimeGrid(32)
+        bm2 = BrownianMotion(2)
+        family = lambda eps: SelfIntersection(eps, (0.4, 0.3))
+        h2 = PolyFunctional((1.0,), (1,), (((2,), 1.0), ((0,), -1.0)))
+        mc = MCConfig(2100, 3)
+        pairs = [(0.125, 0.25), (0.25, 0.5), (0.5, 1.0)]
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WCL_THREADS", threads)
+            runs.append((
+                fac_ratio(BrownianMotion(1), EndpointKernel(0.1), h2, mc, grid),
+                uniform_fac_study(bm2, family, [1.0, 0.5, 0.1], 4, 20, mc, grid),
+                tail_moment_diagnostic(bm2, family, [1.0, 0.1], 8, mc, grid),
+                holder_moment_diagnostic(bm2, family, [1.0, 0.1], 2, pairs, mc, grid),
+            ))
+        assert runs[0] == runs[1]

@@ -9,23 +9,27 @@ from wcl.functionals import (
     LocalTime,
     OffsetLocalTime,
     SelfIntersection,
-    eval_functional,
     eval_functional_many,
-    indicator_local_time,
     indicator_local_time_many,
     interval_weights,
     local_time_field,
     occupation_identity,
     triangle_rule,
+    upcrossing_count_many,
 )
-from wcl.processes import BrownianMotion, Path, TimeGrid, sample
+from wcl.processes import BrownianMotion, TimeGrid, sample_values
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def zero_path(n_steps=64, d=1):
-    grid = TimeGrid(n_steps)
-    return Path(grid, np.zeros((n_steps + 1, d)))
+    return np.zeros((1, n_steps + 1, d))
+
+
+def one_path(model, grid, seed):
+    """The path that seed draws, as a batch of one."""
+    values, _ = sample_values(model, grid, seed, n_paths=1)
+    return values
 
 
 class TestWeights:
@@ -67,19 +71,29 @@ class TestSpecValidation:
     def test_dimension_mismatch(self):
         p = zero_path(d=2)
         with pytest.raises(ValueError):
-            eval_functional(LocalTime(0.1), p)
+            eval_functional_many(LocalTime(0.1), p)
         with pytest.raises(ValueError):
-            eval_functional(SelfIntersection(0.1, (0.5,)), p)
+            eval_functional_many(SelfIntersection(0.1, (0.5,)), p)
+
+    def test_scalar_path_operations_reject_d_above_one(self):
+        # these read coordinate 0 only, so a d = 2 batch must not pass silently
+        values = one_path(BrownianMotion(2), TimeGrid(16), 3)
+        for call in (lambda: indicator_local_time_many(values, 0.0, 0.1),
+                     lambda: local_time_field(values, 0.1, [0.0]),
+                     lambda: occupation_identity(values, 0.1, [1.0]),
+                     lambda: upcrossing_count_many(values, 0.0)):
+            with pytest.raises(ValueError, match="d = 2"):
+                call()
 
 
 class TestClosedFormValues:
     def test_endpoint_kernel_zero_end(self):
-        assert eval_functional(EndpointKernel(1.0), zero_path()) == pytest.approx(
+        assert eval_functional_many(EndpointKernel(1.0), zero_path())[0] == pytest.approx(
             0.3989422804014327, rel=1e-12)
 
     def test_local_time_zero_path(self):
         for eps in (0.01, 0.5, 2.0):
-            assert eval_functional(LocalTime(eps), zero_path()) == pytest.approx(
+            assert eval_functional_many(LocalTime(eps), zero_path())[0] == pytest.approx(
                 1.0 / math.sqrt(2.0 * math.pi * eps), rel=1e-12)
 
     def test_self_intersection_zero_path(self):
@@ -90,75 +104,76 @@ class TestClosedFormValues:
                 sq = sum(x * x for x in u)
                 expect = 0.5 * (2.0 * math.pi * eps) ** (-0.5 * d) * math.exp(
                     -sq / (2.0 * eps))
-                got = eval_functional(SelfIntersection(eps, u), p)
+                got = eval_functional_many(SelfIntersection(eps, u), p)[0]
                 assert got == pytest.approx(expect, rel=1e-12)
 
     def test_offset_local_time_zero_path(self):
         u = (0.3, 0.4)
         eps = 0.5
         expect = (2.0 * math.pi * eps) ** -1 * math.exp(-0.25 / (2.0 * eps))
-        assert eval_functional(OffsetLocalTime(eps, u), zero_path(d=2)) == pytest.approx(
-            expect, rel=1e-12)
+        got = eval_functional_many(OffsetLocalTime(eps, u), zero_path(d=2))[0]
+        assert got == pytest.approx(expect, rel=1e-12)
 
     def test_batch_matches_single(self):
         grid = TimeGrid(64)
-        paths = [sample(BrownianMotion(2), grid, s) for s in range(5)]
-        values = np.stack([p.values for p in paths])
+        paths = [one_path(BrownianMotion(2), grid, s) for s in range(5)]
+        values = np.concatenate(paths)
         spec = SelfIntersection(0.1, (0.4, 0.3))
         batch = eval_functional_many(spec, values)
-        singles = [eval_functional(spec, p) for p in paths]
+        singles = [eval_functional_many(spec, p)[0] for p in paths]
         assert np.allclose(batch, singles, rtol=1e-12, atol=0.0)
 
     def test_everything_non_negative(self):
         grid = TimeGrid(64)
-        p = sample(BrownianMotion(1), grid, 17)
+        p = one_path(BrownianMotion(1), grid, 17)
         for spec in (LocalTime(0.1), EndpointKernel(0.1),
                      OffsetLocalTime(0.1, (0.5,)), SelfIntersection(0.1, (0.5,))):
-            assert eval_functional(spec, p) >= 0.0
+            assert eval_functional_many(spec, p)[0] >= 0.0
 
 
 class TestIndicatorLocalTime:
     def test_path_at_level(self):
         p = zero_path()
-        assert indicator_local_time(p, 0.0, 0.25) == pytest.approx(2.0, rel=1e-12)
+        assert indicator_local_time_many(p, 0.0, 0.25)[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_path_outside_band(self):
         p = zero_path()
-        p.values[:] = 5.0
-        assert indicator_local_time(p, 0.0, 0.25) == 0.0
+        p[:] = 5.0
+        assert indicator_local_time_many(p, 0.0, 0.25)[0] == 0.0
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
-            indicator_local_time(zero_path(), 0.0, 0.0)
+            indicator_local_time_many(zero_path(), 0.0, 0.0)
         with pytest.raises(ValueError):
             indicator_local_time_many(np.zeros((2, 5, 1)), 0.0, -1.0)
 
     def test_batch_matches_single(self):
         grid = TimeGrid(128)
-        paths = [sample(BrownianMotion(1), grid, s) for s in range(4)]
-        values = np.stack([p.values for p in paths])
+        paths = [one_path(BrownianMotion(1), grid, s) for s in range(4)]
+        values = np.concatenate(paths)
         batch = indicator_local_time_many(values, 0.0, 0.05)
-        singles = [indicator_local_time(p, 0.0, 0.05) for p in paths]
+        singles = [indicator_local_time_many(p, 0.0, 0.05)[0] for p in paths]
         assert np.allclose(batch, singles, rtol=1e-12)
 
 
 class TestLocalTimeField:
     def test_zero_path_peak(self):
         field = local_time_field(zero_path(), 0.04, [0.0])
-        assert field[0] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * 0.04), rel=1e-12)
+        assert field[0, 0] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * 0.04), rel=1e-12)
 
     def test_integrates_to_one(self):
         grid = TimeGrid(256)
-        p = sample(BrownianMotion(1), grid, 23)
+        p = one_path(BrownianMotion(1), grid, 23)
         xs = np.linspace(-6.0, 6.0, 2001)
-        field = local_time_field(p, 0.05, xs)
+        field = local_time_field(p, 0.05, xs)[0]
         assert np.trapezoid(field, xs) == pytest.approx(1.0, abs=1e-6)
 
     def test_consistent_with_local_time(self):
         grid = TimeGrid(128)
-        p = sample(BrownianMotion(1), grid, 29)
+        p = one_path(BrownianMotion(1), grid, 29)
         field = local_time_field(p, 0.1, [0.0])
-        assert field[0] == pytest.approx(eval_functional(LocalTime(0.1), p), rel=1e-12)
+        assert field[0, 0] == pytest.approx(eval_functional_many(LocalTime(0.1), p)[0],
+                                            rel=1e-12)
 
     def test_agrees_with_indicator_in_mc_mean(self):
         # both estimate the same local time ell(0); means within 10%
@@ -167,21 +182,21 @@ class TestLocalTimeField:
         tot_f = tot_i = 0.0
         n = 200
         for s in range(n):
-            p = sample(BrownianMotion(1), grid, s)
-            tot_f += local_time_field(p, eps_field, [0.0])[0]
-            tot_i += indicator_local_time(p, 0.0, eps_band)
+            p = one_path(BrownianMotion(1), grid, s)
+            tot_f += local_time_field(p, eps_field, [0.0])[0, 0]
+            tot_i += indicator_local_time_many(p, 0.0, eps_band)[0]
         assert abs(tot_f - tot_i) / tot_i < 0.10
 
 
 class TestOccupationIdentity:
     def test_constant_test_function(self):
-        p = sample(BrownianMotion(1), TimeGrid(64), 31)
-        lhs, rhs = occupation_identity(p, 0.01, [1.0])
+        p = one_path(BrownianMotion(1), TimeGrid(64), 31)
+        (lhs,), (rhs,) = occupation_identity(p, 0.01, [1.0])
         assert lhs == pytest.approx(1.0, rel=1e-12)
         assert rhs == pytest.approx(1.0, rel=1e-12)
 
     def test_odd_function_zero_path(self):
-        lhs, rhs = occupation_identity(zero_path(), 0.5, [0.0, 1.0])
+        (lhs,), (rhs,) = occupation_identity(zero_path(), 0.5, [0.0, 1.0])
         assert lhs == 0.0
         assert rhs == 0.0
 
@@ -189,15 +204,15 @@ class TestOccupationIdentity:
         grid = TimeGrid(128)
         rng = np.random.default_rng(314)
         for s in range(100):
-            p = sample(BrownianMotion(1), grid, s)
+            p = one_path(BrownianMotion(1), grid, s)
             coeffs = rng.standard_normal(5)
-            lhs, rhs = occupation_identity(p, 0.01, coeffs)
+            (lhs,), (rhs,) = occupation_identity(p, 0.01, coeffs)
             scale = max(abs(lhs), abs(rhs), 1e-30)
             assert abs(lhs - rhs) / scale < 1e-12
 
     def test_quadratic_closed_form(self):
         # f = x^2 on the zero path: both sides equal eps
-        lhs, rhs = occupation_identity(zero_path(), 0.3, [0.0, 0.0, 1.0])
+        (lhs,), (rhs,) = occupation_identity(zero_path(), 0.3, [0.0, 0.0, 1.0])
         assert lhs == pytest.approx(0.3, rel=1e-12)
         assert rhs == pytest.approx(0.3, rel=1e-12)
 

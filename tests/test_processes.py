@@ -1,9 +1,9 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
+from wcl.functionals import upcrossing_count_many
 from wcl.processes import (
     BrownianMotion,
     DegenerateLine,
@@ -16,10 +16,8 @@ from wcl.processes import (
     mc_moments,
     operator_bounds,
     replica_seed,
-    sample,
     sample_values,
     sigma_interval,
-    upcrossing_count,
 )
 
 
@@ -101,16 +99,16 @@ class TestSampling:
 
     def test_degenerate_line_is_linear(self):
         grid = TimeGrid(10)
-        p = sample(DegenerateLine(), grid, 4)
-        xi = p.values[-1, 0]
-        assert np.allclose(p.values[:, 0], xi * grid.times)
+        values, _ = sample_values(DegenerateLine(), grid, 4, n_paths=1)
+        xi = values[0, -1, 0]
+        assert np.allclose(values[0, :, 0], xi * grid.times)
 
     def test_smooth_stationary_derivative_consistent(self):
         # finite differences of the path approximate the analytic derivative
         grid = TimeGrid(4096)
-        p = sample(SmoothStationary(2.0 * math.pi), grid, 9)
-        fd = np.gradient(p.values[:, 0], grid.h)
-        assert np.max(np.abs(fd - p.derivative[:, 0])) < 0.01
+        values, deriv = sample_values(SmoothStationary(2.0 * math.pi), grid, 9, n_paths=1)
+        fd = np.gradient(values[0, :, 0], grid.h)
+        assert np.max(np.abs(fd - deriv[0, :, 0])) < 0.01
 
 
 class TestMonteCarloEngine:
@@ -242,20 +240,6 @@ class TestOperator:
             sig2 = sigma_interval(op, s, t) ** 2
             assert m * (t - s) - 1e-12 <= sig2 <= big * (t - s) + 1e-12
 
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        op = IntegratorOperator(np.eye(6) + 0.2 * rng.standard_normal((6, 6)))
-        f = tmp_path / "op.csv"
-        op.to_csv(f)
-        back = IntegratorOperator.from_csv(f)
-        assert np.allclose(back.matrix, op.matrix, rtol=1e-12)
-
-    def test_csv_bad_header(self, tmp_path):
-        f = tmp_path / "bad.csv"
-        f.write_text("cells,4\n1,0\n0,1\n")
-        with pytest.raises(ValueError):
-            IntegratorOperator.from_csv(f)
-
 
 class TestIntegratorInequality:
     def test_identity_exact(self):
@@ -307,37 +291,23 @@ class TestIntegratorInequality:
 class TestUpcrossings:
     def test_constant_below_level(self):
         grid = TimeGrid(16)
-        path = sample(SmoothStationary(1.0), grid, 0)
-        path.values[:, 0] = -1.0
-        assert upcrossing_count(path, 0.0) == 0
+        values, _ = sample_values(SmoothStationary(1.0), grid, 0, n_paths=1)
+        values[:, :, 0] = -1.0
+        assert upcrossing_count_many(values, 0.0)[0] == 0
 
     def test_sine_has_one_upcrossing(self):
         grid = TimeGrid(1024)
-        path = sample(SmoothStationary(1.0), grid, 0)
+        values, _ = sample_values(SmoothStationary(1.0), grid, 0, n_paths=1)
         v = np.sin(2.0 * math.pi * grid.times)
         v[np.abs(v) < 1e-12] = 0.0  # sin(2 pi) in exact arithmetic
-        path.values[:, 0] = v
-        assert upcrossing_count(path, 0.0) == 1
+        values[0, :, 0] = v
+        assert upcrossing_count_many(values, 0.0)[0] == 1
 
     def test_requires_scalar_path(self):
         grid = TimeGrid(8)
-        p = sample(BrownianMotion(2), grid, 0)
+        values, _ = sample_values(BrownianMotion(2), grid, 0, n_paths=1)
         with pytest.raises(ValueError):
-            upcrossing_count(p, 0.0)
-
-
-class TestPathCsv:
-    def test_round_trip(self):
-        grid = TimeGrid(4)
-        p = sample(BrownianMotion(2), grid, 13)
-        buf = io.StringIO()
-        p.to_csv(buf)
-        buf.seek(0)
-        header = buf.readline().strip()
-        assert header == "t,x1,x2"
-        data = np.loadtxt(buf, delimiter=",")
-        assert np.allclose(data[:, 0], grid.times)
-        assert np.allclose(data[:, 1:], p.values)
+            upcrossing_count_many(values, 0.0)
 
 
 class TestModelValidation:
