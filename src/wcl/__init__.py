@@ -2,16 +2,11 @@
 finite-absolute-continuity diagnostics for Gaussian processes on [0,1]."""
 
 from .analytic import (
-    HeatKernelParams,
-    QuadratureRule,
     heat_convolve_variance,
-    heat_kernel,
     hermite_bound_constant,
     hermite_eval,
     integrate_interval,
     integrate_simplex,
-    product_basis_eval,
-    product_basis_norm,
 )
 from .chaos import (
     ChaosTermEstimate,

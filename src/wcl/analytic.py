@@ -1,5 +1,5 @@
-"""Exact analytic building blocks: Hermite polynomials, Gaussian heat
-kernels, the scaled Hermite product basis and quadrature rules.
+"""Exact analytic building blocks: Hermite polynomials, the Gaussian
+heat kernel and Gauss-Legendre / Gauss-Hermite quadrature.
 
 Everything here is deterministic and closed-form (or a convergent
 quadrature of a closed form), so these routines double as oracles for
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -18,9 +17,6 @@ from scipy.optimize import minimize_scalar
 
 MAX_HERMITE_DEGREE = 60
 MAX_BOUND_DEGREE = 20
-
-# exp(-z) underflows to subnormals around z = 745; treat as exact zero
-_EXP_UNDERFLOW = 745.0
 
 
 def hermite_eval(n, x):
@@ -95,41 +91,17 @@ def hermite_bound_constant(n):
     return float(best)
 
 
-@dataclass(frozen=True)
-class HeatKernelParams:
-    """Dimension and variance of the Gaussian kernel p_eps^d."""
-
-    d: int
-    eps: float
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
-        if not self.eps > 0:
-            raise ValueError("variance must be positive")
-
-
-def heat_kernel(params: HeatKernelParams, x) -> float:
-    """Gaussian density (2*pi*eps)^(-d/2) * exp(-|x|^2 / (2*eps))."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[-1] != params.d:
-        raise ValueError(f"point has dimension {x.shape[-1]}, expected {params.d}")
-    sq = float(np.dot(x, x))
-    return gauss_kernel_sq(sq, params.eps, params.d)
-
-
 def gauss_kernel_sq(sq_norm, eps, d=1):
-    """p_eps^d evaluated from the squared norm; array-friendly.
+    """Gaussian density p_eps^d(x) = (2*pi*eps)^(-d/2) * exp(-|x|^2 / (2*eps)),
+    evaluated from the squared norm |x|^2; array-friendly.
 
-    Returns exact zero once the exponent is past the float underflow
-    threshold.
+    Past |x|^2 / (2*eps) of about 745 the exponential underflows to exact
+    zero.
     """
     if not eps > 0:
         raise ValueError("variance must be positive")
-    sq_norm = np.asarray(sq_norm, dtype=float)
-    z = sq_norm / (2.0 * eps)
-    norm = (2.0 * math.pi * eps) ** (-0.5 * d)
-    out = np.where(z > _EXP_UNDERFLOW, 0.0, norm * np.exp(-np.minimum(z, _EXP_UNDERFLOW)))
+    z = np.asarray(sq_norm, dtype=float) / (-2.0 * eps)
+    out = (2.0 * math.pi * eps) ** (-0.5 * d) * np.exp(z)
     return out if out.ndim else float(out)
 
 
@@ -140,83 +112,22 @@ def heat_convolve_variance(a: float, b: float) -> float:
     return a + b
 
 
-def product_basis_eval(idx, sigma, x):
-    """Scaled Hermite product R_idx(x) = sigma^|idx| * prod_j H_{idx_j}(x_j/sigma).
-
-    These are orthogonal (not orthonormal) in L2(p_{sigma^2}^d dx); see
-    ``product_basis_norm`` for the norms.
-    """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    idx = tuple(int(n) for n in idx)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if len(x) != len(idx):
-        raise ValueError("point dimension must match the multi-index length")
-    val = sigma ** sum(idx)
-    for n_j, x_j in zip(idx, x):
-        val *= hermite_eval(n_j, x_j / sigma)
-    return float(val)
-
-
-def product_basis_norm(idx, sigma):
-    """L2(p_{sigma^2}^d dx) norm of R_idx: sigma^|idx| * sqrt(prod idx_j!)."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    idx = tuple(int(n) for n in idx)
-    return sigma ** sum(idx) * math.sqrt(math.prod(math.factorial(n) for n in idx))
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """1-D quadrature rule on [0,1], reusable as the per-axis rule for
-    simplex integration.
-
-    kind: 'trapezoid' or 'gauss-legendre'; n: number of nodes.
-    """
-
-    kind: str = "trapezoid"
-    n: int = 2000
-
-    def __post_init__(self):
-        if self.kind not in ("trapezoid", "gauss-legendre"):
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
-        if self.n < 2:
-            raise ValueError("need at least 2 nodes")
-
-    def nodes_weights(self):
-        """Nodes and weights on [0,1]; weights sum to 1."""
-        if self.kind == "trapezoid":
-            x = np.linspace(0.0, 1.0, self.n)
-            w = np.full(self.n, 1.0 / (self.n - 1))
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            return x, w
-        x, w = gauss_legendre(self.n)
-        return 0.5 * (x + 1.0), 0.5 * w
-
-
-DEFAULT_INTERVAL_RULE = QuadratureRule("trapezoid", 2000)
-DEFAULT_SIMPLEX_RULE = QuadratureRule("gauss-legendre", 200)
 # tensor nodes of one simplex quadrature; each of its ~2n + 3 work arrays
 # takes 8 bytes per node
 MAX_SIMPLEX_NODES = 10**7
 
 
-def integrate_interval(f, rule: QuadratureRule = DEFAULT_INTERVAL_RULE) -> float:
-    """Quadrature of f over [0,1]; f may be scalar or vectorized."""
-    x, w = rule.nodes_weights()
-    try:
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape != x.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([f(t) for t in x], dtype=float)
+def integrate_interval(f, n_nodes: int) -> float:
+    """Gauss-Legendre quadrature with n_nodes nodes of the vectorized f
+    over [0, 1]."""
+    x, w = gauss_legendre(n_nodes)
+    vals = np.asarray(f(0.5 * (x + 1.0)), dtype=float)
     if np.any(~np.isfinite(vals)):
         raise ValueError("integrand evaluated to a non-finite value at a node")
-    return float(np.dot(w, vals))
+    return float(np.dot(0.5 * w, vals))
 
 
-def integrate_simplex(f, n, rule: QuadratureRule = DEFAULT_SIMPLEX_RULE) -> float:
+def integrate_simplex(f, n, n_nodes: int) -> float:
     """Integral of f(t_1, ..., t_n) over the ordered simplex
     0 <= t_1 <= ... <= t_n <= 1, for n in {2, 3, 4}.
 
@@ -224,18 +135,16 @@ def integrate_simplex(f, n, rule: QuadratureRule = DEFAULT_SIMPLEX_RULE) -> floa
     and each cube coordinate passes through u = sin^2(theta).
     The substitution removes inverse-square-root endpoint singularities
     (Kac-moment integrands), letting tensor Gauss-Legendre converge.
-    The tensor rule has rule.n ** n nodes; more than MAX_SIMPLEX_NODES
-    is refused before anything is allocated (the default 200-node rule
-    at n = 4 would need 1.6e9).
+    The tensor rule has n_nodes ** n nodes; more than MAX_SIMPLEX_NODES
+    is refused before anything is allocated (200 nodes at n = 4 would
+    need 1.6e9).
     """
     if n not in (2, 3, 4):
         raise ValueError("simplex order must be 2, 3 or 4")
-    if rule.kind != "gauss-legendre":
-        raise ValueError("simplex integration requires a gauss-legendre rule")
-    if rule.n**n > MAX_SIMPLEX_NODES:
-        raise ValueError(f"{rule.n}^{n} tensor nodes exceed the budget of "
-                         f"{MAX_SIMPLEX_NODES}; use a coarser rule")
-    x, w = gauss_legendre(rule.n)
+    if n_nodes**n > MAX_SIMPLEX_NODES:
+        raise ValueError(f"{n_nodes}^{n} tensor nodes exceed the budget of "
+                         f"{MAX_SIMPLEX_NODES}; use fewer nodes")
+    x, w = gauss_legendre(n_nodes)
     theta = (x + 1.0) * (math.pi / 4.0)
     u = np.sin(theta) ** 2
     wu = w * (math.pi / 4.0) * np.sin(2.0 * theta)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import gauss_legendre, hermite_eval, hermite_sequence
+from .analytic import hermite_eval, hermite_sequence, integrate_interval
 from .functionals import lag_blocks, triangle_rule
 from .processes import ProcessModel, TimeGrid, mc_moments
 from .processes import sample_values  # noqa: F401  (perfbench wraps each binding)
@@ -195,10 +195,10 @@ def self_intersection_mean_quadrature(eps: float, u, d: int, n_nodes: int = 4000
     """1-D quadrature oracle for E G_eps over Brownian motion:
     int_0^1 (1 - tau) p^d_{tau+eps}(u) dtau."""
     u = np.asarray(u, dtype=float)
-    x, w = gauss_legendre(n_nodes)
-    tau = 0.5 * (x + 1.0)
-    s = tau + eps
-    vals = (1.0 - tau) * (2.0 * math.pi * s) ** (-0.5 * d) * np.exp(
-        -float(np.dot(u, u)) / (2.0 * s)
-    )
-    return float(np.dot(0.5 * w, vals))
+    sq = float(np.dot(u, u))
+
+    def integrand(tau):
+        s = tau + eps
+        return (1.0 - tau) * (2.0 * math.pi * s) ** (-0.5 * d) * np.exp(-sq / (2.0 * s))
+
+    return integrate_interval(integrand, n_nodes)

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import analytic, chaos, fac, processes
 from .analytic import (
-    QuadratureRule,
     gauss_hermite_rule,
     gauss_kernel_sq,
     gauss_legendre,
@@ -78,6 +77,11 @@ class ExperimentConfig:
         for eps in self.eps_grid:
             if not (_is_real(eps) and 0.0 < eps < math.inf):
                 raise ValueError(f"eps_grid values must be positive and finite, got {eps!r}")
+        # report rows are named by f"{eps:g}", so equal labels would collide
+        labels = [f"{eps:g}" for eps in self.eps_grid]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"eps_grid values must be distinct to 6 significant "
+                             f"digits, got {', '.join(labels)}")
         if not (_is_real(self.omega) and 0.0 < self.omega < math.inf):
             raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
         if self.dimension not in (1, 2, 3):
@@ -86,8 +90,9 @@ class ExperimentConfig:
                 or not all(_is_real(x) and math.isfinite(x) for x in self.u)):
             raise ValueError(f"u must be a list of {self.dimension} finite numbers")
         if not isinstance(self.tolerances, dict) or not all(
-                _is_real(v) for v in self.tolerances.values()):
-            raise ValueError("tolerances must map check names to numbers")
+                _is_real(v) and 0.0 <= v < math.inf for v in self.tolerances.values()):
+            raise ValueError("tolerances must map check names to finite "
+                             "non-negative numbers")
 
     @classmethod
     def from_dict(cls, data):
@@ -251,17 +256,14 @@ def kac_moment_quadrature(n: int, rule_nodes: int = 160) -> float:
     n! * (2 pi)^{-n/2} * int_{Delta_n} t_1^{-1/2} prod (t_j - t_{j-1})^{-1/2}."""
     if n == 1:
         # 1-D case: int_0^1 (2 pi t)^{-1/2} dt, t = s^2
-        x, w = gauss_legendre(rule_nodes)
-        s = 0.5 * (x + 1.0)
-        return float(np.dot(0.5 * w, 2.0 / SQRT_2PI * np.ones_like(s)))
+        return integrate_interval(lambda s: 2.0 / SQRT_2PI * np.ones_like(s), rule_nodes)
     def integrand(*ts):
         val = 1.0 / np.sqrt(ts[0])
         for j in range(1, n):
             val = val / np.sqrt(ts[j] - ts[j - 1])
         return val
 
-    rule = QuadratureRule("gauss-legendre", rule_nodes)
-    base = integrate_simplex(integrand, n, rule)
+    base = integrate_simplex(integrand, n, rule_nodes)
     return math.factorial(n) * (2.0 * math.pi) ** (-0.5 * n) * base
 
 
@@ -528,9 +530,7 @@ def sweep_experiment(config: ExperimentConfig) -> ExperimentReport:
         oracle = math.sqrt(2.0 / math.pi) * (math.sqrt(1.0 + eps) - math.sqrt(eps))
         # p_{t+eps}(0) = 1/sqrt(2 pi (t+eps))
         quad = integrate_interval(
-            lambda t: 1.0 / np.sqrt(2.0 * math.pi * (t + eps)),
-            QuadratureRule("gauss-legendre", 500),
-        )
+            lambda t: 1.0 / np.sqrt(2.0 * math.pi * (t + eps)), 500)
         rows.append(ReportRow(f"local_time_mean_quadrature_eps{eps:g}", quad, 0.0,
                               oracle, config.tolerance("sweep_quadrature", 1e-8)))
         rows.append(ReportRow(f"local_time_mean_mc_eps{eps:g}", mean[i], se[i], oracle,
@@ -554,21 +554,15 @@ def selftest_experiment(config: ExperimentConfig) -> ExperimentReport:
     check("hermite_H3_at_2", hermite_eval(3, 2.0), 2.0)
     check("hermite_bound_a1", analytic.hermite_bound_constant(1),
           math.sqrt(2.0) * math.exp(-0.5), 1e-7)
-    check("heat_kernel_1d", analytic.heat_kernel(analytic.HeatKernelParams(1, 1.0), [0.0]),
-          1.0 / SQRT_2PI)
-    check("heat_kernel_2d", analytic.heat_kernel(analytic.HeatKernelParams(2, 1.0), [0.0, 0.0]),
-          1.0 / (2.0 * math.pi))
-    check("heat_kernel_offset", analytic.heat_kernel(analytic.HeatKernelParams(1, 0.5), [1.0]),
-          math.exp(-1.0) / math.sqrt(math.pi))
+    check("heat_kernel_1d", gauss_kernel_sq(0.0, 1.0), 1.0 / SQRT_2PI)
+    check("heat_kernel_2d", gauss_kernel_sq(0.0, 1.0, 2), 1.0 / (2.0 * math.pi))
+    check("heat_kernel_offset", gauss_kernel_sq(1.0, 0.5), math.exp(-1.0) / math.sqrt(math.pi))
     check("convolve_variance", analytic.heat_convolve_variance(0.25, 0.75), 1.0)
-    check("simplex_area", integrate_simplex(lambda a, b: np.ones_like(a), 2,
-                                            QuadratureRule("gauss-legendre", 60)), 0.5, 1e-8)
-    check("simplex_volume", integrate_simplex(lambda a, b, c: np.ones_like(a), 3,
-                                              QuadratureRule("gauss-legendre", 40)),
+    check("simplex_area", integrate_simplex(lambda a, b: np.ones_like(a), 2, 60), 0.5, 1e-8)
+    check("simplex_volume", integrate_simplex(lambda a, b, c: np.ones_like(a), 3, 40),
           1.0 / 6.0, 1e-8)
     check("simplex_beta_pi", integrate_simplex(
-        lambda a, b: 1.0 / np.sqrt(a * (b - a)), 2,
-        QuadratureRule("gauss-legendre", 120)), math.pi, 1e-7)
+        lambda a, b: 1.0 / np.sqrt(a * (b - a)), 2, 120), math.pi, 1e-7)
     check("kac_n1", kac_moment_quadrature(1), math.sqrt(2.0 / math.pi), 1e-8)
     check("kac_n2", kac_moment_quadrature(2), 1.0, 1e-6)
     check("rice_closed_c0", rice_closed_form(2.0 * math.pi, 0.0), 1.0)

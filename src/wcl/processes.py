@@ -253,14 +253,20 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn, *,
         x = np.atleast_2d(np.asarray(fn(values), dtype=float))
         if x.ndim != 2 or x.shape[1] != nb:
             raise ValueError(f"fn must return (k, {nb}) statistics, got {x.shape}")
-        s = np.sum(x, axis=1)
-        return nb, s, np.sum((x - (s / nb)[:, None]) ** 2, axis=1)
+        return _chunk_moments(x)
 
     workers = min(thread_cap(), len(jobs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return _merge_chunks(pool.map(run, jobs))
     return _merge_chunks(map(run, jobs))
+
+
+def _chunk_moments(x):
+    """(count, sums, M2) of one chunk's (k, paths) statistics."""
+    nb = x.shape[1]
+    s = np.sum(x, axis=1)
+    return nb, s, np.sum((x - (s / nb)[:, None]) ** 2, axis=1)
 
 
 def _merge_chunks(parts):
@@ -287,10 +293,8 @@ def covariance(model: ProcessModel, s: float, t: float) -> np.ndarray:
         return min(s, t) * np.eye(model.d)
     if isinstance(model, Integrator):
         op = model.operator
-        i = round(s * op.n_cells)
-        j = round(t * op.n_cells)
-        if abs(i / op.n_cells - s) > 1e-12 or abs(j / op.n_cells - t) > 1e-12:
-            raise ValueError("covariance requires grid-node times")
+        grid = TimeGrid(op.n_cells)
+        i, j = grid.index_of(s), grid.index_of(t)
         a = op.matrix @ op.indicator_coefficients(0, i)
         b = op.matrix @ op.indicator_coefficients(0, j)
         return op.h * float(np.dot(a, b)) * np.eye(model.d)
@@ -305,10 +309,8 @@ def sigma_interval(op: IntegratorOperator, s: float, t: float) -> float:
     """sigma(s, t) = ||M 1_{[s,t]}|| under the h-weighted inner product."""
     if s > t:
         raise ValueError("need s <= t")
-    i = round(s * op.n_cells)
-    j = round(t * op.n_cells)
-    if abs(i / op.n_cells - s) > 1e-12 or abs(j / op.n_cells - t) > 1e-12:
-        raise ValueError("sigma requires grid-node times")
+    grid = TimeGrid(op.n_cells)
+    i, j = grid.index_of(s), grid.index_of(t)
     return op.weighted_norm(op.matrix @ op.indicator_coefficients(i, j))
 
 
@@ -337,13 +339,10 @@ def integrator_inequality(op: IntegratorOperator, partition, coeffs):
         raise ValueError("partition must be strictly increasing")
     if len(coeffs) != len(partition) - 1:
         raise ValueError("need one coefficient per partition interval")
+    grid = TimeGrid(op.n_cells)
     c = np.zeros(op.n_cells)
     for a_k, lo, hi in zip(coeffs, partition[:-1], partition[1:]):
-        i = round(lo * op.n_cells)
-        j = round(hi * op.n_cells)
-        if abs(i / op.n_cells - lo) > 1e-12 or abs(j / op.n_cells - hi) > 1e-12:
-            raise ValueError("partition points must be grid nodes")
-        c[i:j] += a_k
+        c[grid.index_of(lo):grid.index_of(hi)] += a_k
     lhs = op.weighted_norm(op.matrix @ c) ** 2
     _, big = operator_bounds(op)
     rhs = big * float(np.sum(coeffs**2 * np.diff(partition)))

@@ -208,6 +208,24 @@ class TestCliValidation:
             ["selftest", "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
         assert "samples" in err and "n_samples" in err
 
+    def test_bad_tolerance(self, tmp_path, capsys):
+        # unchecked, NaN would fail every selftest row, a negative value some
+        # and Infinity none
+        f = tmp_path / "cfg.json"
+        for bad in (math.nan, -1e-9, math.inf):
+            f.write_text(json.dumps({"tolerances": {"selftest": bad}}))
+            err = self.assert_usage_error(
+                ["selftest", "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
+            assert "tolerances" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_repeated_eps(self, tmp_path, capsys):
+        for grid in ("0.1,0.1", "1,0.1,0.10000001"):
+            err = self.assert_usage_error(
+                ["sweep", "--eps-grid", grid, "--out", str(tmp_path), "--quiet"], capsys)
+            assert "eps_grid" in err and "distinct" in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestThreading:
     def test_thread_cap_env(self, tmp_path, monkeypatch, capsys):

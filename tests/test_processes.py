@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wcl import processes
 from wcl.functionals import upcrossing_count_many
 from wcl.processes import (
     BrownianMotion,
@@ -148,6 +151,25 @@ class TestMonteCarloEngine:
         naive = math.sqrt(max(naive_var, 0.0) / n)
         assert abs(naive - expect) > 0.1 * expect
         assert se == pytest.approx(expect, rel=1e-9)
+
+    # three statistics of 200 paths; the middle row sits at a 1e8 offset
+    _stats = np.random.default_rng(29).standard_normal((3, 200)) + [[0.0], [1e8], [3.0]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(cuts=st.lists(st.integers(1, 199), unique=True, max_size=199))
+    def test_merge_does_not_depend_on_chunking(self, cuts):
+        x = self._stats
+        n = x.shape[1]
+        bounds = [0, *sorted(cuts), n]
+        mean, se = processes._merge_chunks(
+            processes._chunk_moments(x[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        expect_mean = np.array([math.fsum(row) for row in x]) / n
+        spread = np.std(x, axis=1)
+        np.testing.assert_allclose(mean, expect_mean, rtol=1e-12, atol=0.0)
+        # a chunk mean is rounded to about eps * |mean|, which against the
+        # spread bounds how well any merge recovers the variance
+        rtol = 1e-12 + 4.0 * np.finfo(float).eps * np.abs(expect_mean) / spread
+        assert np.all(np.abs(se / (spread / math.sqrt(n)) - 1.0) <= rtol)
 
     def test_threads_reproduce_serial(self, monkeypatch):
         def fn(v):
