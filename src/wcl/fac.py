@@ -7,7 +7,10 @@ random polynomials, and computes the two weak-compactness moment
 diagnostics (Karhunen-Loeve tail sums and Holder-type increment
 moments) for the weighted measures.
 
-All estimators share one seed-matched path set across the eps grid, so
+Only the pairing <Phi_eps mu, P> is a Monte Carlo estimate.  The norm
+||P|| is exact: P is a polynomial in jointly Gaussian point values, so
+E[P^2] is a finite sum of Gaussian moments (``poly_norm``).  All
+estimators share one seed-matched path set across the eps grid, so
 eps-comparisons are low-variance and bit-reproducible.
 """
 
@@ -24,6 +27,7 @@ from .functionals import FunctionalSpec, eval_functional_many, interval_weights
 from .processes import (
     ProcessModel,
     TimeGrid,
+    covariance,
     mc_moments,
     model_dimension,
     replica_seed,
@@ -32,13 +36,6 @@ from .processes import (
 
 MAX_POLY_DEGREE = 8
 MAX_POLY_POINTS = 8
-# Replica chunk of the FAC estimators.  The plug-in standard error of an
-# H_4 endpoint ratio is unreliable (E[H_4^4] = 639 E[H_4^2]^2): on the paths
-# of 1000-path chunks it comes out at half its true value and the 3-sigma
-# acceptance check of the ratios fails at its fixed seed.  So these
-# estimators keep the paths they have always drawn until that standard
-# error is fixed.
-_CHUNK = 2000
 
 
 @dataclass(frozen=True)
@@ -69,6 +66,8 @@ class PolyFunctional:
             raise ValueError("need one coordinate index per evaluation time")
         if len(self.times) > MAX_POLY_POINTS:
             raise ValueError(f"at most {MAX_POLY_POINTS} evaluation points")
+        if any(c < 1 for c in self.coords):
+            raise ValueError(f"coordinate indices are 1-based, got {self.coords}")
         if not any(c != 0.0 for _, c in self.monomials):
             raise ValueError("polynomial must have a nonzero coefficient")
         if self.degree > MAX_POLY_DEGREE:
@@ -82,19 +81,13 @@ class PolyFunctional:
     def constant(c: float) -> "PolyFunctional":
         return PolyFunctional((), (), (((), float(c)),))
 
-    def scaled(self, factor: float) -> "PolyFunctional":
-        return PolyFunctional(
-            self.times, self.coords,
-            tuple((e, c * factor) for e, c in self.monomials),
-        )
-
 
 def eval_poly_many(p: PolyFunctional, values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Batched polynomial evaluation over paths (N, n+1, d)."""
     d = values.shape[2]
     cols = []
     for t, c in zip(p.times, p.coords):
-        if not 1 <= c <= d:
+        if c > d:
             raise ValueError(f"coordinate index {c} out of range for d={d}")
         cols.append(values[:, grid.index_of(t), c - 1])
     pts = np.column_stack(cols) if cols else np.empty((values.shape[0], 0))
@@ -108,34 +101,62 @@ def eval_poly_many(p: PolyFunctional, values: np.ndarray, grid: TimeGrid) -> np.
     return out
 
 
-def _mc(model, grid, mc: MCConfig, fn):
-    return mc_moments(model, grid, mc.seed, mc.n_samples, fn, chunk=_CHUNK)
+def _gaussian_moment(cov, e, memo):
+    """E[prod_i X_i^e_i] for centred Gaussian X with covariance ``cov``.
+
+    Isserlis' recursion (Biometrika 1918): with X_a one factor of the
+    monomial and m the rest, E[X_a m] = sum_j cov[a][j] E[dm/dX_j].
+    ``memo`` maps exponent tuples to moments and must hold the zero
+    tuple's moment, 1.
+    """
+    if e in memo:
+        return memo[e]
+    if sum(e) % 2:
+        return 0.0
+    a = next(i for i, k in enumerate(e) if k)
+    rest = list(e)
+    rest[a] -= 1
+    terms = []
+    for j, k in enumerate(rest):
+        if k and cov[a][j]:
+            rest[j] -= 1
+            terms.append(k * cov[a][j] * _gaussian_moment(cov, tuple(rest), memo))
+            rest[j] += 1
+    memo[e] = math.fsum(terms)
+    return memo[e]
 
 
-class IllConditionedDenominator(RuntimeError):
-    """The L2 norm estimate is too noisy to divide by."""
+def poly_norm(p: PolyFunctional, model: ProcessModel) -> float:
+    """Exact ||P||_{L2(mu)}: sqrt of sum c c' E[x^(e + e')] over pairs of
+    monomials, with the point values' covariance from ``covariance``.
+
+    Raises ValueError if a coordinate index exceeds the model dimension or
+    the norm is zero (to rounding), as for P evaluated only where X = 0.
+    """
+    d = model_dimension(model)
+    if any(c > d for c in p.coords):
+        raise ValueError(f"coordinate indices {p.coords} out of range for d={d}")
+    pts = list(zip(p.times, p.coords))
+    cov = [[float(covariance(model, s, t)[a - 1, b - 1]) for t, b in pts] for s, a in pts]
+    memo = {(0,) * len(pts): 1.0}
+    terms = [c * c2 * _gaussian_moment(cov, tuple(x + y for x, y in zip(e, e2)), memo)
+             for e, c in p.monomials for e2, c2 in p.monomials]
+    total = math.fsum(terms)
+    # cancellation leaves rounding noise of about eps * sum |terms|
+    if not total > 1e-12 * math.fsum(map(abs, terms)):
+        raise ValueError(f"polynomial has zero L2 norm under {type(model).__name__}")
+    return math.sqrt(total)
 
 
 def fac_ratio(model: ProcessModel, spec: FunctionalSpec, p: PolyFunctional,
               mc: MCConfig, grid: TimeGrid):
-    """|pairing| / l2 norm with first-order error propagation; both from
-    one pass over the paths."""
-
-    def stats(v):
-        pv = eval_poly_many(p, v, grid)
-        return np.stack([eval_functional_many(spec, v) * pv, pv**2])
-
-    (num, m2), (num_se, se2) = _mc(model, grid, mc, stats)
-    # sqrt(E P^2), with delta-method standard error
-    den = math.sqrt(m2)
-    den_se = se2 / (2.0 * den) if den > 0 else float("inf")
-    if not den > 5.0 * den_se:
-        raise IllConditionedDenominator(
-            f"L2 norm {den:.3g} is below 5 standard errors ({den_se:.3g})"
-        )
-    ratio = abs(num) / den
-    se = math.hypot(num_se / den, ratio * den_se / den)
-    return float(ratio), float(se)
+    """(|<Phi mu, P>| / ||P||, standard error): the Monte Carlo pairing
+    over the exact norm of ``poly_norm``."""
+    norm = poly_norm(p, model)
+    (num,), (num_se,) = mc_moments(
+        model, grid, mc.seed, mc.n_samples,
+        lambda v: eval_functional_many(spec, v) * eval_poly_many(p, v, grid))
+    return float(abs(num) / norm), float(num_se / norm)
 
 
 def _phi_rows(family, eps_grid, values):
@@ -154,8 +175,8 @@ def random_poly(rng: np.random.Generator, degree: int, grid: TimeGrid,
 
     One to four evaluation times, uniform over interior grid nodes,
     coordinates uniform over 1..d, exponent vectors uniform over total degree <=
-    ``degree``, coefficients standard Gaussian.  Callers normalize by an
-    estimated L2 norm.
+    ``degree``, coefficients standard Gaussian.  Callers normalize by
+    ``poly_norm``.
     """
     n_points = int(rng.integers(1, min(4, MAX_POLY_POINTS) + 1))
     ks = rng.integers(1, grid.n_steps + 1, size=n_points)
@@ -221,21 +242,16 @@ def uniform_fac_study(model: ProcessModel, family, eps_grid, degree: int,
     rng = np.random.default_rng(replica_seed(mc.seed, 10**6))
     polys = [random_poly(rng, degree, grid, d) for _ in range(n_random_polys)]
 
-    # one pass over the shared sample: P^2 per polynomial, then Phi_eps * P
-    # per (eps, polynomial)
-    n_eps = len(eps_grid)
-    n_p = len(polys)
+    l2 = np.array([poly_norm(p, model) for p in polys])
 
+    # one pass over the shared sample: Phi_eps * P per (eps, polynomial)
     def stats(values):
         pv = np.stack([eval_poly_many(p, values, grid) for p in polys])
-        return np.concatenate([pv**2, _weighted_rows(_phi_rows(family, eps_grid, values), pv)])
+        return _weighted_rows(_phi_rows(family, eps_grid, values), pv)
 
-    mean, se = _mc(model, grid, mc, stats)
-    l2 = np.sqrt(mean[:n_p])
-    pair_mean = mean[n_p:].reshape(n_eps, n_p)
-    pair_se = se[n_p:].reshape(n_eps, n_p)
-    ratios = np.abs(pair_mean) / l2[None, :]
-    ratio_se = pair_se / l2[None, :]
+    mean, se = mc_moments(model, grid, mc.seed, mc.n_samples, stats)
+    ratios = np.abs(mean.reshape(len(eps_grid), -1)) / l2
+    ratio_se = se.reshape(len(eps_grid), -1) / l2
     best = np.argmax(ratios, axis=1)
     max_ratios = [float(ratios[ei, b]) for ei, b in enumerate(best)]
     max_se = [float(ratio_se[ei, b]) for ei, b in enumerate(best)]
@@ -303,7 +319,7 @@ def tail_moment_diagnostic(model: ProcessModel, family, eps_grid, basis_size: in
         phi = _phi_rows(family, eps_grid, values)
         return np.concatenate([c2, phi, _weighted_rows(phi, c2)])
 
-    mean, se = _mc(model, grid, mc, stats)
+    mean, se = mc_moments(model, grid, mc.seed, mc.n_samples, stats)
     mean_phi = mean[basis_size : basis_size + n_eps, None]
     weighted = mean[basis_size + n_eps :].reshape(n_eps, basis_size) / mean_phi
     weighted_se = se[basis_size + n_eps :].reshape(n_eps, basis_size) / mean_phi
@@ -360,7 +376,7 @@ def holder_moment_diagnostic(model: ProcessModel, family, eps_grid, m0: int,
         phi = _phi_rows(family, eps_grid, values)
         return np.concatenate([incr, phi, _weighted_rows(phi, incr)])
 
-    mean, _ = _mc(model, grid, mc, stats)
+    mean, _ = mc_moments(model, grid, mc.seed, mc.n_samples, stats)
     mean_phi = mean[n_pairs : n_pairs + n_eps, None]
     weighted = mean[n_pairs + n_eps :].reshape(n_eps, n_pairs) / mean_phi
 
@@ -376,31 +392,3 @@ def holder_moment_diagnostic(model: ProcessModel, family, eps_grid, m0: int,
     un_slope, un_se = fit(mean[:n_pairs])
     slopes, ses = zip(*(fit(m) for m in weighted))
     return HolderDiagnostic(eps_grid, m0, list(slopes), list(ses), un_slope, un_se)
-
-
-def fourth_moment_identity(model: ProcessModel, times, coeffs, coord: int = 1):
-    """Exact fourth and second moments of the linear functional
-    l = sum_i c_i X_coord(t_i), from the model covariance.
-
-    The fourth moment is computed by the Wick pairing sum over index
-    quadruples, independently of the identity E l^4 = 3 (E l^2)^2 it
-    instantiates.
-    """
-    from .processes import covariance
-
-    times = list(times)
-    c = np.asarray(coeffs, dtype=float)
-    j = coord - 1
-    cov = np.array([[covariance(model, s, t)[j, j] for t in times] for s in times])
-    m2 = float(c @ cov @ c)
-    m4 = 0.0
-    for a in range(len(c)):
-        for b in range(len(c)):
-            for e in range(len(c)):
-                for f in range(len(c)):
-                    m4 += c[a] * c[b] * c[e] * c[f] * (
-                        cov[a, b] * cov[e, f]
-                        + cov[a, e] * cov[b, f]
-                        + cov[a, f] * cov[b, e]
-                    )
-    return m4, m2

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _MIN_SINGULAR_VALUE = 1e-10
-# default paths per replica chunk of a Monte Carlo estimate (see mc_moments)
+# paths per replica chunk of every Monte Carlo estimate (see mc_moments)
 MC_CHUNK = 1000
 
 
@@ -225,12 +225,11 @@ def thread_cap() -> int:
     return cap
 
 
-def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn, *,
-               chunk: int = MC_CHUNK):
+def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
     """Monte Carlo means and standard errors of k per-path statistics.
 
-    Replica chunk r holds the paths r * chunk onwards, at most ``chunk``
-    of them, drawn once from ``replica_seed(seed, r)``.
+    Replica chunk r holds the paths r * MC_CHUNK onwards, at most
+    ``MC_CHUNK`` of them, drawn once from ``replica_seed(seed, r)``.
     ``fn(values)`` maps a chunk of values (paths, n_steps + 1, d) to a
     (k, paths) array, or (paths,) for k = 1, of statistics of the same
     paths.  Chunks run on ``thread_cap()`` threads but are reduced in
@@ -244,8 +243,8 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn, *,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    jobs = [(r, min(chunk, n_samples - lo))
-            for r, lo in enumerate(range(0, n_samples, chunk))]
+    jobs = [(r, min(MC_CHUNK, n_samples - lo))
+            for r, lo in enumerate(range(0, n_samples, MC_CHUNK))]
 
     def run(job):
         r, nb = job

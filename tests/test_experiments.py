@@ -150,6 +150,14 @@ class TestCli:
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "summary.csv").exists()
 
+    def test_fac_small_budget_runs_to_a_report(self, tmp_path):
+        # 100 samples leave the endpoint ratios' H_4 rows heavy-tailed: the
+        # driver may fail a gate but must still finish and write its report
+        code = cli_main(["fac", "--steps", "256", "--samples", "100", "--seed", "7",
+                         "--out", str(tmp_path), "--quiet"])
+        assert code in (0, 1)
+        assert (tmp_path / "report.json").exists()
+
     def test_failure_exit_code(self, tmp_path):
         # impossible tolerance forces a failing row
         f = tmp_path / "cfg.json"

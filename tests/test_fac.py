@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from wcl.analytic import gauss_hermite_rule
 from wcl.fac import (
+    MAX_POLY_DEGREE,
     FacStudyReport,
     HolderDiagnostic,
-    IllConditionedDenominator,
     MCConfig,
     PolyFunctional,
     TailDiagnostic,
@@ -16,12 +18,23 @@ from wcl.fac import (
     fac_ratio,
     holder_moment_diagnostic,
     kl_basis,
+    poly_norm,
     random_poly,
     tail_moment_diagnostic,
     uniform_fac_study,
 )
 from wcl.functionals import EndpointKernel, LocalTime, OffsetLocalTime, SelfIntersection
-from wcl.processes import BrownianMotion, TimeGrid, sample_values
+from wcl.processes import (
+    BrownianMotion,
+    DegenerateLine,
+    Integrator,
+    IntegratorOperator,
+    SmoothStationary,
+    TimeGrid,
+    covariance,
+    model_dimension,
+    sample_values,
+)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -58,14 +71,6 @@ class TestPolyFunctional:
     def test_degree_property(self):
         p = PolyFunctional((0.5,), (1,), (((3,), 1.0), ((1,), 2.0)))
         assert p.degree == 3
-
-    def test_scaled(self):
-        p = PolyFunctional((0.5,), (1,), (((1,), 2.0),))
-        q = p.scaled(0.5)
-        grid = TimeGrid(8)
-        path = one_path(BrownianMotion(1), grid, 1)
-        assert eval_poly_many(q, path, grid)[0] == pytest.approx(
-            0.5 * eval_poly_many(p, path, grid)[0], rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -106,17 +111,107 @@ class TestMCEstimators:
         oracle = (1.0 + eps) ** -1.5 / (math.sqrt(2.0) * SQRT_2PI)
         assert abs(ratio - oracle) <= 4.0 * se
 
-    def test_ill_conditioned_denominator(self):
-        # P = w(1)^8 over only 100 samples: the norm standard error
-        # dwarfs the norm itself, so the ratio must refuse to divide
+    def test_heavy_tailed_poly_at_small_budget(self):
+        # P = w(1)^8 over only 100 samples: a sampled norm would be too
+        # noisy to divide by, the exact one is sqrt(E w(1)^16) = sqrt(15!!)
         grid = TimeGrid(32)
         p = PolyFunctional((1.0,), (1,), (((8,), 1.0),))
-        with pytest.raises(IllConditionedDenominator):
+        assert poly_norm(p, BrownianMotion(1)) == math.sqrt(2027025)
+        ratio, se = fac_ratio(BrownianMotion(1), EndpointKernel(1.0), p,
+                              MCConfig(100, 3), grid)
+        assert math.isfinite(ratio) and math.isfinite(se) and se > 0
+
+    def test_zero_norm_is_refused(self):
+        # X(0) = 0 for Brownian motion, so P = X(0)^2 has norm 0
+        grid = TimeGrid(32)
+        p = PolyFunctional((0.0,), (1,), (((2,), 1.0),))
+        with pytest.raises(ValueError, match="zero L2 norm"):
             fac_ratio(BrownianMotion(1), EndpointKernel(1.0), p, MCConfig(100, 3), grid)
+        # x - y with x and y the same point value cancels exactly
+        q = PolyFunctional((0.5, 0.5), (1, 1), (((1, 0), 1.0), ((0, 1), -1.0)))
+        with pytest.raises(ValueError, match="zero L2 norm"):
+            poly_norm(q, BrownianMotion(1))
 
     def test_sample_count_guard(self):
         with pytest.raises(ValueError):
             MCConfig(50, 0)
+
+
+def linear_poly(times, coeffs):
+    """l = sum_i c_i X_1(t_i) and its square, as polynomials."""
+    n = len(times)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    lin = PolyFunctional(tuple(times), (1,) * n,
+                         tuple((e, float(c)) for e, c in zip(unit, coeffs)))
+    sq = PolyFunctional(tuple(times), (1,) * n, tuple(
+        (tuple(x + y for x, y in zip(ea, eb)), float(ca * cb))
+        for ea, ca in zip(unit, coeffs) for eb, cb in zip(unit, coeffs)))
+    return lin, sq
+
+
+class TestExactNorm:
+    def test_fourth_moment_of_linear_functional(self):
+        # E l^4 = 3 (E l^2)^2 for every centred Gaussian l
+        op = IntegratorOperator.from_profile(lambda s: 1.0 + 0.5 * s, 8)
+        cases = [
+            (BrownianMotion(1), [0.25, 0.5, 1.0], [1.0, -0.5, 2.0]),
+            (Integrator(op), [0.25, 0.75], [1.0, 1.0]),
+            (SmoothStationary(2.0), [0.0, 0.5, 1.0], [0.3, 0.3, 0.4]),
+            (DegenerateLine(), [0.5, 1.0], [1.0, -1.0]),
+        ]
+        for model, times, coeffs in cases:
+            lin, sq = linear_poly(times, coeffs)
+            m2, m4 = poly_norm(lin, model) ** 2, poly_norm(sq, model) ** 2
+            assert m4 == pytest.approx(3.0 * m2**2, rel=1e-12)
+
+    def test_hermite_norms(self):
+        # E H_n(Z)^2 = n! for the probabilists' Hermite polynomials
+        for n in range(MAX_POLY_DEGREE + 1):
+            coeffs = np.polynomial.hermite_e.herme2poly([0.0] * n + [1.0])
+            p = PolyFunctional((1.0,), (1,), tuple(
+                ((j,), float(c)) for j, c in enumerate(coeffs) if c != 0.0))
+            assert poly_norm(p, BrownianMotion(1)) ** 2 == pytest.approx(
+                math.factorial(n), rel=1e-12)
+
+    def test_matches_gauss_hermite_rule(self):
+        # E P^2 by a tensor Gauss-Hermite rule in z, with the point values
+        # X = L z for L the Cholesky factor of their covariance; five nodes
+        # per axis integrate the degree-8 integrand exactly
+        grid = TimeGrid(8)
+        op = IntegratorOperator.from_profile(lambda s: 1.0 + 0.5 * s, 8)
+        z1, w1 = gauss_hermite_rule(5)
+        rng = np.random.default_rng(41)
+        for model in (BrownianMotion(2), Integrator(op)):
+            d = model_dimension(model)
+            for _ in range(10):
+                n = int(rng.integers(1, 5))
+                nodes = rng.choice(grid.n_steps * d, size=n, replace=False)
+                times = tuple(float(k // d + 1) * grid.h for k in nodes)
+                coords = tuple(int(k % d) + 1 for k in nodes)
+                monomials = tuple(
+                    (tuple(int(x) for x in rng.multinomial(rng.integers(0, 5), [1 / n] * n)),
+                     float(rng.standard_normal()))
+                    for _ in range(5))
+                p = PolyFunctional(times, coords, monomials)
+                cov = np.array([[covariance(model, s, t)[a - 1, b - 1]
+                                 for t, b in zip(times, coords)]
+                                for s, a in zip(times, coords)])
+                z = np.array(list(itertools.product(z1, repeat=n)))
+                w = np.prod(list(itertools.product(w1, repeat=n)), axis=1)
+                x = z @ np.linalg.cholesky(cov).T
+                values = np.zeros((len(z), grid.n_steps + 1, d))
+                for j, (t, c) in enumerate(zip(times, coords)):
+                    values[:, grid.index_of(t), c - 1] = x[:, j]
+                expect = math.fsum(w * eval_poly_many(p, values, grid) ** 2)
+                assert poly_norm(p, model) ** 2 == pytest.approx(expect, rel=1e-12)
+
+    def test_coordinate_guards(self):
+        # coordinate 0 would read the last coordinate through c - 1
+        with pytest.raises(ValueError, match="1-based"):
+            PolyFunctional((0.5,), (0,), (((1,), 1.0),))
+        p = PolyFunctional((0.5,), (3,), (((1,), 1.0),))
+        with pytest.raises(ValueError, match="out of range"):
+            poly_norm(p, BrownianMotion(2))
 
 
 class TestRandomPoly:
@@ -232,7 +327,7 @@ class TestEndpointBound:
 
 class TestThreads:
     def test_threads_reproduce_serial(self, monkeypatch):
-        # 2100 samples make two replica chunks, so two threads share the work
+        # 2100 samples make three replica chunks, so two threads share the work
         grid = TimeGrid(32)
         bm2 = BrownianMotion(2)
         family = lambda eps: SelfIntersection(eps, (0.4, 0.3))

@@ -1,4 +1,6 @@
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from wcl import processes
 from wcl.functionals import upcrossing_count_many
 from wcl.processes import (
+    MC_CHUNK,
     BrownianMotion,
     DegenerateLine,
     Integrator,
@@ -182,6 +185,22 @@ class TestMonteCarloEngine:
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
 
+    @settings(max_examples=12, deadline=None)
+    @given(n_samples=st.integers(1, 4 * MC_CHUNK), seed=st.integers(0, 2**32 - 1))
+    def test_threads_reproduce_serial_at_any_sample_count(self, n_samples, seed):
+        # one to four replica chunks, the last one possibly partial
+        grid = TimeGrid(4)
+
+        def fn(v):
+            return np.stack([v[:, -1, 0], np.max(v[:, :, 0], axis=1)])
+
+        runs = []
+        for threads in ("1", "2"):
+            with mock.patch.dict(os.environ, {"WCL_THREADS": threads}):
+                runs.append(mc_moments(BrownianMotion(1), grid, seed, n_samples, fn))
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
     def test_one_statistic_and_shape_check(self):
         one = mc_moments(DegenerateLine(), self.grid, 5, 300, lambda v: v[:, -1, 0])
         two = mc_moments(DegenerateLine(), self.grid, 5, 300, lambda v: v[None, :, -1, 0])
@@ -341,18 +360,3 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             SmoothStationary(0.0)
 
-
-class TestGaussianFourthMoment:
-    def test_wick_identity_all_models(self):
-        from wcl.fac import fourth_moment_identity
-
-        op = IntegratorOperator.from_profile(lambda s: 1.0 + 0.5 * s, 8)
-        cases = [
-            (BrownianMotion(1), [0.25, 0.5, 1.0], [1.0, -0.5, 2.0]),
-            (Integrator(op), [0.25, 0.75], [1.0, 1.0]),
-            (SmoothStationary(2.0), [0.0, 0.5, 1.0], [0.3, 0.3, 0.4]),
-            (DegenerateLine(), [0.5, 1.0], [1.0, -1.0]),
-        ]
-        for model, times, coeffs in cases:
-            m4, m2 = fourth_moment_identity(model, times, coeffs)
-            assert m4 == pytest.approx(3.0 * m2**2, rel=1e-12, abs=1e-12)
