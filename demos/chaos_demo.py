@@ -23,7 +23,7 @@ print(f"quadrature mean of G_eps: "
       f"{self_intersection_mean_quadrature(eps, u, 1):.6f}")
 print()
 
-table = chaos_term_table(model, 6, eps, u, n_samples, seed, grid)
+[table] = chaos_term_table(model, 6, [eps], u, n_samples, seed, grid)
 print("order   E[term^2]    std err")
 for est in table:
     print(f"{est.k:<7d} {est.mean:.6f}    {est.std_error:.2e}")

@@ -13,7 +13,7 @@ from wcl.fac import (
     MCConfig,
     PolyFunctional,
     endpoint_hermite_bound,
-    fac_ratio,
+    fac_ratios,
     uniform_fac_study,
 )
 from wcl.functionals import EndpointKernel, SelfIntersection
@@ -27,8 +27,9 @@ print("Endpoint kernel family p_eps(w(1)) against P(w) = w(1)^2 - 1")
 print("(ratio -> |H_2(0)|/(sqrt(2) sqrt(2 pi)) as eps -> 0;"
       f" bound {endpoint_hermite_bound(2):.5f})")
 h2 = PolyFunctional((1.0,), (1,), (((2,), 1.0), ((0,), -1.0)))
-for eps in (2.0, 1.0, 0.5, 0.1, 0.01):
-    ratio, se = fac_ratio(bm, EndpointKernel(eps), h2, mc, grid)
+eps_grid = (2.0, 1.0, 0.5, 0.1, 0.01)
+ratios, ses = fac_ratios(bm, EndpointKernel, eps_grid, [h2], mc, grid)
+for eps, [ratio], [se] in zip(eps_grid, ratios, ses):
     # |H_2(0)| (1+eps)^{-3/2} / (sqrt(2!) sqrt(2 pi))
     exact = (1.0 + eps) ** -1.5 / (math.sqrt(2.0) * math.sqrt(2.0 * math.pi))
     print(f"  eps = {eps:<5g} ratio {ratio:.5f} +- {se:.5f}   exact {exact:.5f}")

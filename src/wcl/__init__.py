@@ -17,7 +17,7 @@ from .chaos import (
 from .fac import (
     MCConfig,
     PolyFunctional,
-    fac_ratio,
+    fac_ratios,
     holder_moment_diagnostic,
     tail_moment_diagnostic,
     uniform_fac_study,

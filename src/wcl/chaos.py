@@ -132,17 +132,20 @@ class ChaosTermEstimate:
     n_samples: int
 
 
-def chaos_term_table(model: ProcessModel, k_max: int, eps: float, u,
+def chaos_term_table(model: ProcessModel, k_max: int, eps_grid, u,
                      n_samples: int, seed: int, grid: TimeGrid):
-    """Second-moment estimates for every order 0..k_max from one
-    sampling pass; returns a list of ChaosTermEstimate."""
+    """Second-moment estimates for every order 0..k_max and every eps of
+    ``eps_grid`` from one sampling pass; returns one list of
+    ChaosTermEstimate per eps."""
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    means, se = mc_moments(model, grid, seed, n_samples,
-                           lambda v: chaos_terms_many(v, k_max, eps, u) ** 2)
+    means, se = mc_moments(model, grid, seed, n_samples, lambda v: np.concatenate(
+        [chaos_terms_many(v, k_max, eps, u) ** 2 for eps in eps_grid]))
+    m = k_max + 1
     return [
-        ChaosTermEstimate(k, float(means[k]), float(se[k]), n_samples)
-        for k in range(k_max + 1)
+        [ChaosTermEstimate(k, float(means[i * m + k]), float(se[i * m + k]), n_samples)
+         for k in range(m)]
+        for i in range(len(eps_grid))
     ]
 
 

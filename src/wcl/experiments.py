@@ -68,6 +68,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_steps < 256:
             raise ValueError("n_steps must be >= 256")
         if self.n_samples < 100:
@@ -392,10 +394,9 @@ def chaos_table(config: ExperimentConfig) -> ExperimentReport:
     grid = TimeGrid(config.n_steps)
     rows = []
     k_max = 6
-    tables = {}
+    tables = dict(zip(config.eps_grid, chaos.chaos_term_table(
+        model, k_max, config.eps_grid, u, config.n_samples, config.seed, grid)))
     for eps in config.eps_grid:
-        tables[eps] = chaos.chaos_term_table(model, k_max, eps, u,
-                                             config.n_samples, config.seed, grid)
         mean0 = chaos.self_intersection_mean_quadrature(eps, u, d)
         est0 = tables[eps][0]
         rows.append(ReportRow(f"term0_second_moment_eps{eps:g}", est0.mean,
@@ -437,14 +438,14 @@ def fac_study_cmd(config: ExperimentConfig) -> ExperimentReport:
     mc = fac.MCConfig(config.n_samples, config.seed)
 
     # closed-form oracle family: endpoint kernel against H_n(f(1))
-    bm = BrownianMotion(1)
-    for n in (0, 2, 4):
-        p = fac.PolyFunctional(
-            (1.0,), (1,),
-            tuple(_hermite_monomials(n)),
-        )
-        for eps in (1.0, 0.1, 0.01):
-            ratio, se = fac.fac_ratio(bm, EndpointKernel(eps), p, mc, grid)
+    orders, eps_grid = (0, 2, 4), (1.0, 0.1, 0.01)
+    polys = [fac.PolyFunctional((1.0,), (1,), tuple(_hermite_monomials(n)))
+             for n in orders]
+    ratios, ses = fac.fac_ratios(BrownianMotion(1), EndpointKernel, eps_grid, polys,
+                                 mc, grid)
+    for j, n in enumerate(orders):
+        for i, eps in enumerate(eps_grid):
+            ratio, se = float(ratios[i, j]), float(ses[i, j])
             oracle = abs(hermite_eval(n, 0.0)) * (1.0 + eps) ** (-(n + 1) / 2.0) / (
                 math.sqrt(math.factorial(n)) * SQRT_2PI
             )

@@ -9,9 +9,12 @@ moments) for the weighted measures.
 
 Only the pairing <Phi_eps mu, P> is a Monte Carlo estimate.  The norm
 ||P|| is exact: P is a polynomial in jointly Gaussian point values, so
-E[P^2] is a finite sum of Gaussian moments (``poly_norm``).  All
-estimators share one seed-matched path set across the eps grid, so
-eps-comparisons are low-variance and bit-reproducible.
+E[P^2] is a finite sum of Gaussian moments (``poly_norm``).
+
+One engine pass per path set: every estimator evaluates its whole
+(eps, statistic) grid in a single ``mc_moments`` call, so each replica
+chunk is drawn once per call and eps-comparisons share the same paths.
+Each cell of the grid is bit for bit what a one-cell call would give.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import FunctionalSpec, eval_functional_many, interval_weights
+from .functionals import eval_functional_many, interval_weights
 from .processes import (
     ProcessModel,
     TimeGrid,
@@ -148,25 +151,39 @@ def poly_norm(p: PolyFunctional, model: ProcessModel) -> float:
     return math.sqrt(total)
 
 
-def fac_ratio(model: ProcessModel, spec: FunctionalSpec, p: PolyFunctional,
-              mc: MCConfig, grid: TimeGrid):
-    """(|<Phi mu, P>| / ||P||, standard error): the Monte Carlo pairing
-    over the exact norm of ``poly_norm``."""
-    norm = poly_norm(p, model)
-    (num,), (num_se,) = mc_moments(
-        model, grid, mc.seed, mc.n_samples,
-        lambda v: eval_functional_many(spec, v) * eval_poly_many(p, v, grid))
-    return float(abs(num) / norm), float(num_se / norm)
+def _weighted_moments(model: ProcessModel, family, eps_grid, mc: MCConfig,
+                      grid: TimeGrid, stat):
+    """Means and standard errors of the rows [x, Phi_eps, Phi_eps * x] for
+    every eps of ``eps_grid``, from one engine pass; ``stat(values)`` gives
+    x, (k, paths).
+
+    Returns (mean, std_error), each a triple (x (k,), Phi (n_eps,),
+    Phi * x (n_eps, k)).
+    """
+    n_eps = len(eps_grid)
+
+    def rows(values):
+        x = stat(values)
+        phi = np.stack([eval_functional_many(family(eps), values) for eps in eps_grid])
+        return np.concatenate([x, phi, (phi[:, None, :] * x).reshape(-1, x.shape[-1])])
+
+    mean, se = mc_moments(model, grid, mc.seed, mc.n_samples, rows)
+    k = (len(mean) - n_eps) // (n_eps + 1)
+    return [(a[:k], a[k : k + n_eps], a[k + n_eps :].reshape(n_eps, k)) for a in (mean, se)]
 
 
-def _phi_rows(family, eps_grid, values):
-    """Phi_eps of every path, one row per eps: (n_eps, paths)."""
-    return np.stack([eval_functional_many(family(eps), values) for eps in eps_grid])
-
-
-def _weighted_rows(phi, x):
-    """Rows phi[e] * x[k] in eps-major order: (n_eps * k, paths)."""
-    return (phi[:, None, :] * x).reshape(-1, x.shape[-1])
+def fac_ratios(model: ProcessModel, family, eps_grid, polys, mc: MCConfig,
+               grid: TimeGrid):
+    """(|<Phi_eps mu, P>| / ||P||, standard error) for every eps of
+    ``eps_grid`` and P of ``polys``: two (n_eps, n_polys) arrays from one
+    engine pass, the Monte Carlo pairing over the exact ``poly_norm``.
+    ``family`` maps eps to a FunctionalSpec."""
+    eps_grid = [float(e) for e in eps_grid]
+    norms = np.array([poly_norm(p, model) for p in polys])
+    mean, se = _weighted_moments(
+        model, family, eps_grid, mc, grid,
+        lambda v: np.stack([eval_poly_many(p, v, grid) for p in polys]))
+    return np.abs(mean[2]) / norms, se[2] / norms
 
 
 def random_poly(rng: np.random.Generator, degree: int, grid: TimeGrid,
@@ -241,17 +258,7 @@ def uniform_fac_study(model: ProcessModel, family, eps_grid, degree: int,
     d = model_dimension(model)
     rng = np.random.default_rng(replica_seed(mc.seed, 10**6))
     polys = [random_poly(rng, degree, grid, d) for _ in range(n_random_polys)]
-
-    l2 = np.array([poly_norm(p, model) for p in polys])
-
-    # one pass over the shared sample: Phi_eps * P per (eps, polynomial)
-    def stats(values):
-        pv = np.stack([eval_poly_many(p, values, grid) for p in polys])
-        return _weighted_rows(_phi_rows(family, eps_grid, values), pv)
-
-    mean, se = mc_moments(model, grid, mc.seed, mc.n_samples, stats)
-    ratios = np.abs(mean.reshape(len(eps_grid), -1)) / l2
-    ratio_se = se.reshape(len(eps_grid), -1) / l2
+    ratios, ratio_se = fac_ratios(model, family, eps_grid, polys, mc, grid)
     best = np.argmax(ratios, axis=1)
     max_ratios = [float(ratios[ei, b]) for ei, b in enumerate(best)]
     max_se = [float(ratio_se[ei, b]) for ei, b in enumerate(best)]
@@ -311,18 +318,12 @@ def tail_moment_diagnostic(model: ProcessModel, family, eps_grid, basis_size: in
     w_time = interval_weights(grid.n_steps)
     basis = np.stack([kl_basis(k, t) * w_time for k in range(1, basis_size + 1)])
 
-    n_eps = len(eps_grid)
-
-    def stats(values):
-        # (e_k, u)^2 summed over coordinates: ||proj||^2 uses all d coords
-        c2 = sum((values[:, :, j] @ basis.T) ** 2 for j in range(values.shape[2])).T
-        phi = _phi_rows(family, eps_grid, values)
-        return np.concatenate([c2, phi, _weighted_rows(phi, c2)])
-
-    mean, se = mc_moments(model, grid, mc.seed, mc.n_samples, stats)
-    mean_phi = mean[basis_size : basis_size + n_eps, None]
-    weighted = mean[basis_size + n_eps :].reshape(n_eps, basis_size) / mean_phi
-    weighted_se = se[basis_size + n_eps :].reshape(n_eps, basis_size) / mean_phi
+    # (e_k, u)^2 summed over coordinates: ||proj||^2 uses all d coords
+    (c2, mean_phi, weighted), (c2_se, _, weighted_se) = _weighted_moments(
+        model, family, eps_grid, mc, grid,
+        lambda v: sum((v[:, :, j] @ basis.T) ** 2 for j in range(v.shape[2])).T)
+    weighted = weighted / mean_phi[:, None]
+    weighted_se = weighted_se / mean_phi[:, None]
 
     def tails(vec):
         return np.cumsum(vec[::-1])[::-1]
@@ -332,8 +333,8 @@ def tail_moment_diagnostic(model: ProcessModel, family, eps_grid, basis_size: in
         basis_size=basis_size,
         tail_sums=[tails(m).tolist() for m in weighted],
         tail_std_errors=[np.sqrt(tails(e**2)).tolist() for e in weighted_se],
-        unweighted_tails=tails(mean[:basis_size]).tolist(),
-        unweighted_std_errors=np.sqrt(tails(se[:basis_size] ** 2)).tolist(),
+        unweighted_tails=tails(c2).tolist(),
+        unweighted_std_errors=np.sqrt(tails(c2_se**2)).tolist(),
     )
 
 
@@ -366,19 +367,11 @@ def holder_moment_diagnostic(model: ProcessModel, family, eps_grid, m0: int,
     idx = [(grid.index_of(a), grid.index_of(b)) for a, b in pairs]
     gaps = np.array([abs(b - a) for a, b in pairs])
 
-    n_eps, n_pairs = len(eps_grid), len(pairs)
-
-    def stats(values):
-        incr = np.stack([
-            np.sum((values[:, j, :] - values[:, i, :]) ** 2, axis=1) ** m0
-            for i, j in idx
-        ])  # (n_pairs, paths)
-        phi = _phi_rows(family, eps_grid, values)
-        return np.concatenate([incr, phi, _weighted_rows(phi, incr)])
-
-    mean, _ = mc_moments(model, grid, mc.seed, mc.n_samples, stats)
-    mean_phi = mean[n_pairs : n_pairs + n_eps, None]
-    weighted = mean[n_pairs + n_eps :].reshape(n_eps, n_pairs) / mean_phi
+    (incr, mean_phi, weighted), _ = _weighted_moments(
+        model, family, eps_grid, mc, grid,
+        lambda v: np.stack([np.sum((v[:, j, :] - v[:, i, :]) ** 2, axis=1) ** m0
+                            for i, j in idx]))
+    weighted = weighted / mean_phi[:, None]
 
     def fit(moments):
         x = np.log(gaps)
@@ -389,6 +382,6 @@ def holder_moment_diagnostic(model: ProcessModel, family, eps_grid, m0: int,
         se = math.sqrt(float(np.sum(resid**2)) / dof / float(np.sum((x - x.mean()) ** 2)))
         return float(slope), se
 
-    un_slope, un_se = fit(mean[:n_pairs])
+    un_slope, un_se = fit(incr)
     slopes, ses = zip(*(fit(m) for m in weighted))
     return HolderDiagnostic(eps_grid, m0, list(slopes), list(ses), un_slope, un_se)

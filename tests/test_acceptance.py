@@ -23,7 +23,7 @@ from wcl.fac import (
     MCConfig,
     PolyFunctional,
     bm_kl_second_moment,
-    fac_ratio,
+    fac_ratios,
     holder_moment_diagnostic,
     tail_moment_diagnostic,
     uniform_fac_study,
@@ -305,11 +305,13 @@ def test_criterion_11_uniform_fac_family(announce):
     bm = BrownianMotion(1)
     ok = True
     details = []
-    for n in (0, 2, 4):
-        p = _hermite_poly_functional(n)
-        for eps in (1.0, 0.1, 0.01):
-            ratio, se = fac_ratio(bm, EndpointKernel(eps), p, MCConfig(20000, 12345),
-                                  grid)
+    orders, eps_grid = (0, 2, 4), (1.0, 0.1, 0.01)
+    ratios, ses = fac_ratios(bm, EndpointKernel, eps_grid,
+                             [_hermite_poly_functional(n) for n in orders],
+                             MCConfig(20000, 12345), grid)
+    for j, n in enumerate(orders):
+        for i, eps in enumerate(eps_grid):
+            ratio, se = ratios[i, j], ses[i, j]
             oracle = abs(hermite_eval(n, 0.0)) * (1.0 + eps) ** (-(n + 1) / 2.0) / (
                 math.sqrt(math.factorial(n)) * SQRT_2PI)
             bound = abs(hermite_eval(n, 0.0)) / (math.sqrt(math.factorial(n)) * SQRT_2PI)

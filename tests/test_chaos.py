@@ -152,7 +152,7 @@ class TestMonteCarloTables:
     def test_table_consistent_with_single_order(self):
         grid = TimeGrid(128)
         model = BrownianMotion(1)
-        table = chaos_term_table(model, 3, 0.1, [0.5], 400, 7, grid)
+        [table] = chaos_term_table(model, 3, [0.1], [0.5], 400, 7, grid)
         # 400 samples fit in the first replica chunk: the same paths
         values, _ = sample_values(model, grid, replica_seed(7, 0), n_paths=400)
         single = chaos_terms_many(values, 2, 0.1, [0.5])[2] ** 2
@@ -162,7 +162,18 @@ class TestMonteCarloTables:
     def test_sample_count_guard(self):
         grid = TimeGrid(128)
         with pytest.raises(ValueError):
-            chaos_term_table(BrownianMotion(1), 2, 0.1, [0.5], 50, 0, grid)
+            chaos_term_table(BrownianMotion(1), 2, [0.1], [0.5], 50, 0, grid)
+
+    def test_eps_grid_tables_match_single_eps_tables(self):
+        # one pass over the grid gives each eps the table of its own pass,
+        # bit for bit; 1100 samples make two replica chunks
+        grid = TimeGrid(64)
+        model = BrownianMotion(2)
+        eps_grid = [1.0, 0.1, 0.01]
+        tables = chaos_term_table(model, 4, eps_grid, [0.4, 0.3], 1100, 7, grid)
+        assert len(tables) == 3
+        for eps, table in zip(eps_grid, tables):
+            assert table == chaos_term_table(model, 4, [eps], [0.4, 0.3], 1100, 7, grid)[0]
 
     def test_expansion_study_fields(self):
         grid = TimeGrid(128)

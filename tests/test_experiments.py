@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from wcl import processes
 from wcl.cli import build_parser, cli_main
 from wcl.experiments import (
     EXPERIMENTS,
@@ -158,6 +159,25 @@ class TestCli:
         assert code in (0, 1)
         assert (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("name, n_samples, calls", [("fac", 2100, 10),
+                                                         ("chaos", 1100, 2)])
+    def test_each_chunk_drawn_once_per_pass(self, tmp_path, monkeypatch, name,
+                                            n_samples, calls):
+        # fac: one pass each for the endpoint ratios (3 chunks), the study
+        # (3), the KL tails (2) and the Hoelder moments (2); chaos: one pass
+        # over 2 chunks for the whole eps grid
+        drawn = []
+        sample_values = processes.sample_values
+
+        def counted(*args, **kwargs):
+            drawn.append(1)
+            return sample_values(*args, **kwargs)
+
+        monkeypatch.setattr(processes, "sample_values", counted)
+        cli_main([name, "--steps", "256", "--samples", str(n_samples),
+                  "--out", str(tmp_path), "--quiet"])
+        assert len(drawn) == calls
+
     def test_failure_exit_code(self, tmp_path):
         # impossible tolerance forces a failing row
         f = tmp_path / "cfg.json"
@@ -225,6 +245,15 @@ class TestCliValidation:
             err = self.assert_usage_error(
                 ["selftest", "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
             assert "tolerances" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_negative_seed(self, tmp_path, capsys):
+        # numpy's SeedSequence refuses negative entropy mid-run
+        for name in ("rice", "selftest"):
+            err = self.assert_usage_error(
+                [name, "--seed", "-1", "--steps", "256", "--samples", "100",
+                 "--out", str(tmp_path), "--quiet"], capsys)
+            assert "seed" in err
         assert not (tmp_path / "report.json").exists()
 
     def test_repeated_eps(self, tmp_path, capsys):

@@ -15,7 +15,7 @@ from wcl.fac import (
     bm_kl_second_moment,
     endpoint_hermite_bound,
     eval_poly_many,
-    fac_ratio,
+    fac_ratios,
     holder_moment_diagnostic,
     kl_basis,
     poly_norm,
@@ -95,8 +95,9 @@ class TestMCEstimators:
         # ||1|| = 1 exactly, so the ratio against P = 1 is just E Phi
         grid = TimeGrid(256)
         eps = 0.5
-        mean, se = fac_ratio(BrownianMotion(1), EndpointKernel(eps),
-                             PolyFunctional.constant(1.0), MCConfig(20000, 5), grid)
+        [[mean]], [[se]] = fac_ratios(BrownianMotion(1), EndpointKernel, [eps],
+                                      [PolyFunctional.constant(1.0)], MCConfig(20000, 5),
+                                      grid)
         oracle = 1.0 / math.sqrt(2.0 * math.pi * (1.0 + eps))
         assert abs(mean - oracle) <= 4.0 * se
 
@@ -106,8 +107,8 @@ class TestMCEstimators:
         grid = TimeGrid(64)
         eps = 1.0
         p = PolyFunctional((1.0,), (1,), (((2,), 1.0), ((0,), -1.0)))
-        ratio, se = fac_ratio(BrownianMotion(1), EndpointKernel(eps), p,
-                              MCConfig(40000, 11), grid)
+        [[ratio]], [[se]] = fac_ratios(BrownianMotion(1), EndpointKernel, [eps], [p],
+                                       MCConfig(40000, 11), grid)
         oracle = (1.0 + eps) ** -1.5 / (math.sqrt(2.0) * SQRT_2PI)
         assert abs(ratio - oracle) <= 4.0 * se
 
@@ -117,8 +118,8 @@ class TestMCEstimators:
         grid = TimeGrid(32)
         p = PolyFunctional((1.0,), (1,), (((8,), 1.0),))
         assert poly_norm(p, BrownianMotion(1)) == math.sqrt(2027025)
-        ratio, se = fac_ratio(BrownianMotion(1), EndpointKernel(1.0), p,
-                              MCConfig(100, 3), grid)
+        [[ratio]], [[se]] = fac_ratios(BrownianMotion(1), EndpointKernel, [1.0], [p],
+                                       MCConfig(100, 3), grid)
         assert math.isfinite(ratio) and math.isfinite(se) and se > 0
 
     def test_zero_norm_is_refused(self):
@@ -126,7 +127,8 @@ class TestMCEstimators:
         grid = TimeGrid(32)
         p = PolyFunctional((0.0,), (1,), (((2,), 1.0),))
         with pytest.raises(ValueError, match="zero L2 norm"):
-            fac_ratio(BrownianMotion(1), EndpointKernel(1.0), p, MCConfig(100, 3), grid)
+            fac_ratios(BrownianMotion(1), EndpointKernel, [1.0], [p], MCConfig(100, 3),
+                       grid)
         # x - y with x and y the same point value cancels exactly
         q = PolyFunctional((0.5, 0.5), (1, 1), (((1, 0), 1.0), ((0, 1), -1.0)))
         with pytest.raises(ValueError, match="zero L2 norm"):
@@ -135,6 +137,23 @@ class TestMCEstimators:
     def test_sample_count_guard(self):
         with pytest.raises(ValueError):
             MCConfig(50, 0)
+
+    def test_cells_match_one_cell_calls(self):
+        # every cell of a 3 eps x 3 P grid is bit for bit the 1 x 1 call on
+        # that cell; 2100 samples make three replica chunks
+        grid = TimeGrid(32)
+        bm2 = BrownianMotion(2)
+        family = lambda eps: SelfIntersection(eps, (0.4, 0.3))
+        rng = np.random.default_rng(5)
+        polys = [random_poly(rng, 4, grid, 2) for _ in range(3)]
+        eps_grid = [1.0, 0.1, 0.01]
+        mc = MCConfig(2100, 3)
+        ratios, ses = fac_ratios(bm2, family, eps_grid, polys, mc, grid)
+        assert ratios.shape == ses.shape == (3, 3)
+        for i, eps in enumerate(eps_grid):
+            for j, p in enumerate(polys):
+                [[ratio]], [[se]] = fac_ratios(bm2, family, [eps], [p], mc, grid)
+                assert (ratios[i, j], ses[i, j]) == (ratio, se)
 
 
 def linear_poly(times, coeffs):
@@ -338,7 +357,8 @@ class TestThreads:
         for threads in ("1", "2"):
             monkeypatch.setenv("WCL_THREADS", threads)
             runs.append((
-                fac_ratio(BrownianMotion(1), EndpointKernel(0.1), h2, mc, grid),
+                [a.tolist() for a in fac_ratios(BrownianMotion(1), EndpointKernel,
+                                                [0.1], [h2], mc, grid)],
                 uniform_fac_study(bm2, family, [1.0, 0.5, 0.1], 4, 20, mc, grid),
                 tail_moment_diagnostic(bm2, family, [1.0, 0.1], 8, mc, grid),
                 holder_moment_diagnostic(bm2, family, [1.0, 0.1], 2, pairs, mc, grid),
