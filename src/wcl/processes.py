@@ -243,6 +243,8 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     jobs = [(r, min(MC_CHUNK, n_samples - lo))
             for r, lo in enumerate(range(0, n_samples, MC_CHUNK))]
 

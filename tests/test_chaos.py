@@ -21,7 +21,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 def term0(model, grid, seed, eps, u):
     """Order-0 term on the path that seed draws."""
     values, _ = sample_values(model, grid, seed, n_paths=1)
-    return chaos_terms_many(values, 0, eps, u)[0, 0]
+    return chaos_terms_many(values, 0, [eps], u)[0, 0, 0]
 
 
 class TestBridgeTerms:
@@ -121,18 +121,20 @@ class TestChaosTerms:
     def test_terms_many_shape(self):
         grid = TimeGrid(64)
         values, _ = sample_values(BrownianMotion(2), grid, 5, n_paths=7)
-        out = chaos_terms_many(values, 4, 0.5, [0.4, 0.3])
-        assert out.shape == (5, 7)
+        out = chaos_terms_many(values, 4, [0.5, 0.1], [0.4, 0.3])
+        assert out.shape == (2, 5, 7)
 
     def test_validation(self):
         grid = TimeGrid(32)
         values, _ = sample_values(BrownianMotion(1), grid, 0, n_paths=2)
         with pytest.raises(ValueError):
-            chaos_terms_many(values, 2, 0.0, [0.5])
+            chaos_terms_many(values, 2, [0.1, 0.0], [0.5])
         with pytest.raises(ValueError):
-            chaos_terms_many(values, 2, 0.1, [0.5, 0.5])
+            chaos_terms_many(values, 2, [], [0.5])
         with pytest.raises(ValueError):
-            chaos_terms_many(values, 31, 0.1, [0.5])
+            chaos_terms_many(values, 2, [0.1], [0.5, 0.5])
+        with pytest.raises(ValueError):
+            chaos_terms_many(values, 31, [0.1], [0.5])
 
 
 class TestEndpointPairing:
@@ -155,7 +157,7 @@ class TestMonteCarloTables:
         [table] = chaos_term_table(model, 3, [0.1], [0.5], 400, 7, grid)
         # 400 samples fit in the first replica chunk: the same paths
         values, _ = sample_values(model, grid, replica_seed(7, 0), n_paths=400)
-        single = chaos_terms_many(values, 2, 0.1, [0.5])[2] ** 2
+        single = chaos_terms_many(values, 2, [0.1], [0.5])[0, 2] ** 2
         assert table[2].mean == pytest.approx(np.mean(single), rel=1e-12)
         assert table[2].n_samples == 400
 
@@ -163,6 +165,14 @@ class TestMonteCarloTables:
         grid = TimeGrid(128)
         with pytest.raises(ValueError):
             chaos_term_table(BrownianMotion(1), 2, [0.1], [0.5], 50, 0, grid)
+
+    def test_table_refuses_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            chaos_term_table(BrownianMotion(1), 2, [0.1], [0.5], 100, -1, TimeGrid(32))
+
+    def test_expansion_study_refuses_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
+            expansion_study_mc(BrownianMotion(1), 2, 0.1, [0.5], 100, -2, TimeGrid(32))
 
     def test_eps_grid_tables_match_single_eps_tables(self):
         # one pass over the grid gives each eps the table of its own pass,

@@ -1,9 +1,10 @@
+import inspect
 import json
 import math
 
 import pytest
 
-from wcl import processes
+from wcl import chaos, functionals, processes
 from wcl.cli import build_parser, cli_main
 from wcl.experiments import (
     EXPERIMENTS,
@@ -177,6 +178,27 @@ class TestCli:
         cli_main([name, "--steps", "256", "--samples", str(n_samples),
                   "--out", str(tmp_path), "--quiet"])
         assert len(drawn) == calls
+
+    @pytest.mark.parametrize("name, n_samples, module, kernel, grids", [
+        ("fac", 2100, functionals, "_self_intersection_many", [4, 4, 4, 2, 2, 2, 2]),
+        ("chaos", 1100, chaos, "chaos_terms_many", [3, 3])])
+    def test_each_chunk_evaluated_once_per_pass(self, tmp_path, monkeypatch, name,
+                                                n_samples, module, kernel, grids):
+        # one pair-kernel call per chunk serves every eps of its pass.  fac:
+        # the study (3 chunks, 4 eps), then the KL tails and the Hoelder
+        # moments (2 chunks, 2 eps each); chaos: 2 chunks, 3 eps
+        seen = []
+        original = getattr(module, kernel)
+        signature = inspect.signature(original)
+
+        def counted(*args, **kwargs):
+            seen.append(len(signature.bind(*args, **kwargs).arguments["eps_grid"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, kernel, counted)
+        cli_main([name, "--steps", "256", "--samples", str(n_samples),
+                  "--out", str(tmp_path), "--quiet"])
+        assert seen == grids
 
     def test_failure_exit_code(self, tmp_path):
         # impossible tolerance forces a failing row

@@ -138,6 +138,10 @@ class TestMCEstimators:
         with pytest.raises(ValueError):
             MCConfig(50, 0)
 
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            MCConfig(100, -1)
+
     def test_cells_match_one_cell_calls(self):
         # every cell of a 3 eps x 3 P grid is bit for bit the 1 x 1 call on
         # that cell; 2100 samples make three replica chunks
