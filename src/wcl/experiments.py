@@ -26,6 +26,7 @@ from .analytic import (
     gauss_legendre,
     hermite_eval,
     integrate_interval,
+    integrate_log,
     integrate_simplex,
 )
 from .functionals import (
@@ -527,9 +528,8 @@ def sweep_experiment(config: ExperimentConfig) -> ExperimentReport:
                           lambda values: eval_family_many(LocalTime, config.eps_grid, values))
     for i, eps in enumerate(config.eps_grid):
         oracle = math.sqrt(2.0 / math.pi) * (math.sqrt(1.0 + eps) - math.sqrt(eps))
-        # p_{t+eps}(0) = 1/sqrt(2 pi (t+eps))
-        quad = integrate_interval(
-            lambda t: 1.0 / np.sqrt(2.0 * math.pi * (t + eps)), 500)
+        # p_{t+eps}(0) = 1/sqrt(2 pi s), s = t + eps
+        quad = integrate_log(lambda s: 1.0 / np.sqrt(2.0 * math.pi * s), eps, 1.0 + eps, 200)
         rows.append(ReportRow(f"local_time_mean_quadrature_eps{eps:g}", quad, 0.0,
                               oracle, config.tolerance("sweep_quadrature", 1e-8)))
         rows.append(ReportRow(f"local_time_mean_mc_eps{eps:g}", mean[i], se[i], oracle,

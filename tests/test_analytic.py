@@ -13,6 +13,7 @@ from wcl.analytic import (
     hermite_eval,
     hermite_sequence,
     integrate_interval,
+    integrate_log,
     integrate_simplex,
 )
 
@@ -160,6 +161,16 @@ class TestQuadrature:
             integrate_interval(lambda t: np.exp(1000.0 * t), 50)
         with pytest.raises(ValueError, match="non-finite"):
             integrate_interval(lambda t: np.where(t > 0.5, np.nan, t), 50)
+
+    def test_log_substitution(self):
+        # 1/s is constant in the substituted variable, so any rule is exact
+        for lo, hi in ((1e-8, 1.0), (0.5, 2.0), (3.0, 1e6)):
+            assert integrate_log(lambda s: 1.0 / s, lo, hi, 2) == pytest.approx(
+                math.log(hi / lo), rel=1e-15)
+        for lo, hi in ((0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, math.inf),
+                       (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="lo < hi"):
+                integrate_log(np.ones_like, lo, hi, 10)
 
     def test_simplex_volume(self):
         # volume of the ordered simplex is 1/n!

@@ -197,18 +197,64 @@ class TestMonteCarloTables:
         assert abs(st.mean_g - mean0) <= 5.0 * st.se_mean_g
 
 
+# the u = 0 means int_eps^{1+eps} (1 + eps - s) (2 pi s)^(-d/2) ds, in forms
+# free of cancellation at small eps
+CLOSED_FORM_U0 = {
+    1: lambda e: (4.0 / 3.0 * ((1.0 + e) ** 1.5 - e**1.5) - 2.0 * math.sqrt(e)) / SQRT_2PI,
+    2: lambda e: ((1.0 + e) * math.log1p(1.0 / e) - 1.0) / (2.0 * math.pi),
+    3: lambda e: (2.0 * (2.0 * math.pi) ** -1.5
+                  / (math.sqrt(e) * (math.sqrt(1.0 + e) + math.sqrt(e)) ** 2)),
+}
+ORACLE_EPS = (1.0, 0.1, 0.01, 1e-4, 1e-6)
+
+
 class TestQuadratureOracle:
     def test_against_scipy_quad(self):
         from scipy.integrate import quad
 
-        for d, u, eps in ((1, [0.5], 0.1), (2, [0.4, 0.3], 0.01)):
+        for d, u in ((1, [0.5]), (2, [0.4, 0.3]), (2, [1.5, 1.0]), (3, [1.0, 0.5, 0.5])):
             sq = float(np.dot(u, u))
+            for eps in ORACLE_EPS:
+                def f(tau, eps=eps):
+                    s = tau + eps
+                    return (1.0 - tau) * (2.0 * math.pi * s) ** (-0.5 * d) * math.exp(
+                        -sq / (2.0 * s))
 
-            def f(tau):
-                s = tau + eps
-                return (1.0 - tau) * (2.0 * math.pi * s) ** (-0.5 * d) * math.exp(
-                    -sq / (2.0 * s))
+                # breakpoints where the integrand's scale changes, near tau = 0
+                points = [p for p in (eps, 10.0 * eps, 100.0 * eps) if p < 1.0]
+                expect, _ = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13,
+                                 points=points or None, limit=200)
+                assert self_intersection_mean_quadrature(eps, u, d) == pytest.approx(
+                    expect, rel=5e-14, abs=0.0), (d, u, eps)
 
-            expect, _ = quad(f, 0.0, 1.0, epsabs=1e-13)
-            assert self_intersection_mean_quadrature(eps, u, d) == pytest.approx(
-                expect, rel=1e-10)
+    def test_closed_forms_at_zero_offset(self):
+        # a 4000-node rule in tau is off by up to 1.2e-6 here (d = 3, eps = 1e-6)
+        for d, closed in CLOSED_FORM_U0.items():
+            for eps in ORACLE_EPS:
+                assert self_intersection_mean_quadrature(eps, [0.0] * d, d) == pytest.approx(
+                    closed(eps), rel=5e-14, abs=0.0), (d, eps)
+
+    def test_rejects_bad_input(self):
+        # eps = 0 is a divergent integral for d >= 2
+        for eps in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps"):
+                self_intersection_mean_quadrature(eps, [0.0, 0.0], 2)
+        for u in ([0.5], [0.5, 0.5, 0.5], 0.5):
+            with pytest.raises(ValueError, match="offset"):
+                self_intersection_mean_quadrature(0.1, u, 2)
+
+    def test_chaos_driver_builds_no_large_rule(self, tmp_path, monkeypatch):
+        import wcl.analytic
+        from wcl.cli import cli_main
+
+        sizes = []
+        build = wcl.analytic.gauss_legendre
+
+        def recording(n):
+            sizes.append(n)
+            return build(n)
+
+        monkeypatch.setattr(wcl.analytic, "gauss_legendre", recording)
+        assert cli_main(["chaos", "--steps", "256", "--samples", "100", "--seed", "7",
+                         "--out", str(tmp_path), "--quiet"]) == 0
+        assert sizes and max(sizes) <= 500

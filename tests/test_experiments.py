@@ -53,6 +53,19 @@ class TestOracles:
         small = degenerate_outside_mass_quadrature(1e-4, 0.1)
         assert small < 1e-10 < big
 
+    def test_sweep_quadrature_rows_pass_at_small_eps(self):
+        # a 500-node rule in t was off by 1.8e-4 at eps = 1e-6, against a
+        # 1e-8 gate
+        cfg = ExperimentConfig("sweep", n_steps=256, n_samples=100,
+                               eps_grid=[1e-4, 1e-5, 1e-6])
+        rows = [r for r in EXPERIMENTS["sweep"](cfg).rows
+                if r.name.startswith("local_time_mean_quadrature_")]
+        assert [r.name for r in rows] == [
+            "local_time_mean_quadrature_eps0.0001", "local_time_mean_quadrature_eps1e-05",
+            "local_time_mean_quadrature_eps1e-06"]
+        for r in rows:
+            assert r.passed and abs(r.estimate - r.oracle) <= 1e-13, r.name
+
 
 class TestConfig:
     def test_defaults_and_validation(self):
