@@ -2,7 +2,6 @@
 finite-absolute-continuity diagnostics for Gaussian processes on [0,1]."""
 
 from .analytic import (
-    heat_convolve_variance,
     hermite_bound_constant,
     hermite_eval,
     integrate_interval,

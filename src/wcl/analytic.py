@@ -13,37 +13,13 @@ import math
 
 import numpy as np
 import scipy.special
-from scipy.optimize import minimize_scalar
 
 MAX_HERMITE_DEGREE = 60
 MAX_BOUND_DEGREE = 20
 
 
-def hermite_eval(n, x):
-    """Probabilists' Hermite polynomial H_n(x).
-
-    Evaluated by the three-term recurrence
-    H_0 = 1, H_1 = x, H_{n+1}(x) = x*H_n(x) - n*H_{n-1}(x).
-    Accepts scalars or arrays in ``x``.
-    """
-    if n < 0:
-        raise ValueError("Hermite degree must be non-negative")
-    if n > MAX_HERMITE_DEGREE:
-        raise ValueError(
-            f"Hermite degree {n} exceeds the overflow guard {MAX_HERMITE_DEGREE}"
-        )
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h_cur = x.copy()
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, x * h_cur - k * h_prev
-    return h_cur if h_cur.ndim else float(h_cur)
-
-
 def hermite_sequence(n_max, x):
-    """All of H_0(x), ..., H_{n_max}(x) in one recurrence sweep.
+    """All of H_0(x), ..., H_{n_max}(x) in one sweep of H_{k+1} = x*H_k - k*H_{k-1}.
 
     Returns an array of shape (n_max + 1,) + shape(x).
     """
@@ -61,34 +37,28 @@ def hermite_sequence(n_max, x):
     return out
 
 
+def hermite_eval(n, x):
+    """Probabilists' Hermite polynomial H_n(x): the last row of
+    ``hermite_sequence(n, x)``, a float for a scalar x."""
+    h = hermite_sequence(n, x)[n]
+    return h if h.ndim else float(h)
+
+
 def hermite_bound_constant(n):
     """Smallest a_n with |H_n(x)| <= a_n * exp(x^2/4) for all real x.
 
-    Found by maximizing |H_n(x)| * exp(-x^2/4); the objective decays at
-    infinity, so the maximum is attained on a bounded interval.
+    The critical points of H_n(x) * exp(-x^2/4), which decays at infinity,
+    are the n + 1 real roots of H_{n+1} - n * H_{n-1}.
     """
     if n < 0 or n > MAX_BOUND_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_BOUND_DEGREE}]")
     if n == 0:
         return 1.0
-
-    def neg_objective(x):
-        return -abs(hermite_eval(n, x)) * math.exp(-0.25 * x * x)
-
-    # locate candidate maxima on a dense grid, then polish each bracket
-    xs = np.linspace(-4.0 * math.sqrt(n + 1), 4.0 * math.sqrt(n + 1), 4001)
-    vals = np.abs(hermite_eval(n, xs)) * np.exp(-0.25 * xs**2)
-    best = -np.inf
-    order = np.argsort(vals)[::-1][:8]
-    for i in order:
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, len(xs) - 1)]
-        res = minimize_scalar(
-            neg_objective, bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        best = max(best, -res.fun)
-    return float(best)
+    coeffs = np.zeros(n + 2)
+    coeffs[n + 1] = 1.0
+    coeffs[n - 1] = -n
+    roots = np.polynomial.hermite_e.hermeroots(coeffs)
+    return float(np.max(np.abs(hermite_eval(n, roots)) * np.exp(-0.25 * roots**2)))
 
 
 def gauss_kernel_sq(sq_norm, eps, d=1):
@@ -103,13 +73,6 @@ def gauss_kernel_sq(sq_norm, eps, d=1):
     z = np.asarray(sq_norm, dtype=float) / (-2.0 * eps)
     out = (2.0 * math.pi * eps) ** (-0.5 * d) * np.exp(z)
     return out if out.ndim else float(out)
-
-
-def heat_convolve_variance(a: float, b: float) -> float:
-    """Variance of p_a * p_b; the semigroup property gives a + b."""
-    if not (a > 0 and b > 0):
-        raise ValueError("variances must be positive")
-    return a + b
 
 
 # tensor nodes of one simplex quadrature; each of its ~2n + 3 work arrays

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import hermite_eval
 from .functionals import eval_family_many, interval_weights
 from .functionals import eval_functional_many  # noqa: F401  (perfbench wraps each binding)
 from .processes import (
@@ -283,8 +284,6 @@ def uniform_fac_study(model: ProcessModel, family, eps_grid, degree: int,
 def endpoint_hermite_bound(n: int) -> float:
     """Closed-form uniform-in-eps bound for the endpoint-kernel family
     paired with H_n(f(1)): |H_n(0)| / (sqrt(n!) * sqrt(2 pi))."""
-    from .analytic import hermite_eval
-
     return abs(hermite_eval(n, 0.0)) / math.sqrt(math.factorial(n) * 2.0 * math.pi)
 
 

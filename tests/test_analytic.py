@@ -1,14 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import wcl
 from wcl.analytic import (
     gauss_hermite_rule,
     gauss_kernel_sq,
     gauss_legendre,
-    heat_convolve_variance,
     hermite_bound_constant,
     hermite_eval,
     hermite_sequence,
@@ -97,11 +100,56 @@ class TestHermiteBound:
     def test_first_order_value(self):
         # max |x| e^{-x^2/4} at x = sqrt(2): sqrt(2) e^{-1/2}
         assert hermite_bound_constant(1) == pytest.approx(
-            math.sqrt(2.0) * math.exp(-0.5), rel=1e-10)
+            math.sqrt(2.0) * math.exp(-0.5), rel=1e-14)
+
+    def test_second_and_third_order_values(self):
+        # |x^2 - 1| e^{-x^2/4} peaks at x^2 = 5 (x = 0 gives only 1)
+        assert hermite_bound_constant(2) == pytest.approx(4.0 * math.exp(-1.25), rel=1e-14)
+        # H_4 - 3 H_2 = x^4 - 9 x^2 + 6 vanishes at x^2 = (9 +- sqrt 57) / 2
+        a3 = max(math.sqrt(y) * abs(y - 3.0) * math.exp(-0.25 * y)
+                 for y in ((9.0 - math.sqrt(57.0)) / 2.0, (9.0 + math.sqrt(57.0)) / 2.0))
+        assert hermite_bound_constant(3) == pytest.approx(a3, rel=1e-14)
+
+    def test_cramer_inequality(self):
+        # Cramer (1946), Indritz (1961): a_n <= 1.086435 sqrt(n!)
+        for n in range(21):
+            assert hermite_bound_constant(n) <= 1.086435 * math.sqrt(math.factorial(n))
+
+    def test_matches_polished_search(self):
+        # reference: maximize |H_n| e^{-x^2/4} by a bounded scalar search
+        # around each critical point, with H_n from numpy's Clenshaw sum
+        from scipy.optimize import minimize_scalar
+
+        herme = np.polynomial.hermite_e
+        for n in range(1, 21):
+            coeffs = np.zeros(n + 2)
+            coeffs[n + 1], coeffs[n - 1] = 1.0, -n
+            roots = np.sort(herme.hermeroots(coeffs))
+            half_gap = 0.5 * np.min(np.diff(roots))
+            basis = np.zeros(n + 1)
+            basis[n] = 1.0
+
+            def neg_objective(x):
+                return -abs(herme.hermeval(x, basis)) * math.exp(-0.25 * x * x)
+
+            best = max(-minimize_scalar(neg_objective, bounds=(r - half_gap, r + half_gap),
+                                        method="bounded", options={"xatol": 1e-12}).fun
+                       for r in roots)
+            assert hermite_bound_constant(n) == pytest.approx(best, rel=1e-13)
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             hermite_bound_constant(21)
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.optimize drags in linalg, sparse, spatial and fft
+    src = os.path.dirname(os.path.dirname(wcl.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import wcl.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestHeatKernel:
@@ -128,11 +176,6 @@ class TestHeatKernel:
         assert arr[1] == 0.0 and arr[0] > 0
         # up to the cutoff the value is the plain closed form, bit for bit
         assert gauss_kernel_sq(2.0 * 745.0, 1.0) == math.exp(-745.0) / SQRT_2PI
-
-    def test_semigroup_property(self):
-        assert heat_convolve_variance(0.3, 0.9) == 1.2
-        with pytest.raises(ValueError):
-            heat_convolve_variance(-0.1, 1.0)
 
     def test_parameter_validation(self):
         for eps in (0.0, -1.0, math.nan):

@@ -252,6 +252,20 @@ class TestCliValidation:
         assert "n_steps" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_fac_steps_not_multiple_of_8(self, tmp_path, capsys):
+        # the Hoelder diagnostic reads t = 1/8 off the grid
+        err = self.assert_usage_error(
+            ["fac", "--steps", "300", "--out", str(tmp_path), "--quiet"], capsys)
+        assert "n_steps" in err and "8" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_bridge_odd_steps(self, tmp_path, capsys):
+        # bridge reads w(1/2), which an odd grid does not have
+        err = self.assert_usage_error(
+            ["bridge", "--steps", "257", "--out", str(tmp_path), "--quiet"], capsys)
+        assert "n_steps" in err and "2" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_selftest_negative_eps(self, tmp_path, capsys):
         err = self.assert_usage_error(
             ["selftest", "--eps-grid", "0.1,-1", "--out", str(tmp_path), "--quiet"],
