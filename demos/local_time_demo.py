@@ -11,27 +11,21 @@ import math
 import numpy as np
 
 from wcl.analytic import integrate_simplex
-from wcl.functionals import LocalTime, eval_functional_many, indicator_local_time_many
-from wcl.processes import BrownianMotion, TimeGrid, replica_seed, sample_values
+from wcl.functionals import LocalTime, eval_family_many, indicator_local_time_many
+from wcl.processes import BrownianMotion, TimeGrid, mc_moments, replica_seed, sample_values
 
 grid = TimeGrid(4096)
 model = BrownianMotion(1)
 n_paths = 4000
 seed = 2024
+eps_grid = (1.0, 0.1, 0.01, 1e-3, 1e-4)
 
 print("Monte Carlo mean of L_eps as eps -> 0")
 print("eps        mean      std err   target sqrt(2/pi) = %.6f" % math.sqrt(2 / math.pi))
-for eps in (1.0, 0.1, 0.01, 1e-3, 1e-4):
-    sums, sq_sums, n = [], [], 0
-    for r in range(0, n_paths, 1000):
-        values, _ = sample_values(model, grid, replica_seed(seed, r // 1000),
-                                  n_paths=min(1000, n_paths - r))
-        lt = eval_functional_many(LocalTime(eps), values)
-        sums.append(lt.sum())
-        sq_sums.append((lt**2).sum())
-        n += len(lt)
-    mean = math.fsum(sums) / n
-    se = math.sqrt(max(math.fsum(sq_sums) / n - mean**2, 0.0) / n)
+# one pass: each chunk of paths is drawn once and serves every eps
+means, ses = mc_moments(model, grid, seed, n_paths,
+                        lambda values: eval_family_many(LocalTime, eps_grid, values))
+for eps, mean, se in zip(eps_grid, means, ses):
     print(f"{eps:<10g} {mean:.5f}   {se:.5f}")
 
 # The band-indicator estimator (1/2eps) int 1_{|w| < eps} dt approaches

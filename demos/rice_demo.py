@@ -10,26 +10,22 @@ import math
 import numpy as np
 
 from wcl.experiments import rice_closed_form, rice_quadrature
-from wcl.processes import SmoothStationary, TimeGrid, replica_seed, sample_values
+from wcl.functionals import upcrossing_count_many
+from wcl.processes import SmoothStationary, TimeGrid, mc_moments
 
 omega = 2.0 * math.pi
 grid = TimeGrid(2048)
 model = SmoothStationary(omega)
 n_paths, seed = 8000, 5
+levels = (0.0, 0.5, 1.0, 2.0)
 
 print(f"omega = 2 pi: one full rotation per unit time, so exactly one")
 print(f"zero upcrossing per path on average.\n")
 print("level   MC count   std err   closed form   quadrature")
-for level in (0.0, 0.5, 1.0, 2.0):
-    counts = []
-    for r in range(0, n_paths, 1000):
-        values, _ = sample_values(model, grid, replica_seed(seed, r // 1000),
-                                  n_paths=min(1000, n_paths - r))
-        v = values[:, :, 0]
-        counts.extend(np.sum((v[:, :-1] < level) & (v[:, 1:] >= level), axis=1))
-    counts = np.array(counts, dtype=float)
-    mean = counts.mean()
-    se = counts.std() / math.sqrt(len(counts))
+# one pass: each chunk of paths is drawn once and counted at every level
+means, ses = mc_moments(model, grid, seed, n_paths, lambda values: np.stack(
+    [upcrossing_count_many(values, level) for level in levels]))
+for level, mean, se in zip(levels, means, ses):
     print(f"{level:<7g} {mean:.4f}     {se:.4f}    "
           f"{rice_closed_form(omega, level):.4f}        "
           f"{rice_quadrature(omega, level):.4f}")

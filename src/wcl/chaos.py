@@ -215,9 +215,9 @@ def self_intersection_mean_quadrature(eps: float, u, d: int) -> float:
 
     Integrated in s = tau + eps by ``integrate_log`` with 200 nodes.
     Against a 40-digit mpmath reference for d = 1, 2, 3 and eps from 1
-    to 1e-6 the relative error is at most 8e-15 for u = 0.5, (0.4, 0.3),
-    (1.5, 1.0), (0.3, 0.2, 0.1), (1, 0.5, 0.5); 1.9e-14 at u = 0; and
-    6.5e-14 at u = (3, 3), where E G_eps is 1e-7 to 1e-3 of its u = 0
+    to 1e-6 the relative error is at most 1.5e-15 for u = 0.5, (0.4, 0.3),
+    (1.5, 1.0), (0.3, 0.2, 0.1), (1, 0.5, 0.5); 5.4e-15 at u = 0; and
+    8.7e-15 at u = (3, 3), where E G_eps is 1e-7 to 1e-3 of its u = 0
     value.
     """
     if not 0.0 < eps < math.inf:

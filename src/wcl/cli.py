@@ -37,7 +37,7 @@ def build_parser():
         p.add_argument("--out", help="output directory")
         p.add_argument("--samples", type=int, help="Monte Carlo sample count")
         p.add_argument("--steps", type=int, help="time grid steps")
-        p.add_argument("--eps-grid", help="comma-separated positive eps values")
+        p.add_argument("--eps-grid", help="comma-separated eps values in [1e-12, 1e12]")
         p.add_argument("--quiet", action="store_true", help="suppress row printout")
     return parser
 

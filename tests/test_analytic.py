@@ -21,6 +21,9 @@ from wcl.analytic import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# the rule sizes the drivers build
+LEGENDRE_SIZES = (40, 60, 120, 160, 200, 400)
+HERMITE_SIZES = (80, 200, 400)
 
 
 class TestHermite:
@@ -142,14 +145,18 @@ class TestHermiteBound:
             hermite_bound_constant(21)
 
 
-def test_import_leaves_out_scipy_optimize():
-    # scipy.optimize drags in linalg, sparse, spatial and fft
+def test_import_leaves_out_scipy_optimize(tmp_path):
+    # wcl runs on numpy alone: neither the import nor a selftest run, which
+    # builds Gauss-Legendre and Gauss-Hermite rules, loads any of scipy
     src = os.path.dirname(os.path.dirname(wcl.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); import wcl.cli; "
-            "print('scipy.optimize' in sys.modules)")
+            "print('scipy.optimize' in sys.modules); "
+            f"wcl.cli.cli_main(['selftest', '--out', {str(tmp_path)!r}, '--quiet']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "[]"]
+    assert (tmp_path / "report.json").exists()
 
 
 class TestHeatKernel:
@@ -257,6 +264,22 @@ class TestGaussHermiteRule:
         assert np.all(np.isfinite(w))
         assert np.dot(w, x**2) == pytest.approx(1.0, rel=1e-10)
 
+    @pytest.mark.parametrize("n", HERMITE_SIZES)
+    def test_nodes_match_scipy(self, n):
+        from scipy.special import roots_hermitenorm  # reference only
+
+        x, _ = gauss_hermite_rule(n)
+        ref, _ = roots_hermitenorm(n)
+        assert np.all(np.abs(x - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("n", HERMITE_SIZES)
+    def test_even_moments(self, n):
+        # E Z^(2k) = (2k - 1)!!, exact for 2k <= 2n - 1
+        x, w = gauss_hermite_rule(n)
+        for k in range(31):
+            assert np.dot(w, x ** (2 * k)) == pytest.approx(
+                math.prod(range(1, 2 * k, 2)), rel=1e-12)
+
 
 class TestGaussLegendre:
     def test_matches_numpy(self):
@@ -271,3 +294,24 @@ class TestGaussLegendre:
         assert gauss_legendre(50)[0] is x
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+    @pytest.mark.parametrize("n", LEGENDRE_SIZES)
+    def test_nodes_match_scipy(self, n):
+        from scipy.special import roots_legendre  # reference only
+
+        x, _ = gauss_legendre(n)
+        ref, _ = roots_legendre(n)
+        assert np.all(np.abs(x - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("n", LEGENDRE_SIZES)
+    def test_even_moments(self, n):
+        # int_{-1}^{1} x^(2k) dx = 2 / (2k + 1), exact for 2k <= 2n - 1
+        x, w = gauss_legendre(n)
+        for k in range(31):
+            assert np.dot(w, x ** (2 * k)) == pytest.approx(2.0 / (2 * k + 1), rel=1e-12)
+
+
+def test_rule_needs_a_node():
+    for build in (gauss_legendre, gauss_hermite_rule):
+        with pytest.raises(ValueError, match="at least one node"):
+            build(0)

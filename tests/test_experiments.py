@@ -116,7 +116,13 @@ class TestSelftest:
         report = selftest_experiment(ExperimentConfig("selftest", n_steps=256,
                                                       n_samples=100))
         assert report.all_passed
-        assert len(report.rows) >= 20
+        assert [r.name for r in report.rows] == [
+            "hermite_H0", "hermite_H2_at_0", "hermite_H3_at_2", "hermite_bound_a1",
+            "heat_kernel_1d", "heat_kernel_2d", "heat_kernel_offset", "simplex_area",
+            "simplex_volume", "simplex_beta_pi", "kac_n1", "kac_n2",
+            "rice_quadrature_c1", "bridge_term_n0", "bridge_term_n1",
+            "bridge_term_n2_at_0", "bridge_variance_n2", "endpoint_bound_H2",
+            "endpoint_pairing_H2_quadrature"]
 
     def test_report_files(self, tmp_path):
         cfg = ExperimentConfig("selftest", n_steps=256, n_samples=100,
@@ -275,6 +281,23 @@ class TestCliValidation:
     def test_sweep_negative_eps(self, tmp_path, capsys):
         err = self.assert_usage_error(
             ["sweep", "--eps-grid", "0.1,-1", "--out", str(tmp_path), "--quiet"], capsys)
+        assert "eps_grid" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_sweep_eps_out_of_range(self, tmp_path, capsys):
+        # at 1e17 the oracle's upper limit 1 + eps rounds to eps; at 1e-320
+        # the ratio (1 + eps) / eps of its log map overflows
+        for eps in ("1e17", "1e-320"):
+            err = self.assert_usage_error(
+                ["sweep", "--eps-grid", eps, "--samples", "100", "--steps", "256",
+                 "--out", str(tmp_path), "--quiet"], capsys)
+            assert "eps_grid" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_chaos_eps_out_of_range(self, tmp_path, capsys):
+        err = self.assert_usage_error(
+            ["chaos", "--eps-grid", "1e17", "--samples", "100", "--steps", "256",
+             "--out", str(tmp_path), "--quiet"], capsys)
         assert "eps_grid" in err
         assert not (tmp_path / "report.json").exists()
 
