@@ -52,6 +52,17 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # the times a driver reads off the grid must be grid nodes: fac's Hoelder
 # pairs start at t = 1/8, bridge reads w(1/2)
 _STEP_DIVISORS = {"fac": 8, "bridge": 2}
+# the tolerance names each driver's rows read; a config naming any other
+# would change nothing, so it is refused
+_TOLERANCE_NAMES = {
+    "rice": ("rice_quadrature", "rice_bias", "rice_tail"),
+    "kac": ("kac_quadrature", "kac_mc_n1", "kac_mc_n2", "kac_mc_n3"),
+    "bridge": ("bridge_limit", "bridge_mc", "bridge_symmetry", "degenerate_mass"),
+    "chaos": ("chaos_term0", "bridge_series"),
+    "fac": ("endpoint_ratio", "plateau", "kl_tail", "holder", "operator_bounds"),
+    "sweep": ("sweep_quadrature", "sweep_mc"),
+    "selftest": ("selftest",),
+}
 
 
 @dataclass
@@ -106,6 +117,11 @@ class ExperimentConfig:
                 _is_real(v) and 0.0 <= v < math.inf for v in self.tolerances.values()):
             raise ValueError("tolerances must map check names to finite "
                              "non-negative numbers")
+        known = _TOLERANCE_NAMES.get(self.experiment, ())
+        unknown = sorted(str(name) for name in self.tolerances if name not in known)
+        if unknown:
+            raise ValueError(f"unknown tolerance name(s) {', '.join(unknown)} for "
+                             f"{self.experiment}; its names are {', '.join(known) or 'none'}")
 
     @classmethod
     def from_dict(cls, data):

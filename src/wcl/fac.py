@@ -11,19 +11,28 @@ Only the pairing <Phi_eps mu, P> is a Monte Carlo estimate.  The norm
 ||P|| is exact: P is a polynomial in jointly Gaussian point values, so
 E[P^2] is a finite sum of Gaussian moments (``poly_norm``).
 
-One engine pass per path set: every estimator evaluates its whole
-(eps, statistic) grid in a single ``mc_moments`` call, so each replica
-chunk is drawn once per call and eps-comparisons share the same paths.
-Within a chunk, Phi_eps for the whole eps grid is one ``eval_family_many``
-call, so G_eps computes its lag differences once for every eps.  Each
-cell of the grid is bit for bit what a one-cell call would give.
+Every estimator evaluates its whole (eps, statistic) grid in one
+``mc_moments`` pass, so each replica chunk is drawn once per call and
+eps-comparisons share the same paths.  Phi_eps goes through a small
+memo, ``_phi_rows``: the study and both diagnostics start at the same
+replica seed and cut the same chunks, so the diagnostics' paths are a
+prefix of the study's, and each (chunk, eps) is evaluated once.  A chunk
+is keyed by its shape, dtype and a 16-byte BLAKE2b digest of its
+float64 values, a row by its spec (type, eps, u); it holds the rows of
+the last ``_PHI_MEMO_CHUNKS`` chunks, about 256 kB at 4 eps and 1000
+paths.  Phi_eps is a pure function of (spec, values), and each row of
+``eval_family_many`` is bit for bit its single-eps value, so a hit is
+exactly what recomputing would give.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +52,11 @@ from .processes import (
 
 MAX_POLY_DEGREE = 8
 MAX_POLY_POINTS = 8
+
+# chunk key -> {spec key -> Phi_eps row}, least recently used first
+_PHI_MEMO: OrderedDict = OrderedDict()
+_PHI_MEMO_CHUNKS = 8
+_PHI_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -157,6 +171,34 @@ def poly_norm(p: PolyFunctional, model: ProcessModel) -> float:
     return math.sqrt(total)
 
 
+def _phi_rows(family, eps_grid, values: np.ndarray) -> np.ndarray:
+    """``eval_family_many(family, eps_grid, values)`` through the memo:
+    only the eps missing for this chunk are computed, in one call, and
+    outside the lock, so threads evaluate their chunks in parallel."""
+    keys = [(type(s), s.eps, tuple(getattr(s, "u", ()))) for s in map(family, eps_grid)]
+    digest = hashlib.blake2b(np.ascontiguousarray(values, dtype=float), digest_size=16)
+    chunk = (values.shape, values.dtype.str, digest.digest())
+    with _PHI_LOCK:
+        known = dict(_touch(chunk))
+    missing = {key: eps for key, eps in zip(keys, eps_grid) if key not in known}
+    if missing:
+        fresh = dict(zip(missing, eval_family_many(family, list(missing.values()), values)))
+        known.update(fresh)
+        with _PHI_LOCK:
+            _touch(chunk).update(fresh)
+    return np.stack([known[key] for key in keys])
+
+
+def _touch(chunk) -> dict:
+    """The memo's rows of ``chunk``, marked most recently used; evicts the
+    least recently used chunks beyond the bound.  Call under the lock."""
+    rows = _PHI_MEMO.setdefault(chunk, {})
+    _PHI_MEMO.move_to_end(chunk)
+    while len(_PHI_MEMO) > _PHI_MEMO_CHUNKS:
+        _PHI_MEMO.popitem(last=False)
+    return rows
+
+
 def _weighted_moments(model: ProcessModel, family, eps_grid, mc: MCConfig,
                       grid: TimeGrid, stat):
     """Means and standard errors of the rows [x, Phi_eps, Phi_eps * x] for
@@ -170,7 +212,7 @@ def _weighted_moments(model: ProcessModel, family, eps_grid, mc: MCConfig,
 
     def rows(values):
         x = stat(values)
-        phi = eval_family_many(family, eps_grid, values)
+        phi = _phi_rows(family, eps_grid, values)
         return np.concatenate([x, phi, (phi[:, None, :] * x).reshape(-1, x.shape[-1])])
 
     mean, se = mc_moments(model, grid, mc.seed, mc.n_samples, rows)

@@ -69,9 +69,17 @@ class IntegratorOperator:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("operator matrix must be finite")
         self.matrix = matrix
         self.n_cells = matrix.shape[0]
-        self._singular_values = np.linalg.svd(matrix, compute_uv=False)
+        diagonal = np.diagonal(matrix)
+        if np.count_nonzero(matrix) == np.count_nonzero(diagonal):
+            # a diagonal matrix's singular values are its sorted |entries|:
+            # no O(n^3) SVD for from_profile's multiplication operators
+            self._singular_values = np.sort(np.abs(diagonal))[::-1]
+        else:
+            self._singular_values = np.linalg.svd(matrix, compute_uv=False)
         if self._singular_values[-1] <= _MIN_SINGULAR_VALUE:
             raise ValueError("operator matrix is numerically singular")
 

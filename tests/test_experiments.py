@@ -11,6 +11,7 @@ from wcl.experiments import (
     ExperimentConfig,
     ExperimentReport,
     ReportRow,
+    _TOLERANCE_NAMES,
     bridge_weighted_second_moment_quadrature,
     degenerate_outside_mass_quadrature,
     kac_moment_quadrature,
@@ -171,6 +172,21 @@ class TestCli:
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "summary.csv").exists()
 
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_declared_tolerance_names_are_read(self, tmp_path, monkeypatch, name):
+        # the names a config may set are exactly those the driver's rows read
+        read = set()
+        lookup = ExperimentConfig.tolerance
+
+        def recorded(config, key, default):
+            read.add(key)
+            return lookup(config, key, default)
+
+        monkeypatch.setattr(ExperimentConfig, "tolerance", recorded)
+        cfg = ExperimentConfig(name, n_steps=256, n_samples=100, out_dir=str(tmp_path))
+        EXPERIMENTS[name](cfg)
+        assert read == set(_TOLERANCE_NAMES[name])
+
     def test_fac_small_budget_runs_to_a_report(self, tmp_path):
         # 100 samples leave the endpoint ratios' H_4 rows heavy-tailed: the
         # driver may fail a gate but must still finish and write its report
@@ -199,13 +215,14 @@ class TestCli:
         assert len(drawn) == calls
 
     @pytest.mark.parametrize("name, n_samples, module, kernel, grids", [
-        ("fac", 2100, functionals, "_self_intersection_many", [4, 4, 4, 2, 2, 2, 2]),
+        ("fac", 2100, functionals, "_self_intersection_many", [4, 4, 4]),
         ("chaos", 1100, chaos, "chaos_terms_many", [3, 3])])
     def test_each_chunk_evaluated_once_per_pass(self, tmp_path, monkeypatch, name,
                                                 n_samples, module, kernel, grids):
         # one pair-kernel call per chunk serves every eps of its pass.  fac:
-        # the study (3 chunks, 4 eps), then the KL tails and the Hoelder
-        # moments (2 chunks, 2 eps each); chaos: 2 chunks, 3 eps
+        # the study (3 chunks, 4 eps); the KL tails and the Hoelder moments
+        # (its first 2 chunks, 2 of its eps) read their G_eps from the
+        # memo, so each (chunk, eps) is evaluated once; chaos: 2 chunks, 3 eps
         seen = []
         original = getattr(module, kernel)
         signature = inspect.signature(original)
@@ -307,6 +324,22 @@ class TestCliValidation:
         err = self.assert_usage_error(
             ["selftest", "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
         assert "samples" in err and "n_samples" in err
+
+    def test_unknown_tolerance_name(self, tmp_path, capsys):
+        # a misspelt or retired name would otherwise change nothing
+        f = tmp_path / "cfg.json"
+        for name, tolerances in (
+                ("selftest", {"no_such_check": 0.5, "kac_refinment": 1.0}),
+                ("kac", {"kac_refinement": 1.0}),
+                ("fac", {"holder": 0.5, "kl_tails": 0.1})):
+            f.write_text(json.dumps({"tolerances": tolerances}))
+            err = self.assert_usage_error(
+                [name, "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
+            named = err.split(";")[0]  # the refused names, before the known ones
+            assert "tolerance" in named
+            for key in tolerances:
+                assert (key in named) == (key != "holder")
+        assert not (tmp_path / "report.json").exists()
 
     def test_bad_tolerance(self, tmp_path, capsys):
         # unchecked, NaN would fail every selftest row, a negative value some

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wcl import fac, functionals
 from wcl.analytic import gauss_hermite_rule
 from wcl.fac import (
     MAX_POLY_DEGREE,
@@ -23,7 +26,13 @@ from wcl.fac import (
     tail_moment_diagnostic,
     uniform_fac_study,
 )
-from wcl.functionals import EndpointKernel, LocalTime, OffsetLocalTime, SelfIntersection
+from wcl.functionals import (
+    EndpointKernel,
+    LocalTime,
+    OffsetLocalTime,
+    SelfIntersection,
+    eval_family_many,
+)
 from wcl.processes import (
     BrownianMotion,
     DegenerateLine,
@@ -360,6 +369,7 @@ class TestThreads:
         runs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("WCL_THREADS", threads)
+            fac._PHI_MEMO.clear()  # the second run computes its own Phi_eps
             runs.append((
                 [a.tolist() for a in fac_ratios(BrownianMotion(1), EndpointKernel,
                                                 [0.1], [h2], mc, grid)],
@@ -368,3 +378,89 @@ class TestThreads:
                 holder_moment_diagnostic(bm2, family, [1.0, 0.1], 2, pairs, mc, grid),
             ))
         assert runs[0] == runs[1]
+
+
+class TestPhiMemo:
+    grid = TimeGrid(32)
+    bm2 = BrownianMotion(2)
+    pairs = [(0.125, 0.25), (0.25, 0.5), (0.5, 1.0)]
+
+    @staticmethod
+    def family(eps, u=(0.4, 0.3)):
+        return SelfIntersection(eps, u)
+
+    @staticmethod
+    def counted_kernel(monkeypatch):
+        """Record the eps grid of every G_eps kernel call."""
+        seen = []
+        original = functionals._self_intersection_many
+
+        def counted(values, eps_grid, u):
+            seen.append(list(eps_grid))
+            return original(values, eps_grid, u)
+
+        monkeypatch.setattr(functionals, "_self_intersection_many", counted)
+        return seen
+
+    def diagnostics(self, mc):
+        return (tail_moment_diagnostic(self.bm2, self.family, [1.0, 0.1], 8, mc, self.grid),
+                holder_moment_diagnostic(self.bm2, self.family, [1.0, 0.1], 2, self.pairs,
+                                         mc, self.grid))
+
+    def test_diagnostics_after_study_match_a_cold_run(self, monkeypatch):
+        # the study's 3 chunks hold G_eps at 1 and 0.1 for the diagnostics'
+        # first 2; the cold run computes its own
+        mc = MCConfig(2100, 5)
+        cold = self.diagnostics(mc)
+        fac._PHI_MEMO.clear()
+        seen = self.counted_kernel(monkeypatch)
+        uniform_fac_study(self.bm2, self.family, [1.0, 0.5, 0.1], 4, 20, mc, self.grid)
+        assert seen == [[1.0, 0.5, 0.1]] * 3
+        warm = self.diagnostics(mc)
+        assert seen == [[1.0, 0.5, 0.1]] * 3
+        assert warm == cold
+
+    def test_other_offset_or_paths_miss(self, monkeypatch):
+        values = sample_values(self.bm2, self.grid, 1, n_paths=20)[0]
+        other = sample_values(self.bm2, self.grid, 2, n_paths=20)[0]
+        seen = self.counted_kernel(monkeypatch)
+        first = fac._phi_rows(self.family, [1.0, 0.1], values)
+        assert np.array_equal(fac._phi_rows(self.family, [0.1], values), first[1:])
+        assert seen == [[1.0, 0.1]]
+        shifted = lambda eps: self.family(eps, (0.4, -0.3))
+        for fam, vals in ((shifted, values), (self.family, other)):
+            rows = fac._phi_rows(fam, [0.1], vals)
+            assert np.array_equal(rows, eval_family_many(fam, [0.1], vals))
+        assert seen[1:] == [[0.1], [0.1], [0.1], [0.1]]
+
+    def test_memo_is_bounded(self, monkeypatch):
+        # one chunk more than the bound; chunk 0 is read again after chunk
+        # 1, so chunk 1 is the least recently used and the one evicted
+        chunks = [sample_values(self.bm2, self.grid, s, n_paths=5)[0]
+                  for s in range(fac._PHI_MEMO_CHUNKS + 1)]
+        for i, values in enumerate(chunks):
+            fac._phi_rows(self.family, [1.0], values)
+            if i == 1:
+                fac._phi_rows(self.family, [1.0], chunks[0])
+            assert len(fac._PHI_MEMO) <= fac._PHI_MEMO_CHUNKS
+        seen = self.counted_kernel(monkeypatch)
+        fac._phi_rows(self.family, [1.0], chunks[0])
+        assert seen == []
+        fac._phi_rows(self.family, [1.0], chunks[1])
+        assert seen == [[1.0]]
+
+    @settings(max_examples=25, deadline=None)
+    @given(calls=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                                    st.lists(st.sampled_from([1.0, 0.5, 0.1, 0.01]),
+                                             min_size=1, max_size=4)),
+                          min_size=1, max_size=8))
+    def test_any_call_order_gives_cold_rows(self, calls):
+        # overlapping eps grids, repeated eps, two offsets and three chunks
+        chunks = [sample_values(self.bm2, TimeGrid(8), s, n_paths=4)[0] for s in range(3)]
+        offsets = [(0.4, 0.3), (0.0, 1.0)]
+        fac._PHI_MEMO.clear()
+        for c, o, eps_grid in calls:
+            fam = lambda eps: self.family(eps, offsets[o])
+            rows = fac._phi_rows(fam, eps_grid, chunks[c])
+            for eps, row in zip(eps_grid, rows):
+                assert np.array_equal(row, eval_family_many(fam, [eps], chunks[c])[0])

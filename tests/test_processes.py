@@ -256,6 +256,29 @@ class TestOperator:
         assert 1.0 <= m < 1.02
         assert 3.9 < big <= 4.0
 
+    @pytest.mark.parametrize("n", [8, 512])
+    def test_diagonal_singular_values_match_svd(self, n):
+        # a diagonal matrix skips the dense SVD; its sorted |entries| are
+        # bit for bit LAPACK's singular values, signs and ties included
+        ramp = IntegratorOperator.from_profile(lambda s: 1.0 + 0.5 * s, n)
+        signed = np.random.default_rng(n).standard_normal(n)
+        signed[1] = -signed[0]
+        for matrix in (ramp.matrix, np.diag(signed)):
+            op = IntegratorOperator(matrix)
+            assert np.array_equal(op.singular_values,
+                                  np.linalg.svd(matrix, compute_uv=False))
+        dense = np.diag(signed)
+        dense[0, 1] = 0.5  # one off-diagonal entry: the dense path
+        assert np.array_equal(IntegratorOperator(dense).singular_values,
+                              np.linalg.svd(dense, compute_uv=False))
+
+    def test_non_finite_matrix_rejected(self):
+        for bad in (math.nan, math.inf):
+            matrix = np.eye(4)
+            matrix[2, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                IntegratorOperator(matrix)
+
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError):
             IntegratorOperator(np.zeros((4, 4)))
