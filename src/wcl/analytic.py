@@ -62,15 +62,19 @@ def hermite_bound_constant(n):
 
 def gauss_kernel_sq(sq_norm, eps, d=1):
     """Gaussian density p_eps^d(x) = (2*pi*eps)^(-d/2) * exp(-|x|^2 / (2*eps)),
-    evaluated from the squared norm |x|^2; array-friendly.
+    evaluated from the squared norm |x|^2; array-friendly, a float for a
+    scalar.
 
-    Past |x|^2 / (2*eps) of about 745 the exponential underflows to exact
-    zero.
+    One allocation: the division writes a fresh array, and the exp and
+    the scaling run in place on it.  Past |x|^2 / (2*eps) of about 745
+    the exponential underflows to exact zero.
     """
     if not eps > 0:
         raise ValueError("variance must be positive")
-    z = np.asarray(sq_norm, dtype=float) / (-2.0 * eps)
-    out = (2.0 * math.pi * eps) ** (-0.5 * d) * np.exp(z)
+    sq = np.asarray(sq_norm, dtype=float)
+    out = np.divide(sq, -2.0 * eps, out=np.empty(sq.shape))
+    np.exp(out, out=out)
+    out *= (2.0 * math.pi * eps) ** (-0.5 * d)
     return out if out.ndim else float(out)
 
 

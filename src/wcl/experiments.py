@@ -106,8 +106,10 @@ class ExperimentConfig:
         if len(set(labels)) != len(labels):
             raise ValueError(f"eps_grid values must be distinct to 6 significant "
                              f"digits, got {', '.join(labels)}")
-        if not (_is_real(self.omega) and 0.0 < self.omega < math.inf):
-            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
+        # past this range rice's oracle overflows (omega^2) or underflows
+        # to a zero variance
+        if not (_is_real(self.omega) and 1e-12 <= self.omega <= 1e12):
+            raise ValueError(f"omega must lie in [1e-12, 1e12], got {self.omega!r}")
         if self.dimension not in (1, 2, 3):
             raise ValueError("dimension must be 1, 2 or 3")
         if (not isinstance(self.u, list) or len(self.u) != self.dimension

@@ -17,6 +17,10 @@ of G_eps the differences and |dv - u|^2.  Only the eps-dependent steps
 run per eps, in the same order as for one eps, and a single eps is a
 one-row call of the same kernel, so each row is bit for bit the
 ``eval_functional_many`` value.
+
+Local time, the band occupation and upcrossing counts run over the row
+blocks of ``processes.row_blocks`` (about 512 kB each) with reused block
+temporaries, and give the bits of their whole-array formulas.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import gauss_kernel_sq
+from .processes import block_buffer, row_blocks
 
 
 @dataclass(frozen=True)
@@ -122,26 +127,21 @@ def triangle_rule(n_steps: int):
     return tau, tuple(weights)
 
 
-# Paths per block of the pair kernels times nodes per path.  A per-lag
-# temporary then holds at most 512 kB per coordinate and Hermite order,
-# so a block stays in cache while its lags are swept.  Timed at 2^13 to
-# 2^18 and n_steps = 256 to 2048, 2^15 to 2^17 were the fastest.
-_BLOCK_ELEMENTS = 1 << 16
-
-
 def lag_blocks(values: np.ndarray):
-    """Yield (lo, coords) over consecutive blocks of paths, coords being a
-    contiguous (d, block, n+1) copy so that every lag slice
-    coords[j, :, L:] - coords[j, :, :-L] walks memory in order.
+    """Yield (lo, coords) over the ``row_blocks`` of the paths, coords
+    being a contiguous (d, block, n+1) copy so that every lag slice
+    coords[j, :, L:] - coords[j, :, :-L] walks memory in order.  A per-lag
+    temporary then holds at most 512 kB per coordinate and Hermite order.
 
-    Each path's value depends on its own row only, never on the block it
-    lands in.
+    The pair kernels' blocks are not rounded to whole 4-row groups
+    (group 1): rounding them would move some G_eps and chaos values by
+    an ulp, through the per-lag matrix-vector products, and with them
+    the fac and chaos reports.
     """
     n_paths, n_nodes, _ = values.shape
-    step = max(1, _BLOCK_ELEMENTS // n_nodes)
     coords = np.moveaxis(values, 2, 0)
-    for lo in range(0, n_paths, step):
-        yield lo, np.ascontiguousarray(coords[:, lo : lo + step], dtype=float)
+    for rows in row_blocks(n_paths, n_nodes, group=1):
+        yield rows.start, np.ascontiguousarray(coords[:, rows], dtype=float)
 
 
 def _check_dim(spec: FunctionalSpec, values: np.ndarray) -> None:
@@ -194,13 +194,17 @@ def eval_family_many(family, eps_grid, values: np.ndarray) -> np.ndarray:
 
 
 def _local_time_many(values, eps_grid):
-    """LocalTime for every eps of ``eps_grid``, (n_eps, N): the squared
-    node values are computed once."""
-    sq = values[:, :, 0] ** 2
-    w = interval_weights(values.shape[1] - 1)
-    out = np.empty((len(eps_grid), values.shape[0]))
-    for e, eps in enumerate(eps_grid):
-        out[e] = gauss_kernel_sq(sq, eps, d=1) @ w
+    """LocalTime for every eps of ``eps_grid``, (n_eps, N): per row block,
+    the squared node values are computed once, into one reused buffer."""
+    v = values[:, :, 0]
+    w = interval_weights(v.shape[1] - 1)
+    out = np.empty((len(eps_grid), v.shape[0]))
+    blocks = row_blocks(*v.shape)
+    buf = block_buffer(blocks, v.shape[1])
+    for rows in blocks:
+        sq = np.square(v[rows], out=buf[: rows.stop - rows.start])
+        for e, eps in enumerate(eps_grid):
+            out[e, rows] = gauss_kernel_sq(sq, eps, d=1) @ w
     return out
 
 
@@ -253,15 +257,28 @@ def indicator_local_time_many(values: np.ndarray, x: float, eps: float) -> np.nd
         raise ValueError("eps must be positive")
     v = _scalar_paths(values)
     w = interval_weights(v.shape[1] - 1)
-    inside = np.abs(v - x) <= eps
-    return (inside @ w) / (2.0 * eps)
+    out = np.empty(v.shape[0])
+    blocks = row_blocks(*v.shape)
+    buf = block_buffer(blocks, v.shape[1])
+    for rows in blocks:
+        # the 0.0 / 1.0 mask of |v - x| <= eps, built in place
+        inside = np.subtract(v[rows], x, out=buf[: rows.stop - rows.start])
+        np.abs(inside, out=inside)
+        np.less_equal(inside, eps, out=inside)
+        out[rows] = inside @ w
+    out /= 2.0 * eps
+    return out
 
 
 def upcrossing_count_many(values: np.ndarray, level: float) -> np.ndarray:
     """Per scalar path (N, n+1, 1), the number of grid intervals with
     value[k] < level <= value[k+1]."""
     v = _scalar_paths(values)
-    return np.sum((v[:, :-1] < level) & (v[:, 1:] >= level), axis=1)
+    out = np.empty(v.shape[0], dtype=int)
+    for rows in row_blocks(*v.shape):
+        below = v[rows] < level
+        out[rows] = np.count_nonzero(below[:, :-1] & ~below[:, 1:], axis=1)
+    return out
 
 
 def local_time_field(values: np.ndarray, eps: float, x_grid) -> np.ndarray:

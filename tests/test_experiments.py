@@ -318,6 +318,18 @@ class TestCliValidation:
         assert "eps_grid" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_omega_out_of_range(self, tmp_path, capsys):
+        # at 1e308 rice's oracle overflows omega^2; at 1e-300 omega^2 is a
+        # zero variance
+        f = tmp_path / "cfg.json"
+        for omega in (1e308, 1e-300):
+            f.write_text(json.dumps({"omega": omega}))
+            err = self.assert_usage_error(
+                ["rice", "--config", str(f), "--samples", "100", "--steps", "256",
+                 "--out", str(tmp_path), "--quiet"], capsys)
+            assert "omega" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_config_file_with_flag_name(self, tmp_path, capsys):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps({"samples": 200}))

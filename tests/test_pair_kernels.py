@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 
-from wcl import functionals
+from wcl import processes
 from wcl.chaos import chaos_terms_many
 from wcl.functionals import (
     EndpointKernel,
@@ -118,7 +118,7 @@ def test_value_does_not_depend_on_batch_split(d, n_paths, cuts, block_elements, 
     values = brownian(d, 16, seed, n_paths)
     spec = SelfIntersection(0.05, u)
     parts = np.split(values, sorted({c for c in cuts if c < n_paths}))
-    with mock.patch.object(functionals, "_BLOCK_ELEMENTS", block_elements):
+    with mock.patch.object(processes, "_BLOCK_ELEMENTS", block_elements):
         g_single = [eval_functional_many(spec, v[None])[0] for v in values]
         g_split = np.concatenate([eval_functional_many(spec, p) for p in parts])
         t_single = np.stack([chaos_terms_many(v[None], 3, [0.05], u)[0, :, 0]
@@ -142,7 +142,7 @@ def test_grid_rows_are_single_eps_calls(d, n_paths, cuts, eps_grid, block_elemen
     # any subset of eps in any order, on every part of any batch split
     u = OFFSETS[d]
     values = brownian(d, 16, seed, n_paths)
-    with mock.patch.object(functionals, "_BLOCK_ELEMENTS", block_elements):
+    with mock.patch.object(processes, "_BLOCK_ELEMENTS", block_elements):
         for part in np.split(values, sorted({c for c in cuts if c < n_paths})):
             g = eval_family_many(lambda eps: SelfIntersection(eps, u), eps_grid, part)
             assert g.shape == (len(eps_grid), len(part))
