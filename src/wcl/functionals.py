@@ -21,6 +21,13 @@ one-row call of the same kernel, so each row is bit for bit the
 Local time, the band occupation and upcrossing counts run over the row
 blocks of ``processes.row_blocks`` (about 512 kB each) with reused block
 temporaries, and give the bits of their whole-array formulas.
+
+The pair kernels, G_eps here and the chaos terms in ``chaos``, work on
+the time-major blocks of ``lag_blocks``: the paths of a row block copied
+to (d, n+1, P), P padded to whole groups of 8 paths, so that each lag
+slice is one contiguous run and the lag work goes into per-block buffers
+that are reused.  Each path's value is then bit for bit the same
+whatever batch, caller split or block computes it.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import gauss_kernel_sq
-from .processes import block_buffer, row_blocks
+from .processes import _ROW_GROUP, block_buffer, row_blocks
 
 
 @dataclass(frozen=True)
@@ -128,20 +135,34 @@ def triangle_rule(n_steps: int):
 
 
 def lag_blocks(values: np.ndarray):
-    """Yield (lo, coords) over the ``row_blocks`` of the paths, coords
-    being a contiguous (d, block, n+1) copy so that every lag slice
-    coords[j, :, L:] - coords[j, :, :-L] walks memory in order.  A per-lag
-    temporary then holds at most 512 kB per coordinate and Hermite order.
+    """Yield (rows, v) over the ``row_blocks`` of the paths (N, n+1, d).
 
-    The pair kernels' blocks are not rounded to whole 4-row groups
-    (group 1): rounding them would move some G_eps and chaos values by
-    an ulp, through the per-lag matrix-vector products, and with them
-    the fac and chaos reports.
+    v is a zero-filled, time-major (d, n+1, P) copy of the paths of
+    ``rows``, P being their count rounded up to a multiple of
+    ``processes._ROW_GROUP``; its first len(rows) columns are the paths,
+    the rest padding, which the pair kernels compute and then drop.
+    Every lag slice v[j, L:] or v[j, :n+1-L] is one contiguous run of
+    (n+1-L) * P elements, and a per-lag temporary holds about 512 kB.
+
+    Each pair kernel ends a lag in a vector-matrix product w @ K over a
+    (n+1-L, P) matrix K, which OpenBLAS's dgemv works through in SIMD
+    groups of path columns.  With P a multiple of 8 every column gets the
+    same bits, so a path's value does not depend on the batch, caller
+    split or block that holds it; with 1-3 or 5-7 columns left over it
+    would.
     """
-    n_paths, n_nodes, _ = values.shape
-    coords = np.moveaxis(values, 2, 0)
-    for rows in row_blocks(n_paths, n_nodes, group=1):
-        yield rows.start, np.ascontiguousarray(coords[:, rows], dtype=float)
+    n_paths, n_nodes, d = values.shape
+    for rows in row_blocks(n_paths, n_nodes):
+        nb = rows.stop - rows.start
+        v = np.zeros((d, n_nodes, -(-nb // _ROW_GROUP) * _ROW_GROUP))
+        v[:, :, :nb] = values[rows].transpose(2, 1, 0)
+        yield rows, v
+
+
+def leading_view(buf: np.ndarray, *shape) -> np.ndarray:
+    """The leading elements of the flat buffer ``buf`` as a contiguous
+    array of ``shape``: one buffer serves every lag's shorter slices."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 def _check_dim(spec: FunctionalSpec, values: np.ndarray) -> None:
@@ -216,27 +237,34 @@ def _self_intersection_many(values, eps_grid, u):
     weights of ``triangle_rule``.  The squared distances are computed
     once per lag; only the scaling, exp and weighted sum run per eps,
     with the same operations as for a single eps, so each row does not
-    depend on the other eps of the grid.  Measured against a long-double
-    sum over node pairs, the relative error is below 5e-15 for d = 1, 2,
-    n_steps = 256 to 2048 and eps = 0.01 to 1.
+    depend on the other eps of the grid.  The work of a lag goes into
+    three (n+1) * P buffers per ``lag_blocks`` block, allocated once.
+    Measured against a long-double sum over node pairs, the relative
+    error is at most 4.8e-15 for d = 1, 2, n_steps = 256 to 2048 and
+    eps = 0.01, 0.1, 1.
     """
     _, n_nodes, d = values.shape
     _, weights = triangle_rule(n_nodes - 1)
     factors = [-0.5 / eps for eps in eps_grid]
     out = np.empty((len(eps_grid), values.shape[0]))
-    for lo, v in lag_blocks(values):
-        acc = np.zeros((len(eps_grid), v.shape[1]))
+    for rows, v in lag_blocks(values):
+        n_cols = v.shape[2]
+        acc = np.zeros((len(eps_grid), n_cols))
+        bufs = np.empty((3, n_nodes * n_cols))  # diff, sq, kern: reused per lag
         for lag, w in enumerate(weights):
-            diff = v[:, :, lag:] - v[:, :, : n_nodes - lag]
-            diff -= u[:, None, None]
-            diff *= diff
-            sq = np.sum(diff, axis=0)
-            kern = np.empty_like(sq)
+            diff, sq, kern = (leading_view(b, n_nodes - lag, n_cols) for b in bufs)
+            for j in range(d):
+                dj = diff if j else sq
+                np.subtract(v[j, lag:], v[j, : n_nodes - lag], out=dj)
+                dj -= u[j]
+                dj *= dj
+                if j:
+                    sq += diff
             for row, c in zip(acc, factors):
                 np.multiply(sq, c, out=kern)
                 np.exp(kern, out=kern)
-                row += kern @ w
-        out[:, lo : lo + acc.shape[1]] = acc
+                row += w @ kern
+        out[:, rows] = acc[:, : rows.stop - rows.start]
     norms = [(2.0 * math.pi * eps) ** (-0.5 * d) for eps in eps_grid]
     return out * np.array(norms)[:, None]
 

@@ -39,31 +39,32 @@ MC_CHUNK = 1000
 # Rows times columns per row block of every blocked kernel: sampling, the
 # O(n) path functionals and the pair kernels.  A block temporary then
 # holds about 512 kB, so it stays in cache while it is worked on.
-# Timed on the pair kernels at 2^13 to 2^18 and n_steps = 256 to 2048,
-# 2^15 to 2^17 were the fastest.
+# Timed on the time-major pair kernels at 2^13 to 2^18 and n_steps = 256
+# and 1024, 2^15 to 2^17 were the fastest.
 _BLOCK_ELEMENTS = 1 << 16
-# OpenBLAS's dgemv takes the rows of a row-major matrix four at a time and
-# the last n % 4 rows one at a time, and numpy sends a one-row matrix to
-# ddot; the three round differently.  Blocks of whole 4-row groups, the
-# last block keeping the array's own remainder, give every row of a
-# matrix-vector product the bits of the unblocked product.
-_ROW_GROUP = 4
+# The rows of every block come in whole groups of 8.  OpenBLAS's dgemv
+# takes the rows of a row-major matrix four at a time and the last n % 4
+# one at a time, so blocks of whole 8-row groups, the last block keeping
+# the array's own remainder, give every row of a matrix-vector product
+# the bits of the unblocked product.  The pair kernels also pad their
+# blocks to whole groups of 8 paths (see ``functionals.lag_blocks``).
+_ROW_GROUP = 8
 
 
-def row_blocks(n_rows: int, n_cols: int, group: int = _ROW_GROUP) -> list:
+def row_blocks(n_rows: int, n_cols: int) -> list:
     """Consecutive row slices covering range(n_rows), in order.
 
     Each holds _BLOCK_ELEMENTS // n_cols rows rounded down to a multiple
-    of ``group`` (at least ``group``); the last also takes a remainder of
-    fewer than ``group`` rows.  Each row's result must depend on its own
-    row only; with the default group that holds for a matrix-vector
-    product of the block too.
+    of _ROW_GROUP (at least _ROW_GROUP); the last also takes a remainder
+    of fewer than _ROW_GROUP rows.  Each row's result must depend on its
+    own row only; that holds for a matrix-vector product of the block
+    too.
     """
-    step = max(group, _BLOCK_ELEMENTS // n_cols // group * group)
+    step = max(_ROW_GROUP, _BLOCK_ELEMENTS // n_cols // _ROW_GROUP * _ROW_GROUP)
     blocks = []
     lo = 0
     while lo < n_rows:
-        hi = lo + step if n_rows - lo - step >= group else n_rows
+        hi = lo + step if n_rows - lo - step >= _ROW_GROUP else n_rows
         blocks.append(slice(lo, hi))
         lo = hi
     return blocks
@@ -222,7 +223,7 @@ def _increments(rng, h, shape):
 
 def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
     """Sample n_paths paths at once; returns values of shape
-    (n_paths, n_steps + 1, d) plus derivative (or None).
+    (n_paths, n_steps + 1, d) and None, for every model.
 
     ``seed`` may be an int or a numpy SeedSequence.
     """
@@ -260,18 +261,14 @@ def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
         omega = model.omega
         c, s = np.cos(omega * t), np.sin(omega * t)
         values = np.empty((n_paths, n + 1, 1))
-        deriv = np.empty((n_paths, n + 1, 1))
         blocks = row_blocks(n_paths, n + 1)
         buf = block_buffer(blocks, n + 1)
         for rows in blocks:
             a, b = xi[rows, :1], xi[rows, 1:]
-            tmp = buf[: rows.stop - rows.start]
-            v, dv = values[rows, :, 0], deriv[rows, :, 0]
+            v = values[rows, :, 0]
             np.multiply(a, c, out=v)
-            v += np.multiply(b, s, out=tmp)
-            np.multiply(-a * omega, s, out=dv)
-            dv += np.multiply(b * omega, c, out=tmp)
-        return values, deriv
+            v += np.multiply(b, s, out=buf[: rows.stop - rows.start])
+        return values, None
     if isinstance(model, DegenerateLine):
         xi = rng.normal(size=(n_paths, 1))
         values = (xi * grid.times[None, :])[:, :, None]

@@ -1,7 +1,8 @@
 """The two lag-major pair kernels, G_eps and the chaos terms, against
-plain double loops over node pairs i <= j, their independence from how a
-batch of paths is split, and their eps grids: each row of a grid call is
-its one-eps call, whatever else is on the grid."""
+plain double loops over node pairs i <= j, their independence, bit for
+bit, from how a batch of paths is split into calls and blocks, and their
+eps grids: each row of a grid call is its one-eps call, whatever else is
+on the grid."""
 
 import itertools
 import math
@@ -127,10 +128,48 @@ def test_value_does_not_depend_on_batch_split(d, n_paths, cuts, block_elements, 
     g_whole = eval_functional_many(spec, values)
     t_whole = chaos_terms_many(values, 3, [0.05], u)[0]
     for g in (g_split, g_whole):
-        np.testing.assert_allclose(g, g_single, rtol=1e-12, atol=0.0)
-    scale = np.max(np.abs(t_single), axis=1, keepdims=True)
+        assert np.array_equal(g, g_single)
     for t in (t_split, t_whole):
-        assert np.all(np.abs(t - t_single) <= 1e-12 * scale)
+        assert np.array_equal(t, t_single)
+
+
+def one_block(n_steps):
+    """The paths of one full pair-kernel block at n_steps."""
+    return processes.row_blocks(10**6, n_steps + 1)[0].stop
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([1, 2]), n_steps=st.sampled_from([8, 33, 256]),
+       kind=st.sampled_from(["1", "7", "8", "9", "block - 1", "block + 1", "500"]),
+       block_elements=st.sampled_from([1, 300, 5000]), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_each_path_has_the_same_bits_in_any_batch(d, n_steps, kind, block_elements, seed,
+                                                   data):
+    # alone, in caller splits and in other kernel blocks, each path's
+    # G_eps and chaos terms are those of the whole-chunk call
+    n_paths = {"block - 1": one_block(n_steps) - 1,
+               "block + 1": one_block(n_steps) + 1}.get(kind) or int(kind)
+    u = OFFSETS[d]
+    values = brownian(d, n_steps, seed, n_paths)
+    cuts = data.draw(st.lists(st.integers(1, n_paths), max_size=3))
+    alone = data.draw(st.lists(st.integers(0, n_paths - 1), min_size=1, max_size=3))
+
+    def g(v):
+        return eval_family_many(lambda eps: SelfIntersection(eps, u), EPS_GRID, v)
+
+    def terms(v):
+        return chaos_terms_many(v, 3, EPS_GRID, u)
+
+    g_whole, t_whole = g(values), terms(values)
+    parts = np.split(values, sorted(set(cuts)))
+    assert np.array_equal(np.concatenate([g(p) for p in parts], axis=1), g_whole)
+    assert np.array_equal(np.concatenate([terms(p) for p in parts], axis=2), t_whole)
+    for i in alone:
+        assert np.array_equal(g(values[i : i + 1])[:, 0], g_whole[:, i])
+        assert np.array_equal(terms(values[i : i + 1])[:, :, 0], t_whole[:, :, i])
+    with mock.patch.object(processes, "_BLOCK_ELEMENTS", block_elements):
+        assert np.array_equal(g(values), g_whole)
+        assert np.array_equal(terms(values), t_whole)
 
 
 @settings(max_examples=25, deadline=None)

@@ -55,13 +55,11 @@ def brownian_reference(seed, n_steps, n_paths, d):
 
 
 def sinusoid_reference(seed, omega, n_steps, n_paths):
-    """The closed expressions of the values and the derivative."""
+    """The closed expression of the values."""
     xi = np.random.default_rng(seed).normal(size=(n_paths, 2))
     t = TimeGrid(n_steps).times
     c, s = np.cos(omega * t), np.sin(omega * t)
-    values = (xi[:, :1] * c[None, :] + xi[:, 1:] * s[None, :])[:, :, None]
-    deriv = (-xi[:, :1] * omega * s[None, :] + xi[:, 1:] * omega * c[None, :])[:, :, None]
-    return values, deriv
+    return (xi[:, :1] * c[None, :] + xi[:, 1:] * s[None, :])[:, :, None]
 
 
 def assert_same_bits(got, want):
@@ -70,20 +68,19 @@ def assert_same_bits(got, want):
 
 
 class TestRowBlocks:
-    @given(n_rows=st.integers(0, 300), n_cols=st.integers(1, 70000),
-           group=st.sampled_from([1, 4]))
-    def test_blocks_partition_rows_in_whole_groups(self, n_rows, n_cols, group):
-        blocks = row_blocks(n_rows, n_cols, group)
+    @given(n_rows=st.integers(0, 300), n_cols=st.integers(1, 70000))
+    def test_blocks_partition_rows_in_whole_groups(self, n_rows, n_cols):
+        blocks = row_blocks(n_rows, n_cols)
         assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
         assert sum(b.stop - b.start for b in blocks) == n_rows
         if blocks:
             assert blocks[0].start == 0 and blocks[-1].stop == n_rows
-        step = max(group, 65536 // n_cols // group * group)
+        step = max(8, 65536 // n_cols // 8 * 8)
         for b in blocks[:-1]:
             assert b.stop - b.start == step
         if len(blocks) > 1:
-            # the last block keeps the array's own remainder of < group rows
-            assert group <= blocks[-1].stop - blocks[-1].start < step + group
+            # the last block keeps the array's own remainder of < 8 rows
+            assert 8 <= blocks[-1].stop - blocks[-1].start < step + 8
 
 
 class TestBlockedSampling:
@@ -104,9 +101,8 @@ class TestBlockedSampling:
         n_paths = n_paths_for(kind, n_steps + 1)
         values, deriv = sample_values(SmoothStationary(omega), TimeGrid(n_steps), seed,
                                       n_paths)
-        want_values, want_deriv = sinusoid_reference(seed, omega, n_steps, n_paths)
-        assert_same_bits(values, want_values)
-        assert_same_bits(deriv, want_deriv)
+        assert deriv is None
+        assert_same_bits(values, sinusoid_reference(seed, omega, n_steps, n_paths))
 
 
 class TestBlockedFunctionals:
