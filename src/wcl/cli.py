@@ -8,19 +8,8 @@ import argparse
 import json
 import sys
 
-from .experiments import EXPERIMENTS, ExperimentConfig
+from .experiments import DRIVERS, EXPERIMENTS, ExperimentConfig
 from .processes import thread_cap
-
-# per-experiment default budgets; each runs in under 25 s on a 2-CPU host
-_DEFAULTS = {
-    "rice": {"n_samples": 20000, "n_steps": 2048},
-    "kac": {"n_samples": 10000, "n_steps": 4096},
-    "bridge": {"n_samples": 20000, "n_steps": 1024},
-    "chaos": {"n_samples": 4000, "n_steps": 256},
-    "fac": {"n_samples": 10000, "n_steps": 512},
-    "sweep": {"n_samples": 10000, "n_steps": 4096},
-    "selftest": {"n_samples": 100, "n_steps": 256},
-}
 
 
 def build_parser():
@@ -29,15 +18,16 @@ def build_parser():
         description="Stochastic local-time and chaos-expansion experiments",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name, driver in DRIVERS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="JSON config file with ExperimentConfig keys "
-                       "(n_samples, n_steps, ...); flags override it")
+        p.add_argument("--config", help="JSON config file, an object with any of the "
+                       f"keys {', '.join(driver.keys())}; flags override it")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--samples", type=int, help="Monte Carlo sample count")
         p.add_argument("--steps", type=int, help="time grid steps")
-        p.add_argument("--eps-grid", help="comma-separated eps values in [1e-12, 1e12]")
+        if "eps_grid" in driver.reads:
+            p.add_argument("--eps-grid", help="comma-separated eps values in [1e-12, 1e12]")
         p.add_argument("--quiet", action="store_true", help="suppress row printout")
     return parser
 
@@ -45,7 +35,8 @@ def build_parser():
 def build_config(args) -> ExperimentConfig:
     """One validated config: the experiment's default budget, overridden
     by the config file, overridden by the flags."""
-    data = dict(_DEFAULTS[args.experiment])
+    driver = DRIVERS[args.experiment]
+    data = {"n_samples": driver.n_samples, "n_steps": driver.n_steps}
     if args.config:
         with open(args.config) as fh:
             try:
@@ -57,14 +48,15 @@ def build_config(args) -> ExperimentConfig:
         data.update(loaded)
     flags = {"seed": args.seed, "out_dir": args.out, "n_samples": args.samples,
              "n_steps": args.steps}
-    if args.eps_grid is not None:
+    if getattr(args, "eps_grid", None) is not None:
         try:
             flags["eps_grid"] = [float(v) for v in args.eps_grid.split(",")]
         except ValueError:
             raise ValueError(f"--eps-grid {args.eps_grid!r} is not a comma-separated "
                              "list of numbers") from None
     data.update({k: v for k, v in flags.items() if v is not None})
-    data["experiment"] = args.experiment
+    if data.setdefault("experiment", args.experiment) != args.experiment:
+        raise ValueError(f"{args.config} is for {data['experiment']!r}, not {args.experiment}")
     return ExperimentConfig.from_dict(data)
 
 

@@ -16,6 +16,7 @@ import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -49,20 +50,8 @@ from .processes import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-# the times a driver reads off the grid must be grid nodes: fac's Hoelder
-# pairs start at t = 1/8, bridge reads w(1/2)
-_STEP_DIVISORS = {"fac": 8, "bridge": 2}
-# the tolerance names each driver's rows read; a config naming any other
-# would change nothing, so it is refused
-_TOLERANCE_NAMES = {
-    "rice": ("rice_quadrature", "rice_bias", "rice_tail"),
-    "kac": ("kac_quadrature", "kac_mc_n1", "kac_mc_n2", "kac_mc_n3"),
-    "bridge": ("bridge_limit", "bridge_mc", "bridge_symmetry", "degenerate_mass"),
-    "chaos": ("chaos_term0", "bridge_series"),
-    "fac": ("endpoint_ratio", "plateau", "kl_tail", "holder", "operator_bounds"),
-    "sweep": ("sweep_quadrature", "sweep_mc"),
-    "selftest": ("selftest",),
-}
+# the config fields of the sampled model; a driver takes those it reads
+MODEL_FIELDS = ("eps_grid", "omega", "dimension", "u")
 
 
 @dataclass
@@ -79,7 +68,8 @@ class ExperimentConfig:
     u: list = field(default_factory=lambda: [0.5])
 
     def __post_init__(self):
-        """Reject every invalid setting with a one-line ValueError."""
+        """One-line ValueError for an invalid setting; KeyError for an unknown experiment."""
+        driver = DRIVERS[self.experiment]
         for name in ("n_steps", "n_samples", "seed", "dimension"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -88,10 +78,9 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_steps < 256:
             raise ValueError("n_steps must be >= 256")
-        divisor = _STEP_DIVISORS.get(self.experiment, 1)
-        if self.n_steps % divisor:
-            raise ValueError(f"{self.experiment} needs n_steps divisible by {divisor}, "
-                             f"got {self.n_steps}")
+        if self.n_steps % driver.step_divisor:
+            raise ValueError(f"{self.experiment} needs n_steps divisible by "
+                             f"{driver.step_divisor}, got {self.n_steps}")
         if self.n_samples < 100:
             raise ValueError("n_samples must be >= 100")
         if not isinstance(self.eps_grid, list) or not self.eps_grid:
@@ -119,7 +108,7 @@ class ExperimentConfig:
                 _is_real(v) and 0.0 <= v < math.inf for v in self.tolerances.values()):
             raise ValueError("tolerances must map check names to finite "
                              "non-negative numbers")
-        known = _TOLERANCE_NAMES.get(self.experiment, ())
+        known = driver.tolerances
         unknown = sorted(str(name) for name in self.tolerances if name not in known)
         if unknown:
             raise ValueError(f"unknown tolerance name(s) {', '.join(unknown)} for "
@@ -127,14 +116,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
-        """Config from a mapping of field names; an unknown key is an error."""
+        """Config from a mapping of field names; a key its driver does not take is an error."""
         if not isinstance(data, dict):
             raise ValueError("a config must be a JSON object")
-        names = [f.name for f in fields(cls)]
+        names = DRIVERS[data["experiment"]].keys()
         unknown = sorted(set(data) - set(names))
         if unknown:
-            raise ValueError(f"unknown config key(s) {', '.join(unknown)}; "
-                             f"the keys are {', '.join(names)}")
+            raise ValueError(f"{data['experiment']} takes no config key(s) "
+                             f"{', '.join(unknown)}; its keys are {', '.join(names)}")
         return cls(**data)
 
     def tolerance(self, name, default):
@@ -226,15 +215,6 @@ def _fmt(x):
     return "" if x is None else f"{x:.12g}"
 
 
-def _timed(fn):
-    def wrapper(config: ExperimentConfig) -> ExperimentReport:
-        start = time.perf_counter()
-        report = fn(config)
-        report.runtime = time.perf_counter() - start
-        return report
-    return wrapper
-
-
 # ---------------------------------------------------------------- Rice
 
 def rice_closed_form(omega: float, level: float) -> float:
@@ -254,7 +234,6 @@ def rice_quadrature(omega: float, level: float, n_nodes: int = 400) -> float:
     return float(np.dot(xw, xv * dens))
 
 
-@_timed
 def rice_experiment(config: ExperimentConfig) -> ExperimentReport:
     model = SmoothStationary(config.omega)
     grid = TimeGrid(config.n_steps)
@@ -297,7 +276,6 @@ def kac_moment_quadrature(n: int, rule_nodes: int = 160) -> float:
     return math.factorial(n) * (2.0 * math.pi) ** (-0.5 * n) * base
 
 
-@_timed
 def kac_experiment(config: ExperimentConfig) -> ExperimentReport:
     grid = TimeGrid(config.n_steps)
     model = BrownianMotion(1)
@@ -361,7 +339,6 @@ def degenerate_outside_mass_quadrature(eps: float, delta: float,
     return num / den
 
 
-@_timed
 def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
     grid = TimeGrid(config.n_steps)
     rows = []
@@ -408,7 +385,6 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 # --------------------------------------------------------------- Chaos
 
-@_timed
 def chaos_table(config: ExperimentConfig) -> ExperimentReport:
     d = config.dimension
     u = list(config.u)
@@ -453,7 +429,6 @@ def chaos_table(config: ExperimentConfig) -> ExperimentReport:
 
 # ----------------------------------------------------------------- FAC
 
-@_timed
 def fac_study_cmd(config: ExperimentConfig) -> ExperimentReport:
     grid = TimeGrid(config.n_steps)
     rows = []
@@ -536,7 +511,6 @@ def _hermite_monomials(n):
 
 # ---------------------------------------------------------------- Sweep
 
-@_timed
 def sweep_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Mean of the smoothed local time across the eps grid versus the
     1-D quadrature oracle int_0^1 p_{t+eps}(0) dt."""
@@ -559,7 +533,6 @@ def sweep_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 # ------------------------------------------------------------- Selftest
 
-@_timed
 def selftest_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Fast deterministic battery over every closed-form oracle."""
     rows = []
@@ -601,12 +574,47 @@ def selftest_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(config, rows)
 
 
-EXPERIMENTS = {
-    "rice": rice_experiment,
-    "kac": kac_experiment,
-    "bridge": bridge_experiment,
-    "chaos": chaos_table,
-    "fac": fac_study_cmd,
-    "sweep": sweep_experiment,
-    "selftest": selftest_experiment,
+@dataclass(frozen=True)
+class Driver:
+    """One CLI driver: its run, default budget (each runs in under 25 s on a
+    2-CPU host), the MODEL_FIELDS it reads, the tolerance names its rows
+    read, and the divisor of n_steps that makes each time it reads off the
+    grid a node: 2 for bridge, which reads w(1/2), 8 for fac, whose Hoelder
+    pairs start at t = 1/8.  Calling it runs it and records the runtime."""
+
+    run: Callable[[ExperimentConfig], ExperimentReport]
+    n_samples: int
+    n_steps: int
+    reads: tuple
+    tolerances: tuple
+    step_divisor: int = 1
+
+    def __call__(self, config: ExperimentConfig) -> ExperimentReport:
+        start = time.perf_counter()
+        report = self.run(config)
+        report.runtime = time.perf_counter() - start
+        return report
+
+    def keys(self) -> list:
+        """The config keys it takes: all fields but the model fields it does not read."""
+        return [f.name for f in fields(ExperimentConfig)
+                if f.name not in MODEL_FIELDS or f.name in self.reads]
+
+
+DRIVERS = {
+    "rice": Driver(rice_experiment, 20000, 2048, ("omega",),
+                   ("rice_quadrature", "rice_bias", "rice_tail")),
+    "kac": Driver(kac_experiment, 10000, 4096, (),
+                  ("kac_quadrature", "kac_mc_n1", "kac_mc_n2", "kac_mc_n3")),
+    "bridge": Driver(bridge_experiment, 20000, 1024, (),
+                     ("bridge_limit", "bridge_mc", "bridge_symmetry", "degenerate_mass"), 2),
+    "chaos": Driver(chaos_table, 4000, 256, ("eps_grid", "dimension", "u"),
+                    ("chaos_term0", "bridge_series")),
+    "fac": Driver(fac_study_cmd, 10000, 512, ("eps_grid",),
+                  ("endpoint_ratio", "plateau", "kl_tail", "holder", "operator_bounds"), 8),
+    "sweep": Driver(sweep_experiment, 10000, 4096, ("eps_grid",),
+                    ("sweep_quadrature", "sweep_mc")),
+    "selftest": Driver(selftest_experiment, 100, 256, (), ("selftest",)),
 }
+# name -> callable, the bindings a profiler may wrap; the facts stay in DRIVERS
+EXPERIMENTS = dict(DRIVERS)

@@ -18,9 +18,9 @@ run per eps, in the same order as for one eps, and a single eps is a
 one-row call of the same kernel, so each row is bit for bit the
 ``eval_functional_many`` value.
 
-Local time, the band occupation and upcrossing counts run over the row
-blocks of ``processes.row_blocks`` (about 512 kB each) with reused block
-temporaries, and give the bits of their whole-array formulas.
+Local time, the band and upcrossings run over the ~512 kB row blocks of
+``processes.row_blocks`` with reused temporaries and give the bits of
+their whole-array formulas, local time's on arrays padded to 8-row groups.
 
 The pair kernels, G_eps here and the chaos terms in ``chaos``, work on
 the time-major blocks of ``lag_blocks``: the paths of a row block copied
@@ -223,9 +223,14 @@ def _local_time_many(values, eps_grid):
     blocks = row_blocks(*v.shape)
     buf = block_buffer(blocks, v.shape[1])
     for rows in blocks:
-        sq = np.square(v[rows], out=buf[: rows.stop - rows.start])
+        nb = rows.stop - rows.start
+        # zero rows pad the block to whole _ROW_GROUP groups: alone, a path
+        # would go through numpy's one-row product (ddot), not dgemv
+        sq = buf[: -(-nb // _ROW_GROUP) * _ROW_GROUP]
+        np.square(v[rows], out=sq[:nb])
+        sq[nb:] = 0.0
         for e, eps in enumerate(eps_grid):
-            out[e, rows] = gauss_kernel_sq(sq, eps, d=1) @ w
+            out[e, rows] = (gauss_kernel_sq(sq, eps, d=1) @ w)[:nb]
     return out
 
 

@@ -46,8 +46,8 @@ _BLOCK_ELEMENTS = 1 << 16
 # takes the rows of a row-major matrix four at a time and the last n % 4
 # one at a time, so blocks of whole 8-row groups, the last block keeping
 # the array's own remainder, give every row of a matrix-vector product
-# the bits of the unblocked product.  The pair kernels also pad their
-# blocks to whole groups of 8 paths (see ``functionals.lag_blocks``).
+# the bits of the unblocked product.  Local time and the pair kernels
+# also pad their blocks to whole 8-path groups (``functionals.lag_blocks``).
 _ROW_GROUP = 8
 
 
@@ -72,9 +72,10 @@ def row_blocks(n_rows: int, n_cols: int) -> list:
 
 def block_buffer(blocks: list, *shape) -> np.ndarray:
     """An empty float64 array with room for the longest of ``blocks``,
-    each row of the given shape; views of its leading rows serve every
-    block."""
-    return np.empty((max((b.stop - b.start for b in blocks), default=0), *shape))
+    rounded up to whole _ROW_GROUP groups, each row of the given shape;
+    views of its leading rows serve every block."""
+    rows = max((b.stop - b.start for b in blocks), default=0)
+    return np.empty((-(-rows // _ROW_GROUP) * _ROW_GROUP, *shape))
 
 
 @dataclass(frozen=True)

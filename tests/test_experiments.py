@@ -7,11 +7,12 @@ import pytest
 from wcl import chaos, functionals, processes
 from wcl.cli import build_parser, cli_main
 from wcl.experiments import (
+    DRIVERS,
     EXPERIMENTS,
+    MODEL_FIELDS,
     ExperimentConfig,
     ExperimentReport,
     ReportRow,
-    _TOLERANCE_NAMES,
     bridge_weighted_second_moment_quadrature,
     degenerate_outside_mass_quadrature,
     kac_moment_quadrature,
@@ -80,15 +81,19 @@ class TestConfig:
     def test_from_json(self, tmp_path):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps({
-            "experiment": "selftest", "n_steps": 512, "n_samples": 300,
+            "experiment": "sweep", "n_steps": 512, "n_samples": 300,
             "seed": 5, "eps_grid": [1.0, 0.5, 0.25],
         }))
-        assert cli_main(["selftest", "--config", str(f), "--out", str(tmp_path),
+        assert cli_main(["sweep", "--config", str(f), "--out", str(tmp_path),
                          "--quiet"]) == 0
         cfg = json.loads((tmp_path / "report.json").read_text())["config"]
         assert cfg["n_steps"] == 512
         assert cfg["seed"] == 5
         assert cfg["eps_grid"] == [1.0, 0.5, 0.25]
+
+    def test_unknown_experiment(self):
+        with pytest.raises(KeyError, match="nope"):
+            ExperimentConfig("nope")
 
     def test_tolerance_override(self):
         cfg = ExperimentConfig("rice", tolerances={"rice_bias": 0.5})
@@ -172,7 +177,7 @@ class TestCli:
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "summary.csv").exists()
 
-    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
     def test_declared_tolerance_names_are_read(self, tmp_path, monkeypatch, name):
         # the names a config may set are exactly those the driver's rows read
         read = set()
@@ -184,8 +189,23 @@ class TestCli:
 
         monkeypatch.setattr(ExperimentConfig, "tolerance", recorded)
         cfg = ExperimentConfig(name, n_steps=256, n_samples=100, out_dir=str(tmp_path))
-        EXPERIMENTS[name](cfg)
-        assert read == set(_TOLERANCE_NAMES[name])
+        DRIVERS[name](cfg)
+        assert read == set(DRIVERS[name].tolerances)
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_declared_model_fields_are_read(self, tmp_path, monkeypatch, name):
+        # the model fields a config may set are exactly those the run reads
+        read = set()
+        lookup = ExperimentConfig.__getattribute__
+
+        def recorded(config, key):
+            read.add(key)
+            return lookup(config, key)
+
+        cfg = ExperimentConfig(name, n_steps=256, n_samples=100, out_dir=str(tmp_path))
+        monkeypatch.setattr(ExperimentConfig, "__getattribute__", recorded)
+        DRIVERS[name](cfg)
+        assert read & set(MODEL_FIELDS) == set(DRIVERS[name].reads)
 
     def test_fac_small_budget_runs_to_a_report(self, tmp_path):
         # 100 samples leave the endpoint ratios' H_4 rows heavy-tailed: the
@@ -289,11 +309,37 @@ class TestCliValidation:
         assert "n_steps" in err and "2" in err
         assert not (tmp_path / "report.json").exists()
 
-    def test_selftest_negative_eps(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name, eps", [("kac", "0.5"), ("bridge", "0.3"),
+                                           ("selftest", "0.7")])
+    def test_unread_flag(self, tmp_path, capsys, name, eps):
+        # only sweep, chaos and fac read eps_grid; elsewhere the flag is as
+        # unknown as any misspelt one
+        assert cli_main([name, "--eps-grid", eps, "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --eps-grid" in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("name, data", [
+        ("sweep", {"omega": 3.0}),
+        ("fac", {"u": [0, 0], "dimension": 2}),
+        ("rice", {"u": [0, 0], "dimension": 2})])
+    def test_unread_config_key(self, tmp_path, capsys, name, data):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(data))
         err = self.assert_usage_error(
-            ["selftest", "--eps-grid", "0.1,-1", "--out", str(tmp_path), "--quiet"],
-            capsys)
-        assert "eps_grid" in err
+            [name, "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
+        refused, keys = err.strip().split("; ")
+        assert refused.endswith(f"{name} takes no config key(s) {', '.join(sorted(data))}")
+        assert keys == f"its keys are {', '.join(DRIVERS[name].keys())}"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_config_for_another_experiment(self, tmp_path, capsys):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"experiment": "kac"}))
+        err = self.assert_usage_error(
+            ["selftest", "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
+        assert "kac" in err and "selftest" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_sweep_negative_eps(self, tmp_path, capsys):
         err = self.assert_usage_error(

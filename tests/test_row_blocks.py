@@ -9,12 +9,14 @@ chunk-sized temporary is made.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcl import processes
 from wcl.functionals import (
     LocalTime,
     eval_family_many,
@@ -120,9 +122,12 @@ class TestBlockedFunctionals:
         w = interval_weights(n_steps)
         node = float(v.flat[pick % v.size])  # 0.0 at t = 0 or a drawn value
 
-        sq = v**2
+        # zero rows pad the paths to whole groups of 8, as the kernel pads
+        # its blocks: a lone row would go through ddot, and the last n % 4
+        # rows through dgemv's one-row tail, each with other bits
+        sq = np.concatenate([v, np.zeros((-n_paths % 8, n_steps + 1))]) ** 2
         want = np.stack([((2.0 * math.pi * e) ** -0.5 * np.exp(sq / (-2.0 * e))) @ w
-                         for e in EPS_GRID])
+                         for e in EPS_GRID])[:, :n_paths]
         assert_same_bits(eval_family_many(LocalTime, EPS_GRID, values), want)
 
         # |v - x| == eps on the node itself when x = 0 and eps = |node|
@@ -133,6 +138,22 @@ class TestBlockedFunctionals:
         for level in (node, 0.0, -node):
             want = np.sum((v[:, :-1] < level) & (v[:, 1:] >= level), axis=1)
             assert_same_bits(upcrossing_count_many(values, level), want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_steps=st.sampled_from(N_STEPS), n_paths=st.sampled_from([1, 7, 9, 256, 1000, 1003]),
+           batch=st.sampled_from([1, 3, 5, 8]), block_elements=st.sampled_from([300, 5000]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_local_time_has_the_same_bits_in_any_batch(self, n_steps, n_paths, batch,
+                                                       block_elements, seed):
+        # alone, in small batches and in other row blocks, each path's
+        # LocalTime is that of the whole-chunk call
+        values = brownian_reference(seed, n_steps, n_paths, 1)
+        whole = eval_family_many(LocalTime, EPS_GRID, values)
+        parts = [eval_family_many(LocalTime, EPS_GRID, values[i : i + batch])
+                 for i in range(0, n_paths, batch)]
+        assert_same_bits(np.concatenate(parts, axis=1), whole)
+        with mock.patch.object(processes, "_BLOCK_ELEMENTS", block_elements):
+            assert_same_bits(eval_family_many(LocalTime, EPS_GRID, values), whole)
 
 
 class TestNoChunkTemporaries:
