@@ -17,29 +17,19 @@ MAX_HERMITE_DEGREE = 60
 MAX_BOUND_DEGREE = 20
 
 
-def hermite_sequence(n_max, x, out=None):
-    """All of H_0(x), ..., H_{n_max}(x) in one sweep of H_{k+1} = x*H_k - k*H_{k-1}.
-
-    Returns an array of shape (n_max + 1,) + shape(x): ``out`` when it is
-    given (a float64 array of that shape, which x must not share memory
-    with), else a new one.
-    """
+def hermite_sequence(n_max, x):
+    """All of H_0(x), ..., H_{n_max}(x) in one sweep of H_{k+1} = x*H_k - k*H_{k-1};
+    an array of shape (n_max + 1,) + shape(x)."""
     if n_max < 0 or n_max > MAX_HERMITE_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_HERMITE_DEGREE}]")
     x = np.asarray(x, dtype=float)
-    if out is None:
-        out = np.empty((n_max + 1,) + x.shape)
-    elif out.shape != (n_max + 1,) + x.shape:
-        raise ValueError(f"out has shape {out.shape}, expected {(n_max + 1,) + x.shape}")
-    out[0] = 1.0
+    h = np.empty((n_max + 1,) + x.shape)
+    h[0] = 1.0
     if n_max >= 1:
-        out[1] = x
+        h[1] = x
     for k in range(1, n_max):
-        # in place; the Ellipsis keeps a view when x is a scalar
-        np.multiply(x, out[k], out=out[k + 1, ...])
-        # k * H_{k-1} goes into the row of H_{k+2}, not yet written
-        out[k + 1] -= np.multiply(out[k - 1], k, out=out[k + 2, ...] if k + 2 <= n_max else None)
-    return out
+        h[k + 1] = x * h[k] - k * h[k - 1]
+    return h
 
 
 def hermite_eval(n, x):

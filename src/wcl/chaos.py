@@ -7,16 +7,22 @@ products of Hermite factors.  Its path factor is
 the Wiener chaos, so partial sums are orthogonal projections and
 residual second moments decrease in the cutoff.
 
-``chaos_terms_many`` runs lag by lag over the time-major blocks of
-``functionals.lag_blocks``, padded to whole groups of 8 paths, with its
-per-lag Hermite values and products in block buffers that are reused;
-each path's terms are bit for bit the same whatever batch, caller split
-or block computes them.
+``chaos_terms_many`` does not evaluate Hermite polynomials on the
+paths.  It runs lag by lag over the time-major blocks of
+``functionals.lag_blocks``, padded to whole groups of 8 paths, and forms
+only the weighted lag sums of the monomials dv^beta of the increments,
+each from its parent with one multiply into a reused block buffer.  The
+Hermite-to-monomial change of basis, an exact integer matrix, is folded
+into the per-lag, per-eps coefficients, which contract the lag sums into
+the terms.  Each path's terms are bit for bit the same whatever batch,
+caller split or block computes them.  The price is cancellation among
+the monomials: against a long-double pair sum the error is below 2e-14
+of the largest term of each order at k_max = 6, and it grows with the
+order, so orders stop at MAX_TERM_ORDER.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +33,11 @@ from .functionals import lag_blocks, leading_view, triangle_rule
 from .processes import ProcessModel, TimeGrid, mc_moments
 from .processes import sample_values  # noqa: F401  (perfbench wraps each binding)
 
-MAX_TERM_ORDER = 30
+# Past order 15 the change of basis cancels too much: against a
+# long-double pair sum at n_steps = 33 (d = 1, 2; 190 batches of 8 paths)
+# orders up to 15 kept within 6.3e-13 of the largest term of their order,
+# order 16 reached 9.5e-13 and order 17 1.9e-12.
+MAX_TERM_ORDER = 15
 MAX_BRIDGE_ORDER = 40
 
 _FACTORIALS = np.array([math.factorial(n) for n in range(MAX_BRIDGE_ORDER + 1)], dtype=float)
@@ -39,17 +49,28 @@ def chaos_terms_many(values: np.ndarray, k_max: int, eps_grid, u) -> np.ndarray:
 
     values: (N, n+1, d); returns an array of shape (n_eps, k_max + 1, N).
 
-    Summed lag by lag in float64.  At lag L the time gap is tau = L/n and
-    the path factors H_a(dw_j / sqrt(tau)) do not depend on eps.  So per
-    block of paths the lag sums sum_i w_i prod_j H_{alpha_j}(dw_ij / sqrt(tau))
-    are formed once for each multi-index alpha with 1 <= |alpha| <= k_max.
-    Each eps then contracts them with its per-lag scalars: the kernel
-    p^d_{tau+eps}(u), rho^(|alpha|/2) with rho = tau/(tau+eps), and the
-    level factors prod_j H_{alpha_j}(u_j / sqrt(tau+eps)) / alpha_j!.  A
-    row depends on its own eps only, never on the rest of the grid.
-    Measured against a long-double sum over node pairs, the error is at
-    most 4.2e-15 of the largest term of each order for d = 1, 2,
-    n_steps = 256, 512, k_max = 6 and eps = 0.01, 0.1, 1.
+    Summed lag by lag in float64.  At lag L, with tau = L/n and the
+    increments dv_j = v_j(i+L) - v_j(i), the path factor of a multi-index
+    alpha is prod_j H_{alpha_j}(dv_j / sqrt(tau))
+    = sum_{beta <= alpha} T[alpha, beta] tau^(-|beta|/2) dv^beta, with
+    T[alpha, beta] = prod_j h[alpha_j, beta_j] and h[a, p] the z^p
+    coefficient of H_a.  So per block of paths only the monomial lag sums
+    sum_i w_i dv^beta, 1 <= |beta| <= k_max, are formed: each monomial is
+    its parent times one dv_j, then one vector-matrix product.  beta = 0
+    is the path-free sum of the weights.  Each eps folds T and tau into
+    its per-lag scalars (the kernel p^d_{tau+eps}(u), rho^(|alpha|/2)
+    with rho = tau/(tau+eps), and the level factors
+    prod_j H_{alpha_j}(u_j / sqrt(tau+eps)) / alpha_j!) and contracts
+    them with the lag sums; a row depends on its own eps only, never on
+    the rest of the grid.
+
+    Against a long-double sum over node pairs of the Hermite factors, the
+    error is below 2e-14 of the largest term of each order for d = 1, 2,
+    k_max = 6 and eps = 0.01, 0.1, 1 (measured at most 9.1e-15 at
+    n_steps = 256 and 1.2e-14 at 512, 96 paths each), about 2.5 times the
+    error of summing Hermite values per lag: the monomials of an order
+    cancel in the change of basis.  Higher orders cancel more; up to
+    MAX_TERM_ORDER each order keeps within 1e-12 of its largest term.
     """
     if k_max < 0 or k_max > MAX_TERM_ORDER:
         raise ValueError(f"order must be in [0, {MAX_TERM_ORDER}]")
@@ -61,58 +82,105 @@ def chaos_terms_many(values: np.ndarray, k_max: int, eps_grid, u) -> np.ndarray:
     if len(u) != d:
         raise ValueError("offset dimension must match the path dimension")
     tau, weights = triangle_rule(n_nodes - 1)
-    alphas = _multi_indices(k_max, d)
+    # the multi-indices alpha and the monomials beta are the same set
+    walk, alphas = _monomial_walk(k_max, d)
     order = alphas.sum(axis=1)
-    starts = np.searchsorted(order, np.arange(1, k_max + 1))
-    # the (order, coordinate) index into h of each multi-index's factors
-    factors = [[(m, j) for j, m in enumerate(alpha) if m] for alpha in alphas]
+    betas = np.vstack([np.zeros((1, d), dtype=int), alphas])  # row 0 is beta = 0
+    # change of basis T[alpha, beta], (n_alpha, 1 + n_alpha)
+    basis = _hermite_coefficients(k_max)
+    change = np.ones((len(alphas), len(betas)))
+    for j in range(d):
+        change *= basis[alphas[:, j][:, None], betas[:, j][None, :]]
+    # tau^(-|beta|/2) at the lags L >= 1, (n, 1 + n_alpha)
+    tau_pow = tau[1:, None] ** (-0.5 * betas.sum(axis=1))
+    n_slots = max((slot + 1 for _, _, slot in walk), default=0)
+    weight_sums = np.array([math.fsum(w) for w in weights])
     out = np.empty((len(eps_grid), k_max + 1, n_paths))
-    coefs = []
+    scalars = []
     for e, eps in enumerate(eps_grid):
         s = tau + eps
         kernel = (2.0 * math.pi * s) ** (-0.5 * d) * np.exp(-float(np.dot(u, u)) / (2.0 * s))
         # order 0 is H_0 = 1 on every path, and the only order the diagonal
         # tau = 0 feeds: one value for all paths
-        out[e, 0] = math.fsum(c * math.fsum(w) for c, w in zip(kernel, weights))
-        # per-lag scalars of each multi-index, (n+1, n_alpha)
-        level = hermite_sequence(k_max, u[None, :] / np.sqrt(s)[:, None])
+        out[e, 0] = math.fsum(kernel * weight_sums)
+        if not k_max:
+            continue
+        # per-lag scalars of each multi-index, (n, n_alpha)
+        level = hermite_sequence(k_max, u[None, :] / np.sqrt(s[1:])[:, None])
         level /= _FACTORIALS[: k_max + 1, None, None]
-        coef = kernel[:, None] * (tau / s)[:, None] ** (0.5 * order)
+        coef = kernel[1:, None] * (tau[1:] / s[1:])[:, None] ** (0.5 * order)
         for j in range(d):
             coef *= level[alphas[:, j], :, j].T
-        coefs.append(coef)
+        # per order k, lag and monomial: (k_max, n, 1 + n_beta)
+        c = np.stack([coef[:, order == k] @ change[order == k] for k in range(1, k_max + 1)])
+        c *= tau_pow
+        # beta = 0 is the same for every path
+        scalars.append((c[:, :, 1:], c[:, :, 0] @ weight_sums[1:]))
     if not k_max:
         return out
     for rows, v in lag_blocks(values):
         n_cols = v.shape[2]
-        raw = np.zeros((n_nodes, len(alphas), n_cols))  # eps-free lag sums
-        # per-lag buffers, reused: z, its Hermite values and one product
-        z_buf = np.empty(d * n_nodes * n_cols)
-        h_buf = np.empty((k_max + 1) * z_buf.size)
-        prod_buf = np.empty(n_nodes * n_cols)
+        sums = np.empty((n_nodes - 1, len(walk), n_cols))  # eps-free lag sums
+        # per-lag buffers, reused: the increments and one product per depth
+        dv_buf = np.empty(d * n_nodes * n_cols)
+        prod_bufs = np.empty((n_slots, n_nodes * n_cols))
+        prods = [None] * (k_max + 1)
         for lag in range(1, n_nodes):
             m = n_nodes - lag
-            z = np.subtract(v[:, lag:], v[:, :m], out=leading_view(z_buf, d, m, n_cols))
-            z /= math.sqrt(tau[lag])
-            h = hermite_sequence(k_max, z, out=leading_view(h_buf, k_max + 1, d, m, n_cols))
-            prod_out = leading_view(prod_buf, m, n_cols)
-            for a, (first, *rest) in enumerate(factors):
-                prod = h[first]
-                for f in rest:
-                    prod = np.multiply(prod, h[f], out=prod_out)
-                np.matmul(weights[lag], prod, out=raw[lag, a])
-        for e, coef in enumerate(coefs):
-            terms = np.einsum("la,lap->ap", coef, raw)
-            out[e, 1:, rows] = np.add.reduceat(terms, starts, axis=0)[:, : rows.stop - rows.start]
+            dv = np.subtract(v[:, lag:], v[:, :m], out=leading_view(dv_buf, d, m, n_cols))
+            for b, (depth, j, slot) in enumerate(walk):
+                if depth == 1:
+                    prods[1] = dv[j]
+                else:
+                    prods[depth] = np.multiply(prods[depth - 1], dv[j],
+                                               out=leading_view(prod_bufs[slot], m, n_cols))
+                np.matmul(weights[lag], prods[depth], out=sums[lag - 1, b])
+        nb = rows.stop - rows.start
+        for e, (c, c0) in enumerate(scalars):
+            terms = np.einsum("klb,lbp->kp", c, sums)
+            out[e, 1:, rows] = terms[:, :nb] + c0[:, None]
     return out
 
 
-def _multi_indices(k_max: int, d: int) -> np.ndarray:
-    """The multi-indices alpha in N^d with 1 <= |alpha| <= k_max, sorted
-    by order; (n_alpha, d)."""
-    alphas = [a for a in itertools.product(range(k_max + 1), repeat=d)
-              if 1 <= sum(a) <= k_max]
-    return np.array(sorted(alphas, key=sum), dtype=int).reshape(-1, d)
+def _hermite_coefficients(k_max: int) -> np.ndarray:
+    """h[a, p], the z^p coefficient of H_a for a, p <= k_max, from
+    H_{a+1} = z H_a - a H_{a-1}; exact integers in float64."""
+    h = np.zeros((k_max + 1, k_max + 1))
+    h[0, 0] = 1.0
+    for a in range(k_max):
+        h[a + 1, 1:] = h[a, :-1]
+        if a:
+            h[a + 1] -= a * h[a - 1]
+    return h
+
+
+def _monomial_walk(k_max: int, d: int):
+    """The monomials dv^beta with 1 <= |beta| <= k_max in a depth-first
+    walk over nondecreasing coordinate sequences j_1 <= ... <= j_r: each
+    is its parent, one step up the walk at depth r - 1, times dv_{j_r}.
+
+    Returns (walk, betas).  walk[b] = (r, j_r, slot): a monomial of depth
+    r >= 2 goes into buffer ``slot``, its parent's when it is the parent's
+    last child (the parent is not needed after it; at d = 1 the whole
+    walk runs in place in one buffer), else buffer r - 2, which none of
+    its live ancestors holds.  betas (n_beta, d) are also every
+    multi-index of order 1..k_max.
+    """
+    walk, betas = [], []
+
+    def visit(beta, depth, first, slot):
+        if depth > k_max:
+            return
+        for j in range(first, d):
+            child = beta.copy()
+            child[j] += 1
+            own = slot if j == d - 1 and depth > 2 else depth - 2
+            walk.append((depth, j, own))
+            betas.append(child)
+            visit(child, depth + 1, j, own)
+
+    visit(np.zeros(d, dtype=int), 1, 0, -1)
+    return walk, np.array(betas, dtype=int).reshape(-1, d)
 
 
 def bridge_term(end_value: float, n: int) -> float:

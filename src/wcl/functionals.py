@@ -21,6 +21,9 @@ one-row call of the same kernel, so each row is bit for bit the
 Local time, the band and upcrossings run over the ~512 kB row blocks of
 ``processes.row_blocks`` with reused temporaries and give the bits of
 their whole-array formulas, local time's on arrays padded to 8-row groups.
+Offset local time, the local-time field and the occupation identity end
+in one whole-array product, its rows padded to 8-row groups the same way,
+so none of these values depends on the batch.
 
 The pair kernels, G_eps here and the chaos terms in ``chaos``, work on
 the time-major blocks of ``lag_blocks``: the paths of a row block copied
@@ -185,7 +188,7 @@ def eval_functional_many(spec: FunctionalSpec, values: np.ndarray) -> np.ndarray
         w = interval_weights(n_steps)
         u = np.asarray(spec.u, dtype=float)
         sq = np.sum((values - u[None, None, :]) ** 2, axis=2)
-        return gauss_kernel_sq(sq, spec.eps, d=d) @ w
+        return _grouped_matvec(gauss_kernel_sq(sq, spec.eps, d=d), w)
     if isinstance(spec, SelfIntersection):
         return _self_intersection_many(values, (spec.eps,), np.asarray(spec.u, dtype=float))[0]
     raise TypeError(f"unknown functional spec {spec!r}")
@@ -232,6 +235,17 @@ def _local_time_many(values, eps_grid):
         for e, eps in enumerate(eps_grid):
             out[e, rows] = (gauss_kernel_sq(sq, eps, d=1) @ w)[:nb]
     return out
+
+
+def _grouped_matvec(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w over the last axis of a, with its rows stacked and zero-padded
+    to whole _ROW_GROUP groups, so that every row goes through dgemv's
+    grouped kernel and has the bits it has in any batch; alone or in a
+    ragged tail it would go through ddot or dgemv's one-row tail."""
+    rows = a.reshape(-1, a.shape[-1])
+    padded = np.zeros((-(-len(rows) // _ROW_GROUP) * _ROW_GROUP, rows.shape[1]))
+    padded[: len(rows)] = rows
+    return (padded @ w)[: len(rows)].reshape(a.shape[:-1])
 
 
 def _self_intersection_many(values, eps_grid, u):
@@ -323,7 +337,7 @@ def local_time_field(values: np.ndarray, eps: float, x_grid) -> np.ndarray:
     w = interval_weights(v.shape[1] - 1)
     x_grid = np.asarray(x_grid, dtype=float)
     sq = (v[:, None, :] - x_grid[None, :, None]) ** 2
-    return gauss_kernel_sq(sq, eps, d=1) @ w
+    return _grouped_matvec(gauss_kernel_sq(sq, eps, d=1), w)
 
 
 # raw moments of the standard normal, E Z^k for k = 0..4
@@ -370,8 +384,8 @@ def occupation_identity(values: np.ndarray, eps: float, coeffs):
         for i in range(0, j + 1, 2):
             moment_j += math.comb(j, i) * _GAUSS_MOMENTS[i] * s**i * v ** (j - i)
         lhs_node += c * moment_j
-    lhs = lhs_node @ w
+    lhs = _grouped_matvec(lhs_node, w)
     # rhs: evaluate the smoothed polynomial along the path
     g = _smoothed_poly_coeffs(coeffs, eps)
-    rhs = np.polynomial.polynomial.polyval(v, g) @ w
+    rhs = _grouped_matvec(np.polynomial.polynomial.polyval(v, g), w)
     return lhs, rhs

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from wcl.analytic import gauss_hermite_rule, gauss_kernel_sq, hermite_eval
 from wcl.chaos import (
+    MAX_TERM_ORDER,
     bridge_term,
     bridge_term_variance,
     chaos_term_table,
@@ -134,7 +136,82 @@ class TestChaosTerms:
         with pytest.raises(ValueError):
             chaos_terms_many(values, 2, [0.1], [0.5, 0.5])
         with pytest.raises(ValueError):
-            chaos_terms_many(values, 31, [0.1], [0.5])
+            chaos_terms_many(values, 16, [0.1], [0.5])
+
+
+def long_double_terms(values, k_max, eps, u):
+    """Chaos terms of order 0..k_max of each path (k_max + 1, N), summed
+    over node pairs in long double, with the Hermite recurrence applied to
+    dv / sqrt(tau) at each lag: the algebra the kernel replaced."""
+    ld = np.longdouble
+    n_paths, n_nodes, d = values.shape
+    n = n_nodes - 1
+    v = values.astype(ld)
+    u = np.asarray(u, dtype=ld)
+    w1 = np.full(n_nodes, ld(1) / n)
+    w1[[0, -1]] = ld(1) / (2 * n)
+    pi = np.arccos(ld(-1))
+    alphas = [a for a in itertools.product(range(k_max + 1), repeat=d) if sum(a) <= k_max]
+    factorial = [ld(math.factorial(a)) for a in range(k_max + 1)]
+    terms = np.zeros((k_max + 1, n_paths), dtype=ld)
+    for lag in range(n_nodes):
+        m = n_nodes - lag
+        w = w1[:m] * w1[lag:]
+        tau = ld(lag) / n
+        s = tau + ld(eps)
+        kernel = (2 * pi * s) ** (ld(-d) / 2) * np.exp(-np.dot(u, u) / (2 * s))
+        if lag == 0:  # tau = 0: only the constant term, on half the diagonal
+            terms[0] += kernel * np.sum(w) / 2
+            continue
+        z = (v[:, lag:] - v[:, :m]) / np.sqrt(tau)
+        x = u / np.sqrt(s)
+        h, level = [np.ones_like(z), z], [np.ones_like(x), x]
+        for a in range(1, k_max):
+            h.append(z * h[a] - a * h[a - 1])
+            level.append(x * level[a] - a * level[a - 1])
+        for alpha in alphas:
+            k = sum(alpha)
+            c = kernel * (tau / s) ** (ld(k) / 2)
+            prod = np.ones((n_paths, m), dtype=ld)
+            for j, a in enumerate(alpha):
+                c = c * level[a][j] / factorial[a]
+                prod = prod * h[a][..., j]
+            terms[k] += c * (prod @ w)
+    return terms
+
+
+def order_errors(got, ref):
+    """Per order, the largest |got - ref| over the paths relative to the
+    largest |ref| of that order."""
+    ref = ref.astype(float)
+    return np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
+
+
+class TestKernelError:
+    EPS = (1.0, 0.1, 0.01)
+    OFFSETS = {1: (0.5,), 2: (0.4, 0.3)}
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_within_the_stated_bound(self, d):
+        # the bound of the chaos_terms_many docstring
+        values, _ = sample_values(BrownianMotion(d), TimeGrid(256), 20 + d, n_paths=8)
+        got = chaos_terms_many(values, 6, self.EPS, self.OFFSETS[d])
+        for row, eps in zip(got, self.EPS):
+            ref = long_double_terms(values, 6, eps, self.OFFSETS[d])
+            assert np.all(order_errors(row, ref) <= 2e-14), eps
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_order_up_to_the_limit(self, d):
+        # the change of basis cancels more at higher orders; up to
+        # MAX_TERM_ORDER every order keeps within 1e-12 of its largest term
+        for seed in (5, 6):
+            values, _ = sample_values(BrownianMotion(d), TimeGrid(33), seed, n_paths=8)
+            refs = [long_double_terms(values, MAX_TERM_ORDER, eps, self.OFFSETS[d])
+                    for eps in self.EPS]
+            for k_max in range(1, MAX_TERM_ORDER + 1):
+                got = chaos_terms_many(values, k_max, self.EPS, self.OFFSETS[d])
+                for row, ref in zip(got, refs):
+                    assert np.all(order_errors(row, ref[: k_max + 1]) <= 1e-12), (seed, k_max)
 
 
 class TestEndpointPairing:

@@ -26,8 +26,8 @@ from wcl.functionals import (
 )
 from wcl.processes import BrownianMotion, TimeGrid, sample_values
 
-CASES = [(d, n) for d in (1, 2) for n in (8, 33)]
-OFFSETS = {1: (0.5,), 2: (0.4, 0.3)}
+CASES = [(d, n) for d in (1, 2) for n in (8, 33)] + [(3, 8)]
+OFFSETS = {1: (0.5,), 2: (0.4, 0.3), 3: (0.3, 0.2, 0.1)}
 EPS_GRID = (1.0, 0.1, 0.01)
 EPS_POOL = (2.0, 1.0, 0.5, 0.1, 0.05, 0.01)
 
@@ -110,7 +110,7 @@ def test_chaos_terms_match_double_loop(d, n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(d=st.sampled_from([1, 2]), n_paths=st.integers(1, 9),
+@given(d=st.sampled_from([1, 2, 3]), n_paths=st.integers(1, 9),
        cuts=st.lists(st.integers(1, 8), max_size=3),
        block_elements=st.integers(1, 200), seed=st.integers(0, 2**16))
 def test_value_does_not_depend_on_batch_split(d, n_paths, cuts, block_elements, seed):
@@ -139,7 +139,7 @@ def one_block(n_steps):
 
 
 @settings(max_examples=30, deadline=None)
-@given(d=st.sampled_from([1, 2]), n_steps=st.sampled_from([8, 33, 256]),
+@given(d=st.sampled_from([1, 2, 3]), n_steps=st.sampled_from([8, 33, 256]),
        kind=st.sampled_from(["1", "7", "8", "9", "block - 1", "block + 1", "500"]),
        block_elements=st.sampled_from([1, 300, 5000]), seed=st.integers(0, 2**16),
        data=st.data())
@@ -173,7 +173,7 @@ def test_each_path_has_the_same_bits_in_any_batch(d, n_steps, kind, block_elemen
 
 
 @settings(max_examples=25, deadline=None)
-@given(d=st.sampled_from([1, 2]), n_paths=st.integers(1, 9),
+@given(d=st.sampled_from([1, 2, 3]), n_paths=st.integers(1, 9),
        cuts=st.lists(st.integers(1, 8), max_size=3),
        eps_grid=st.lists(st.sampled_from(EPS_POOL), min_size=1, max_size=6, unique=True),
        block_elements=st.integers(1, 200), seed=st.integers(0, 2**16))
@@ -194,7 +194,7 @@ def test_grid_rows_are_single_eps_calls(d, n_paths, cuts, eps_grid, block_elemen
 
 
 @settings(max_examples=15, deadline=None)
-@given(d=st.sampled_from([1, 2]), n_paths=st.integers(1, 6),
+@given(d=st.sampled_from([1, 2, 3]), n_paths=st.integers(1, 6),
        eps_grid=st.lists(st.sampled_from(EPS_POOL), min_size=1, max_size=6, unique=True),
        seed=st.integers(0, 2**16))
 def test_chaos_row_does_not_depend_on_the_rest_of_the_grid(d, n_paths, eps_grid, seed):

@@ -19,9 +19,13 @@ from hypothesis import strategies as st
 from wcl import processes
 from wcl.functionals import (
     LocalTime,
+    OffsetLocalTime,
     eval_family_many,
+    eval_functional_many,
     indicator_local_time_many,
     interval_weights,
+    local_time_field,
+    occupation_identity,
     upcrossing_count_many,
 )
 from wcl.processes import (
@@ -154,6 +158,25 @@ class TestBlockedFunctionals:
         assert_same_bits(np.concatenate(parts, axis=1), whole)
         with mock.patch.object(processes, "_BLOCK_ELEMENTS", block_elements):
             assert_same_bits(eval_family_many(LocalTime, EPS_GRID, values), whole)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_steps=st.sampled_from([2, 8, 256]), n_paths=st.sampled_from([1, 7, 9, 256, 1003]),
+           batch=st.sampled_from([1, 3, 5, 8]), seed=st.integers(0, 2**32 - 1))
+    def test_whole_array_functionals_have_the_same_bits_in_any_batch(self, n_steps, n_paths,
+                                                                     batch, seed):
+        # offset local time, the local-time field and both sides of the
+        # occupation identity, alone and in small batches
+        scalar = brownian_reference(seed, n_steps, n_paths, 1)
+        planar = brownian_reference(seed + 1, n_steps, n_paths, 2)
+        cases = [
+            (planar, lambda v: eval_functional_many(OffsetLocalTime(0.1, (0.4, 0.3)), v)),
+            (scalar, lambda v: local_time_field(v, 0.1, [-0.2, 0.0, 0.3])),
+            (scalar, lambda v: np.stack(occupation_identity(v, 0.01, [0.3, 1.0, -0.5, 0.2, 0.1]),
+                                        axis=1)),
+        ]
+        for values, f in cases:
+            parts = [f(values[i : i + batch]) for i in range(0, n_paths, batch)]
+            assert_same_bits(np.concatenate(parts), f(values))
 
 
 class TestNoChunkTemporaries:
