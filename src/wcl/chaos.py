@@ -67,7 +67,7 @@ def chaos_terms_many(values: np.ndarray, k_max: int, eps_grid, u) -> np.ndarray:
     Against a long-double sum over node pairs of the Hermite factors, the
     error is below 2e-14 of the largest term of each order for d = 1, 2,
     k_max = 6 and eps = 0.01, 0.1, 1 (measured at most 9.1e-15 at
-    n_steps = 256 and 1.2e-14 at 512, 96 paths each), about 2.5 times the
+    n_steps = 256 and 1.2e-14 at 512, 96 paths each), 2.6 to 3.7 times the
     error of summing Hermite values per lag: the monomials of an order
     cancel in the change of basis.  Higher orders cancel more; up to
     MAX_TERM_ORDER each order keeps within 1e-12 of its largest term.
