@@ -56,26 +56,27 @@ def hermite_bound_constant(n):
     return float(np.max(np.abs(hermite_eval(n, roots)) * np.exp(-0.25 * roots**2)))
 
 
-def gauss_kernel_sq(sq_norm, eps, d=1):
+def gauss_kernel_sq(sq_norm, eps, d=1, out=None):
     """Gaussian density p_eps^d(x) = (2*pi*eps)^(-d/2) * exp(-|x|^2 / (2*eps)),
     evaluated from the squared norm |x|^2; array-friendly, a float for a
     scalar.
 
-    One allocation: the division writes a fresh array, and the exp and
-    the scaling run in place on it.  Past |x|^2 / (2*eps) of about 745
-    the exponential underflows to exact zero.
+    The division writes a fresh array, or ``out`` (which may be sq_norm
+    itself), and the exp and the scaling run in place on it.  Past
+    |x|^2 / (2*eps) of about 745 the exponential underflows to exact zero.
     """
     if not eps > 0:
         raise ValueError("variance must be positive")
     sq = np.asarray(sq_norm, dtype=float)
-    out = np.divide(sq, -2.0 * eps, out=np.empty(sq.shape))
+    out = np.divide(sq, -2.0 * eps, out=np.empty(sq.shape) if out is None else out)
     np.exp(out, out=out)
     out *= (2.0 * math.pi * eps) ** (-0.5 * d)
     return out if out.ndim else float(out)
 
 
-# tensor nodes of one simplex quadrature; each of its ~2n + 3 work arrays
-# takes 8 bytes per node
+# tensor nodes of one simplex quadrature; each of its full-size work
+# arrays (the weights, t_1, the integrand's and the final products) takes
+# 8 bytes per node
 MAX_SIMPLEX_NODES = 10**7
 
 
@@ -121,9 +122,11 @@ def integrate_simplex(f, n, n_nodes: int) -> float:
     and each cube coordinate passes through u = sin^2(theta).
     The substitution removes inverse-square-root endpoint singularities
     (Kac-moment integrands), letting tensor Gauss-Legendre converge.
-    The tensor rule has n_nodes ** n nodes; more than MAX_SIMPLEX_NODES
-    is refused before anything is allocated (200 nodes at n = 4 would
-    need 1.6e9).
+    f receives the t_j as open grids, arrays that broadcast against each
+    other (t_1 is full-size, t_n varies along the last axis only), and
+    the result has the bits of dense tensor grids.  The tensor rule has
+    n_nodes ** n nodes; more than MAX_SIMPLEX_NODES is refused before
+    anything is allocated (200 nodes at n = 4 would need 1.6e9).
     """
     if n not in (2, 3, 4):
         raise ValueError("simplex order must be 2, 3 or 4")
@@ -134,13 +137,15 @@ def integrate_simplex(f, n, n_nodes: int) -> float:
     theta = (x + 1.0) * (math.pi / 4.0)
     u = np.sin(theta) ** 2
     wu = w * (math.pi / 4.0) * np.sin(2.0 * theta)
-    grids = np.meshgrid(*([u] * n), indexing="ij")
-    weight = np.ones_like(grids[0])
-    for g in np.meshgrid(*([wu] * n), indexing="ij"):
+    # open grids: each coordinate varies along its own axis only, so the
+    # products below broadcast to full size only where they must
+    grids = np.meshgrid(*([u] * n), indexing="ij", sparse=True)
+    weight = np.ones((1,) * n)
+    for g in np.meshgrid(*([wu] * n), indexing="ij", sparse=True):
         weight = weight * g
     ts = [None] * n
     ts[n - 1] = grids[n - 1]
-    jac = np.ones_like(grids[0])
+    jac = np.ones((1,) * n)
     for j in range(n - 2, -1, -1):
         ts[j] = ts[j + 1] * grids[j]
         jac = jac * ts[j + 1]

@@ -15,14 +15,20 @@ Every estimator evaluates its whole (eps, statistic) grid in one
 ``mc_moments`` pass, so each replica chunk is drawn once per call and
 eps-comparisons share the same paths.  Phi_eps goes through a small
 memo, ``_phi_rows``: the study and both diagnostics start at the same
-replica seed and cut the same chunks, so the diagnostics' paths are a
-prefix of the study's, and each (chunk, eps) is evaluated once.  A chunk
-is keyed by its shape, dtype and a 16-byte BLAKE2b digest of its
-float64 values, a row by its spec (type, eps, u); it holds the rows of
-the last ``_PHI_MEMO_CHUNKS`` chunks, about 256 kB at 4 eps and 1000
-paths.  Phi_eps is a pure function of (spec, values), and each row of
+replica seed and cut the same chunks into the same row blocks, so the
+diagnostics' paths are a prefix of the study's, and each (path, eps) is
+evaluated once.  The engine calls a statistic once per row block, so the
+memo is keyed per block: by its shape, dtype and a 16-byte BLAKE2b
+digest of its float64 values, a row by its spec (type, eps, u).  It
+holds the rows of the most recently used blocks up to
+``_PHI_MEMO_PATHS`` paths, eight replica chunks, about 256 kB at 4 eps.
+Phi_eps is a pure function of (spec, values), and each row of
 ``eval_family_many`` is bit for bit its single-eps value, so a hit is
 exactly what recomputing would give.
+
+The KL-tail projections go through ``functionals.grouped_matvec``, so
+like every statistic here each path's value has the same bits in any
+row block.
 """
 
 from __future__ import annotations
@@ -38,9 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import hermite_eval
-from .functionals import eval_family_many, interval_weights
+from .functionals import eval_family_many, grouped_matvec, interval_weights
 from .functionals import eval_functional_many  # noqa: F401  (perfbench wraps each binding)
 from .processes import (
+    MC_CHUNK,
     ProcessModel,
     TimeGrid,
     covariance,
@@ -53,9 +60,9 @@ from .processes import (
 MAX_POLY_DEGREE = 8
 MAX_POLY_POINTS = 8
 
-# chunk key -> {spec key -> Phi_eps row}, least recently used first
+# block key -> {spec key -> Phi_eps row}, least recently used first
 _PHI_MEMO: OrderedDict = OrderedDict()
-_PHI_MEMO_CHUNKS = 8
+_PHI_MEMO_PATHS = 8 * MC_CHUNK
 _PHI_LOCK = threading.Lock()
 
 
@@ -173,28 +180,29 @@ def poly_norm(p: PolyFunctional, model: ProcessModel) -> float:
 
 def _phi_rows(family, eps_grid, values: np.ndarray) -> np.ndarray:
     """``eval_family_many(family, eps_grid, values)`` through the memo:
-    only the eps missing for this chunk are computed, in one call, and
+    only the eps missing for this block are computed, in one call, and
     outside the lock, so threads evaluate their chunks in parallel."""
     keys = [(type(s), s.eps, tuple(getattr(s, "u", ()))) for s in map(family, eps_grid)]
     digest = hashlib.blake2b(np.ascontiguousarray(values, dtype=float), digest_size=16)
-    chunk = (values.shape, values.dtype.str, digest.digest())
+    block = (values.shape, values.dtype.str, digest.digest())
     with _PHI_LOCK:
-        known = dict(_touch(chunk))
+        known = dict(_touch(block))
     missing = {key: eps for key, eps in zip(keys, eps_grid) if key not in known}
     if missing:
         fresh = dict(zip(missing, eval_family_many(family, list(missing.values()), values)))
         known.update(fresh)
         with _PHI_LOCK:
-            _touch(chunk).update(fresh)
+            _touch(block).update(fresh)
     return np.stack([known[key] for key in keys])
 
 
-def _touch(chunk) -> dict:
-    """The memo's rows of ``chunk``, marked most recently used; evicts the
-    least recently used chunks beyond the bound.  Call under the lock."""
-    rows = _PHI_MEMO.setdefault(chunk, {})
-    _PHI_MEMO.move_to_end(chunk)
-    while len(_PHI_MEMO) > _PHI_MEMO_CHUNKS:
+def _touch(block) -> dict:
+    """The memo's rows of ``block``, marked most recently used; evicts the
+    least recently used blocks while they hold more than _PHI_MEMO_PATHS
+    paths.  Call under the lock."""
+    rows = _PHI_MEMO.setdefault(block, {})
+    _PHI_MEMO.move_to_end(block)
+    while sum(shape[0] for shape, _, _ in _PHI_MEMO) > _PHI_MEMO_PATHS:
         _PHI_MEMO.popitem(last=False)
     return rows
 
@@ -364,10 +372,9 @@ def tail_moment_diagnostic(model: ProcessModel, family, eps_grid, basis_size: in
     w_time = interval_weights(grid.n_steps)
     basis = np.stack([kl_basis(k, t) * w_time for k in range(1, basis_size + 1)])
 
-    # (e_k, u)^2 summed over coordinates: ||proj||^2 uses all d coords
     (c2, mean_phi, weighted), (c2_se, _, weighted_se) = _weighted_moments(
         model, family, eps_grid, mc, grid,
-        lambda v: sum((v[:, :, j] @ basis.T) ** 2 for j in range(v.shape[2])).T)
+        lambda v: _kl_squares(v, basis))
     weighted = weighted / mean_phi[:, None]
     weighted_se = weighted_se / mean_phi[:, None]
 
@@ -382,6 +389,15 @@ def tail_moment_diagnostic(model: ProcessModel, family, eps_grid, basis_size: in
         unweighted_tails=tails(c2).tolist(),
         unweighted_std_errors=np.sqrt(tails(c2_se**2)).tolist(),
     )
+
+
+def _kl_squares(values: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """(e_k, u)^2 summed over the coordinates of each path (N, n+1, d),
+    ||proj||^2 using all d of them, for each row of ``basis`` (K, n+1): the
+    KL functions times the trapezoid weights.  Shape (K, N).  A dgemm
+    would give each path bits that depend on the batch's row count, so the
+    projections go through ``grouped_matvec``."""
+    return sum(grouped_matvec(values[:, :, j], basis) ** 2 for j in range(values.shape[2]))
 
 
 def bm_kl_second_moment(k: int) -> float:

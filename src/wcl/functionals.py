@@ -11,11 +11,11 @@ integrand integrates to exactly 1/2 and the occupation identity is an
 exact Fubini swap at the shared discretization.
 
 ``eval_family_many`` evaluates a whole eps family at once, (n_eps, N).
-For LocalTime and SelfIntersection it runs an eps-grid kernel that
-computes the eps-free work once: the squared node values, or at each lag
-of G_eps the differences and |dv - u|^2.  Only the eps-dependent steps
-run per eps, in the same order as for one eps, and a single eps is a
-one-row call of the same kernel, so each row is bit for bit the
+For LocalTime and SelfIntersection it runs an eps-grid kernel: one pass
+over the row blocks, and for G_eps the eps-free work of each lag, the
+differences and |dv - u|^2, done once.  The eps-dependent steps run per
+eps, in the same order as for one eps, and a single eps is a one-row
+call of the same kernel, so each row is bit for bit the
 ``eval_functional_many`` value.
 
 Local time, the band and upcrossings run over the ~512 kB row blocks of
@@ -188,7 +188,7 @@ def eval_functional_many(spec: FunctionalSpec, values: np.ndarray) -> np.ndarray
         w = interval_weights(n_steps)
         u = np.asarray(spec.u, dtype=float)
         sq = np.sum((values - u[None, None, :]) ** 2, axis=2)
-        return _grouped_matvec(gauss_kernel_sq(sq, spec.eps, d=d), w)
+        return grouped_matvec(gauss_kernel_sq(sq, spec.eps, d=d), w)
     if isinstance(spec, SelfIntersection):
         return _self_intersection_many(values, (spec.eps,), np.asarray(spec.u, dtype=float))[0]
     raise TypeError(f"unknown functional spec {spec!r}")
@@ -199,8 +199,8 @@ def eval_family_many(family, eps_grid, values: np.ndarray) -> np.ndarray:
     paths (N, n+1, d); shape (n_eps, N).
 
     A LocalTime or SelfIntersection family whose members differ only in
-    eps goes through one pass of its eps-grid kernel, which computes the
-    eps-free part once; any other family is one single-eps call per eps.
+    eps goes through one pass of its eps-grid kernel; any other family is
+    one single-eps call per eps.
     Either way, every row is bit for bit its single-eps value.
     """
     specs = [family(eps) for eps in eps_grid]
@@ -218,8 +218,16 @@ def eval_family_many(family, eps_grid, values: np.ndarray) -> np.ndarray:
 
 
 def _local_time_many(values, eps_grid):
-    """LocalTime for every eps of ``eps_grid``, (n_eps, N): per row block,
-    the squared node values are computed once, into one reused buffer."""
+    """LocalTime for every eps of ``eps_grid``, (n_eps, N): per row block
+    and eps, the squared node values and then their kernel are formed in
+    place in one reused buffer.
+
+    That buffer is the call's only block-sized temporary.  With a second
+    one, both freed at every return, glibc gives the top of the heap back
+    to the system and faults it in again on the next call: streamed
+    through the engine's 8-row blocks at n_steps = 4096, that was 96 page
+    faults per block, 122 000 in one ``wcl sweep`` run at its defaults.
+    """
     v = values[:, :, 0]
     w = interval_weights(v.shape[1] - 1)
     out = np.empty((len(eps_grid), v.shape[0]))
@@ -229,23 +237,27 @@ def _local_time_many(values, eps_grid):
         nb = rows.stop - rows.start
         # zero rows pad the block to whole _ROW_GROUP groups: alone, a path
         # would go through numpy's one-row product (ddot), not dgemv
-        sq = buf[: -(-nb // _ROW_GROUP) * _ROW_GROUP]
-        np.square(v[rows], out=sq[:nb])
-        sq[nb:] = 0.0
+        kern = buf[: -(-nb // _ROW_GROUP) * _ROW_GROUP]
         for e, eps in enumerate(eps_grid):
-            out[e, rows] = (gauss_kernel_sq(sq, eps, d=1) @ w)[:nb]
+            np.square(v[rows], out=kern[:nb])
+            kern[nb:] = 0.0
+            out[e, rows] = (gauss_kernel_sq(kern, eps, d=1, out=kern) @ w)[:nb]
     return out
 
 
-def _grouped_matvec(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def grouped_matvec(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """a @ w over the last axis of a, with its rows stacked and zero-padded
     to whole _ROW_GROUP groups, so that every row goes through dgemv's
     grouped kernel and has the bits it has in any batch; alone or in a
-    ragged tail it would go through ddot or dgemv's one-row tail."""
+    ragged tail it would go through ddot or dgemv's one-row tail, and in
+    a matrix-matrix product through dgemm, whose bits depend on the row
+    count.  A stack w (K, m) gives one product per row of w, shape
+    (K,) + a.shape[:-1], from the one padded copy."""
     rows = a.reshape(-1, a.shape[-1])
     padded = np.zeros((-(-len(rows) // _ROW_GROUP) * _ROW_GROUP, rows.shape[1]))
     padded[: len(rows)] = rows
-    return (padded @ w)[: len(rows)].reshape(a.shape[:-1])
+    out = np.stack([padded @ wk for wk in np.atleast_2d(w)])[:, : len(rows)]
+    return out.reshape(w.shape[:-1] + a.shape[:-1])
 
 
 def _self_intersection_many(values, eps_grid, u):
@@ -337,7 +349,7 @@ def local_time_field(values: np.ndarray, eps: float, x_grid) -> np.ndarray:
     w = interval_weights(v.shape[1] - 1)
     x_grid = np.asarray(x_grid, dtype=float)
     sq = (v[:, None, :] - x_grid[None, :, None]) ** 2
-    return _grouped_matvec(gauss_kernel_sq(sq, eps, d=1), w)
+    return grouped_matvec(gauss_kernel_sq(sq, eps, d=1), w)
 
 
 # raw moments of the standard normal, E Z^k for k = 0..4
@@ -384,8 +396,8 @@ def occupation_identity(values: np.ndarray, eps: float, coeffs):
         for i in range(0, j + 1, 2):
             moment_j += math.comb(j, i) * _GAUSS_MOMENTS[i] * s**i * v ** (j - i)
         lhs_node += c * moment_j
-    lhs = _grouped_matvec(lhs_node, w)
+    lhs = grouped_matvec(lhs_node, w)
     # rhs: evaluate the smoothed polynomial along the path
     g = _smoothed_poly_coeffs(coeffs, eps)
-    rhs = _grouped_matvec(np.polynomial.polynomial.polyval(v, g), w)
+    rhs = grouped_matvec(np.polynomial.polynomial.polyval(v, g), w)
     return lhs, rhs

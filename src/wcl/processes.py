@@ -10,18 +10,23 @@ increments are sampled exactly, the operator acts on cell coefficients
 under the h-weighted inner product <u,v> = h * sum(u_i v_i), so
 statistical tests downstream carry no discretization bias at the nodes.
 
-Paths have one representation: the values array of ``sample_values``,
-shape (paths, n_steps + 1, d), with values[p, k, j] = X_j(t_k) of path p
-and values[:, 0] = 0.  A single path is a batch of one.
+Paths have one representation: a values array of shape
+(paths, n_steps + 1, d), with values[p, k, j] = X_j(t_k) of path p;
+values[:, 0] = 0 for every model but the smooth stationary one, which
+starts at xi_1.  A single path is a batch of one.
 
-``sample_values`` writes Brownian and smooth stationary paths in the row
-blocks of ``row_blocks``, through one reused block buffer, so no
-chunk-sized temporary is made.  The draws of one Generator split into
-consecutive calls are the same stream, so every path is bit for bit
-the one an unblocked draw gives.
+``sample_blocks`` holds the sampling code of every model.  It yields the
+paths in the row blocks of ``row_blocks(n_paths, n_steps + 1)``, each
+written into one reused block buffer, so no chunk-sized temporary is
+made.  The draws of one Generator split into consecutive calls are the
+same stream, so every path is bit for bit the one an unblocked draw
+gives.  ``sample_values`` copies the blocks into one array.
 
 ``mc_moments`` is the package's one Monte Carlo engine: every estimate
-samples its replica chunks through it.
+samples its replica chunks through it, and each chunk streams through
+the statistic block by block, never as a whole array of paths.  The
+blocks are those of ``functionals.lag_blocks`` too, so a pair kernel
+called on an engine block runs on the same block it would cut itself.
 """
 
 from __future__ import annotations
@@ -222,29 +227,20 @@ def _increments(rng, h, shape):
     return dw
 
 
-def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
-    """Sample n_paths paths at once; returns values of shape
-    (n_paths, n_steps + 1, d) and None, for every model.
+def sample_blocks(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
+    """Sample n_paths paths block by block: yields (rows, values) for each
+    ``row_blocks(n_paths, n_steps + 1)`` block, values being the
+    (len(rows), n_steps + 1, d) paths of ``rows``.
 
+    ``values`` is a view of one buffer that the next block overwrites, so
+    a caller copies what it keeps.  All draws come from one Generator in
+    path order, so every path is bit for bit the one ``sample_values``
+    gives.  An Integrator's paths come as one block, the whole batch.
     ``seed`` may be an int or a numpy SeedSequence.
     """
     rng = np.random.default_rng(seed)
     n = grid.n_steps
     h = grid.h
-    if isinstance(model, BrownianMotion):
-        # per row block, the N(0, h) increments of _increments drawn into
-        # one reused buffer and summed into place
-        d = model.d
-        values = np.empty((n_paths, n + 1, d))
-        values[:, 0] = 0.0
-        blocks = row_blocks(n_paths, n * d)
-        buf = block_buffer(blocks, n, d)
-        for rows in blocks:
-            dw = buf[: rows.stop - rows.start]
-            rng.standard_normal(out=dw)
-            dw *= math.sqrt(h)
-            np.cumsum(dw, axis=1, out=values[rows, 1:])
-        return values, None
     if isinstance(model, Integrator):
         op = model.operator
         if op.n_cells != n:
@@ -255,26 +251,53 @@ def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
         dw = _increments(rng, h, (n_paths, n, model.d))
         # one BLAS product for all paths and coordinates: (N*d, n) @ (n, n+1)
         values = np.tensordot(dw, basis, axes=(1, 0)).transpose(0, 2, 1)
-        return np.ascontiguousarray(values), None
-    if isinstance(model, SmoothStationary):
+        yield slice(0, n_paths), np.ascontiguousarray(values)
+        return
+    blocks = row_blocks(n_paths, n + 1)
+    buf = block_buffer(blocks, n + 1, model_dimension(model))
+    if isinstance(model, BrownianMotion):
+        # the N(0, h) increments of _increments, drawn into a reused buffer
+        # and summed into place
+        dw = block_buffer(blocks, n, model.d)
+        for rows in blocks:
+            nb = rows.stop - rows.start
+            buf[:nb, 0] = 0.0
+            rng.standard_normal(out=dw[:nb])
+            dw[:nb] *= math.sqrt(h)
+            np.cumsum(dw[:nb], axis=1, out=buf[:nb, 1:])
+            yield rows, buf[:nb]
+    elif isinstance(model, SmoothStationary):
         xi = rng.normal(size=(n_paths, 2))
         t = grid.times
-        omega = model.omega
-        c, s = np.cos(omega * t), np.sin(omega * t)
-        values = np.empty((n_paths, n + 1, 1))
-        blocks = row_blocks(n_paths, n + 1)
-        buf = block_buffer(blocks, n + 1)
+        c, s = np.cos(model.omega * t), np.sin(model.omega * t)
+        term = block_buffer(blocks, n + 1)
         for rows in blocks:
-            a, b = xi[rows, :1], xi[rows, 1:]
-            v = values[rows, :, 0]
-            np.multiply(a, c, out=v)
-            v += np.multiply(b, s, out=buf[: rows.stop - rows.start])
-        return values, None
-    if isinstance(model, DegenerateLine):
+            nb = rows.stop - rows.start
+            v = buf[:nb, :, 0]
+            np.multiply(xi[rows, :1], c, out=v)
+            v += np.multiply(xi[rows, 1:], s, out=term[:nb])
+            yield rows, buf[:nb]
+    elif isinstance(model, DegenerateLine):
         xi = rng.normal(size=(n_paths, 1))
-        values = (xi * grid.times[None, :])[:, :, None]
-        return values, None
-    raise TypeError(f"unknown model {model!r}")
+        for rows in blocks:
+            nb = rows.stop - rows.start
+            np.multiply(xi[rows], grid.times, out=buf[:nb, :, 0])
+            yield rows, buf[:nb]
+    else:
+        raise TypeError(f"unknown model {model!r}")
+
+
+def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
+    """Sample n_paths paths at once; returns values of shape
+    (n_paths, n_steps + 1, d) and None, for every model: the blocks of
+    ``sample_blocks`` copied into one array.
+
+    ``seed`` may be an int or a numpy SeedSequence.
+    """
+    values = np.empty((n_paths, grid.n_steps + 1, model_dimension(model)))
+    for rows, block in sample_blocks(model, grid, seed, n_paths):
+        values[rows] = block
+    return values, None
 
 
 def thread_cap() -> int:
@@ -296,11 +319,17 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
     """Monte Carlo means and standard errors of k per-path statistics.
 
     Replica chunk r holds the paths r * MC_CHUNK onwards, at most
-    ``MC_CHUNK`` of them, drawn once from ``replica_seed(seed, r)``.
-    ``fn(values)`` maps a chunk of values (paths, n_steps + 1, d) to a
+    ``MC_CHUNK`` of them, drawn once from ``replica_seed(seed, r)``.  The
+    chunk streams through ``fn`` in the row blocks of ``sample_blocks``:
+    ``fn(values)`` maps a block of values (paths, n_steps + 1, d) to a
     (k, paths) array, or (paths,) for k = 1, of statistics of the same
-    paths.  Chunks run on ``thread_cap()`` threads but are reduced in
-    replica order, so the result does not depend on the thread count.
+    paths, and the blocks' columns make the chunk's (k, paths) table, so
+    no chunk-sized array of paths is made.  A path's statistic must not
+    depend on the other paths of the call, to the bit, for the result to
+    be that of one whole-chunk call; ``fn`` may not keep ``values``,
+    whose buffer the next block overwrites.  Chunks run on
+    ``thread_cap()`` threads but are reduced in replica order, so the
+    result does not depend on the thread count.
 
     Each mean is the compensated sum (``math.fsum``) of the per-chunk
     sums over n.  Variances merge the per-chunk (count, mean, M2) by the
@@ -317,11 +346,14 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
 
     def run(job):
         r, nb = job
-        values, _ = sample_values(model, grid, replica_seed(seed, r), n_paths=nb)
-        x = np.atleast_2d(np.asarray(fn(values), dtype=float))
-        if x.ndim != 2 or x.shape[1] != nb:
-            raise ValueError(f"fn must return (k, {nb}) statistics, got {x.shape}")
-        return _chunk_moments(x)
+        parts = []
+        for _, values in sample_blocks(model, grid, replica_seed(seed, r), nb):
+            x = np.atleast_2d(np.asarray(fn(values), dtype=float))
+            if x.ndim != 2 or x.shape[1] != len(values):
+                raise ValueError(f"fn must return (k, {len(values)}) statistics, "
+                                 f"got {x.shape}")
+            parts.append(x)
+        return _chunk_moments(np.concatenate(parts, axis=1))
 
     workers = min(thread_cap(), len(jobs))
     if workers > 1:

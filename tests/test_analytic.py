@@ -233,6 +233,55 @@ class TestQuadrature:
         val = integrate_simplex(lambda s, t: 1.0 / np.sqrt(s * (t - s)), 2, 200)
         assert val == pytest.approx(math.pi, rel=1e-8)
 
+    @staticmethod
+    def dense_simplex(f, n, n_nodes):
+        """integrate_simplex on dense tensor grids, every array full-size."""
+        x, w = gauss_legendre(n_nodes)
+        theta = (x + 1.0) * (math.pi / 4.0)
+        u = np.sin(theta) ** 2
+        wu = w * (math.pi / 4.0) * np.sin(2.0 * theta)
+        grids = np.meshgrid(*([u] * n), indexing="ij")
+        weight = np.ones_like(grids[0])
+        for g in np.meshgrid(*([wu] * n), indexing="ij"):
+            weight = weight * g
+        ts = [None] * n
+        ts[n - 1] = grids[n - 1]
+        jac = np.ones_like(grids[0])
+        for j in range(n - 2, -1, -1):
+            ts[j] = ts[j + 1] * grids[j]
+            jac = jac * ts[j + 1]
+        return float(np.sum(weight * jac * np.asarray(f(*ts), dtype=float)))
+
+    @staticmethod
+    def kac_integrand(*ts):
+        val = 1.0 / np.sqrt(ts[0])
+        for j in range(1, len(ts)):
+            val = val / np.sqrt(ts[j] - ts[j - 1])
+        return val
+
+    def test_open_grids_give_the_dense_bits(self):
+        # the selftest's three simplex rows and the kac driver's n = 2, 3
+        cases = [(lambda a, b: np.ones_like(a), 2, 60),
+                 (lambda a, b, c: np.ones_like(a), 3, 40),
+                 (lambda a, b: 1.0 / np.sqrt(a * (b - a)), 2, 120),
+                 (self.kac_integrand, 2, 160),
+                 (self.kac_integrand, 3, 60),
+                 (lambda *ts: np.ones_like(ts[0]), 4, 30)]
+        for f, n, n_nodes in cases:
+            assert integrate_simplex(f, n, n_nodes) == self.dense_simplex(f, n, n_nodes)
+
+    def test_simplex_peak_is_integrand_sized(self):
+        # kac's n = 3, 60-node rule: 216 000 nodes, 1.7 MB per full-size
+        # array.  Dense grids peaked at 20.7 MB here, open grids at 8.7 MB
+        integrate_simplex(self.kac_integrand, 3, 60)  # builds the cached rule
+        tracemalloc.start()
+        try:
+            integrate_simplex(self.kac_integrand, 3, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
+
     def test_simplex_node_budget(self):
         # 200 nodes at n = 4 would need 1.6e9 tensor nodes: refused
         # before the integrand is called or any array allocated

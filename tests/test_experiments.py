@@ -1,3 +1,4 @@
+import collections
 import inspect
 import json
 import math
@@ -219,42 +220,56 @@ class TestCli:
                                                          ("chaos", 1100, 2)])
     def test_each_chunk_drawn_once_per_pass(self, tmp_path, monkeypatch, name,
                                             n_samples, calls):
-        # fac: one pass each for the endpoint ratios (3 chunks), the study
-        # (3), the KL tails (2) and the Hoelder moments (2); chaos: one pass
-        # over 2 chunks for the whole eps grid
+        # fac: one pass each for the endpoint ratios (3 chunks, 2100 paths),
+        # the study (3, 2100), the KL tails (2, 2000) and the Hoelder moments
+        # (2, 2000); chaos: one pass over 2 chunks for the whole eps grid.
+        # Each draw streams every path of its chunk once, in order
         drawn = []
-        sample_values = processes.sample_values
+        sample_blocks = processes.sample_blocks
 
-        def counted(*args, **kwargs):
-            drawn.append(1)
-            return sample_values(*args, **kwargs)
+        def counted(model, grid, seed, n_paths):
+            rows = []
+            drawn.append((n_paths, rows))
+            for block in sample_blocks(model, grid, seed, n_paths):
+                rows.extend(range(block[0].start, block[0].stop))
+                yield block
 
-        monkeypatch.setattr(processes, "sample_values", counted)
+        monkeypatch.setattr(processes, "sample_blocks", counted)
         cli_main([name, "--steps", "256", "--samples", str(n_samples),
                   "--out", str(tmp_path), "--quiet"])
         assert len(drawn) == calls
+        assert all(rows == list(range(n_paths)) for n_paths, rows in drawn)
+        paths = {"fac": 2100 + 2100 + 2000 + 2000, "chaos": 1100}[name]
+        assert sum(n_paths for n_paths, _ in drawn) == paths
 
     @pytest.mark.parametrize("name, n_samples, module, kernel, grids", [
-        ("fac", 2100, functionals, "_self_intersection_many", [4, 4, 4]),
-        ("chaos", 1100, chaos, "chaos_terms_many", [3, 3])])
+        ("fac", 2100, functionals, "_self_intersection_many", [4]),
+        ("chaos", 1100, chaos, "chaos_terms_many", [3])])
     def test_each_chunk_evaluated_once_per_pass(self, tmp_path, monkeypatch, name,
                                                 n_samples, module, kernel, grids):
-        # one pair-kernel call per chunk serves every eps of its pass.  fac:
-        # the study (3 chunks, 4 eps); the KL tails and the Hoelder moments
-        # (its first 2 chunks, 2 of its eps) read their G_eps from the
-        # memo, so each (chunk, eps) is evaluated once; chaos: 2 chunks, 3 eps
-        seen = []
+        # each pair-kernel call serves every eps of its pass, whose sizes are
+        # ``grids``, and each (path, eps) is evaluated once.  fac: the study
+        # (all paths, 4 eps); the KL tails and the Hoelder moments (its first
+        # 2000 paths, 2 of its eps) read their G_eps from the memo; chaos:
+        # all paths, 3 eps
+        evaluated = collections.Counter()
+        sizes = set()
         original = getattr(module, kernel)
         signature = inspect.signature(original)
 
         def counted(*args, **kwargs):
-            seen.append(len(signature.bind(*args, **kwargs).arguments["eps_grid"]))
+            bound = signature.bind(*args, **kwargs).arguments
+            sizes.add(len(bound["eps_grid"]))
+            evaluated.update((path.tobytes(), eps) for path in bound["values"]
+                             for eps in bound["eps_grid"])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, kernel, counted)
         cli_main([name, "--steps", "256", "--samples", str(n_samples),
                   "--out", str(tmp_path), "--quiet"])
-        assert seen == grids
+        assert sizes == set(grids)
+        assert set(evaluated.values()) == {1}
+        assert len(evaluated) == n_samples * sum(grids)
 
     def test_failure_exit_code(self, tmp_path):
         # impossible tolerance forces a failing row

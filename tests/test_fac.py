@@ -319,6 +319,25 @@ class TestKLDiagnostics:
         assert all(a >= b for a, b in zip(diag.unweighted_tails,
                                           diag.unweighted_tails[1:]))
 
+    def test_projections_have_the_same_bits_in_any_batch(self):
+        # 1000 BM(2) paths at n = 512, as the fac driver's diagnostics see
+        # them.  A dgemm projection gives 7437 to 7474 of these 8000 values
+        # other bits (up to 1.3e-13 relative) alone or in batches of 7 to
+        # 128 than in the whole chunk
+        grid = TimeGrid(512)
+        values, _ = sample_values(BrownianMotion(2), grid, 3, n_paths=1000)
+        basis = np.stack([kl_basis(k, grid.times) for k in range(1, 9)])
+        basis *= functionals.interval_weights(512)
+        whole = fac._kl_squares(values, basis)
+        assert whole.shape == (8, 1000)
+        for batch in (1, 7, 8, 120, 128, 500):
+            parts = [fac._kl_squares(values[i : i + batch], basis)
+                     for i in range(0, 1000, batch)]
+            assert np.array_equal(np.concatenate(parts, axis=1), whole)
+        # the projection is the inner product with the weighted basis
+        want = sum((values[:, :, j] @ basis.T).T ** 2 for j in range(2))
+        np.testing.assert_allclose(whole, want, rtol=1e-12)
+
     def test_holder_exponent_of_bm(self):
         # E |w(t)-w(s)|^4 = 3 |t-s|^2: exponent 2 for m0 = 2
         grid = TimeGrid(512)
@@ -434,19 +453,21 @@ class TestPhiMemo:
         assert seen[1:] == [[0.1], [0.1], [0.1], [0.1]]
 
     def test_memo_is_bounded(self, monkeypatch):
-        # one chunk more than the bound; chunk 0 is read again after chunk
-        # 1, so chunk 1 is the least recently used and the one evicted
-        chunks = [sample_values(self.bm2, self.grid, s, n_paths=5)[0]
-                  for s in range(fac._PHI_MEMO_CHUNKS + 1)]
-        for i, values in enumerate(chunks):
+        # blocks of a quarter of the bound, so the fifth evicts one; block 0
+        # is read again after block 1, so block 1 is the least recently
+        # used and the one evicted
+        n_paths = fac._PHI_MEMO_PATHS // 4
+        blocks = [sample_values(self.bm2, self.grid, s, n_paths=n_paths)[0] for s in range(5)]
+        for i, values in enumerate(blocks):
             fac._phi_rows(self.family, [1.0], values)
             if i == 1:
-                fac._phi_rows(self.family, [1.0], chunks[0])
-            assert len(fac._PHI_MEMO) <= fac._PHI_MEMO_CHUNKS
+                fac._phi_rows(self.family, [1.0], blocks[0])
+            assert sum(shape[0] for shape, _, _ in fac._PHI_MEMO) <= fac._PHI_MEMO_PATHS
+        assert len(fac._PHI_MEMO) == 4
         seen = self.counted_kernel(monkeypatch)
-        fac._phi_rows(self.family, [1.0], chunks[0])
+        fac._phi_rows(self.family, [1.0], blocks[0])
         assert seen == []
-        fac._phi_rows(self.family, [1.0], chunks[1])
+        fac._phi_rows(self.family, [1.0], blocks[1])
         assert seen == [[1.0]]
 
     @settings(max_examples=25, deadline=None)

@@ -1,10 +1,10 @@
 """The row-blocked layer against its unblocked formulas, bit for bit.
 
-``sample_values`` (Brownian motion, smooth stationary) and the O(n) path
-functionals work in the row blocks of ``processes.row_blocks``.  Each
-case below compares them with the whole-array expression they replace,
-at path counts on both sides of a block boundary, and checks that no
-chunk-sized temporary is made.
+``sample_blocks``, the Monte Carlo engine that streams its blocks and
+the O(n) path functionals work in the row blocks of
+``processes.row_blocks``.  Each case below compares them with the
+whole-array expression they replace, at path counts on both sides of a
+block boundary, and checks that no chunk-sized temporary is made.
 """
 
 import math
@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcl import processes
+from wcl import chaos, experiments, fac, processes
+from wcl.experiments import DRIVERS, ExperimentConfig
 from wcl.functionals import (
     LocalTime,
     OffsetLocalTime,
@@ -31,9 +32,15 @@ from wcl.functionals import (
 from wcl.processes import (
     MC_CHUNK,
     BrownianMotion,
+    DegenerateLine,
+    Integrator,
+    IntegratorOperator,
     SmoothStationary,
     TimeGrid,
+    mc_moments,
+    replica_seed,
     row_blocks,
+    sample_blocks,
     sample_values,
 )
 
@@ -94,7 +101,7 @@ class TestBlockedSampling:
     @given(n_steps=st.sampled_from(N_STEPS), d=st.sampled_from([1, 2, 3]),
            kind=st.sampled_from(PATH_COUNTS), seed=st.integers(0, 2**32 - 1))
     def test_brownian_matches_one_draw(self, n_steps, d, kind, seed):
-        n_paths = n_paths_for(kind, n_steps * d)
+        n_paths = n_paths_for(kind, n_steps + 1)
         values, deriv = sample_values(BrownianMotion(d), TimeGrid(n_steps), seed, n_paths)
         assert deriv is None
         assert_same_bits(values, brownian_reference(seed, n_steps, n_paths, d))
@@ -109,6 +116,90 @@ class TestBlockedSampling:
                                       n_paths)
         assert deriv is None
         assert_same_bits(values, sinusoid_reference(seed, omega, n_steps, n_paths))
+
+
+class TestSampleBlocks:
+    """``sample_values`` is the concatenation of ``sample_blocks``, and both
+    are the whole-array draw of every model."""
+
+    grid = TimeGrid(256)
+    models = {
+        "bm1": BrownianMotion(1),
+        "bm3": BrownianMotion(3),
+        "sinusoid": SmoothStationary(0.37),
+        "line": DegenerateLine(),
+        "integrator": Integrator(IntegratorOperator.from_profile(lambda s: 1.0 + s, 256), 2),
+    }
+
+    def reference(self, name, seed, n_paths):
+        n = self.grid.n_steps
+        if name.startswith("bm"):
+            return brownian_reference(seed, n, n_paths, self.models[name].d)
+        if name == "sinusoid":
+            return sinusoid_reference(seed, 0.37, n, n_paths)
+        if name == "line":
+            xi = np.random.default_rng(seed).normal(size=(n_paths, 1))
+            return (xi * self.grid.times)[:, :, None]
+        dw = np.random.default_rng(seed).standard_normal(size=(n_paths, n, 2))
+        dw *= math.sqrt(self.grid.h)
+        basis = self.models[name].operator.node_image_matrix()
+        return np.ascontiguousarray(np.tensordot(dw, basis, axes=(1, 0)).transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("name", sorted(models))
+    @pytest.mark.parametrize("n_paths", [1, 7, 8, 9, 247, 249, 1000, 1003])
+    def test_blocks_concatenate_to_sample_values(self, name, n_paths):
+        # 248 rows make one block at 257 nodes; 247 and 249 sit either side
+        seed = 11 + n_paths
+        blocks = [(rows, v.copy())
+                  for rows, v in sample_blocks(self.models[name], self.grid, seed, n_paths)]
+        want_rows = ([slice(0, n_paths)] if name == "integrator"
+                     else row_blocks(n_paths, self.grid.n_steps + 1))
+        assert [rows for rows, _ in blocks] == want_rows
+        assert all(len(v) == rows.stop - rows.start for rows, v in blocks)
+        whole = self.reference(name, seed, n_paths)
+        assert_same_bits(np.concatenate([v for _, v in blocks]), whole)
+        values, deriv = sample_values(self.models[name], self.grid, seed, n_paths)
+        assert deriv is None
+        assert_same_bits(values, whole)
+
+
+class TestStreamedEngine:
+    """``mc_moments`` streams each chunk through the statistic block by
+    block; for every driver's statistic the result has the bits of one
+    call per whole chunk."""
+
+    @staticmethod
+    def whole_chunk_moments(model, grid, seed, n_samples, fn):
+        parts = []
+        for r, lo in enumerate(range(0, n_samples, MC_CHUNK)):
+            values, _ = sample_values(model, grid, replica_seed(seed, r),
+                                      min(MC_CHUNK, n_samples - lo))
+            x = np.atleast_2d(np.asarray(fn(values), dtype=float))
+            parts.append(processes._chunk_moments(x))
+        return processes._merge_chunks(parts)
+
+    @pytest.mark.parametrize("name, passes", [("rice", 1), ("kac", 1), ("bridge", 2),
+                                              ("sweep", 1), ("fac", 4), ("chaos", 1)])
+    def test_driver_statistics_match_whole_chunks(self, tmp_path, monkeypatch, name, passes):
+        # at 256 steps a chunk of 1000 paths streams as 5 blocks; the second
+        # chunk of 100 paths as one.  fac: the endpoint ratios, the study
+        # and both diagnostics; bridge: Brownian and degenerate-line paths
+        calls = []
+
+        def recorded(*args):
+            result = mc_moments(*args)
+            calls.append((args, result))
+            return result
+
+        for module in (experiments, fac, chaos):
+            monkeypatch.setattr(module, "mc_moments", recorded)
+        DRIVERS[name](ExperimentConfig(name, n_steps=256, n_samples=1100,
+                                       out_dir=str(tmp_path)))
+        assert len(calls) == passes
+        for args, (mean, se) in calls:
+            want_mean, want_se = self.whole_chunk_moments(*args)
+            assert_same_bits(mean, want_mean)
+            assert_same_bits(se, want_se)
 
 
 class TestBlockedFunctionals:
@@ -201,6 +292,19 @@ class TestNoChunkTemporaries:
         (values, _), peak = self.peak(
             lambda: sample_values(BrownianMotion(1), self.grid, 5, MC_CHUNK))
         assert peak <= values.nbytes + 2 * MB
+
+    def test_engine_peak_is_block_sized(self):
+        # the kac driver's statistic over one chunk, whose values array
+        # would be 32.8 MB: the engine holds 8-row blocks of 262 kB, and
+        # the peak measured 0.81 MB
+        def kac(values):
+            band = indicator_local_time_many(values, 0.0, 0.01)
+            return np.stack([band**n for n in (1, 2, 3)])
+
+        run = lambda: mc_moments(BrownianMotion(1), self.grid, 5, MC_CHUNK, kac)
+        run()  # the first draw imports parts of numpy.random
+        _, peak = self.peak(run)
+        assert peak <= 2 * MB
 
     @pytest.mark.parametrize("name", ["local_time", "band", "upcrossings"])
     def test_functional_peaks(self, chunk, name):
