@@ -327,7 +327,10 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
     no chunk-sized array of paths is made.  A path's statistic must not
     depend on the other paths of the call, to the bit, for the result to
     be that of one whole-chunk call; ``fn`` may not keep ``values``,
-    whose buffer the next block overwrites.  Chunks run on
+    whose buffer the next block overwrites, but may return a view of it,
+    since a block's statistics are copied into the table at once.  The
+    table is C-ordered, so its sums do not depend on the layout of what
+    ``fn`` returns.  Chunks run on
     ``thread_cap()`` threads but are reduced in replica order, so the
     result does not depend on the thread count.
 
@@ -346,14 +349,17 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
 
     def run(job):
         r, nb = job
-        parts = []
-        for _, values in sample_blocks(model, grid, replica_seed(seed, r), nb):
+        table = None
+        for rows, values in sample_blocks(model, grid, replica_seed(seed, r), nb):
             x = np.atleast_2d(np.asarray(fn(values), dtype=float))
             if x.ndim != 2 or x.shape[1] != len(values):
                 raise ValueError(f"fn must return (k, {len(values)}) statistics, "
                                  f"got {x.shape}")
-            parts.append(x)
-        return _chunk_moments(np.concatenate(parts, axis=1))
+            if table is None:
+                table = np.empty((len(x), nb))
+            # copied out now: x may be a view of the buffer the next block reuses
+            table[:, rows] = x
+        return _chunk_moments(table)
 
     workers = min(thread_cap(), len(jobs))
     if workers > 1:

@@ -174,7 +174,9 @@ class TestStreamedEngine:
         for r, lo in enumerate(range(0, n_samples, MC_CHUNK)):
             values, _ = sample_values(model, grid, replica_seed(seed, r),
                                       min(MC_CHUNK, n_samples - lo))
-            x = np.atleast_2d(np.asarray(fn(values), dtype=float))
+            # a C-ordered table, as the engine's: numpy sums a strided
+            # (k, paths) view in another order
+            x = np.ascontiguousarray(np.atleast_2d(fn(values)), dtype=float)
             parts.append(processes._chunk_moments(x))
         return processes._merge_chunks(parts)
 
@@ -200,6 +202,23 @@ class TestStreamedEngine:
             want_mean, want_se = self.whole_chunk_moments(*args)
             assert_same_bits(mean, want_mean)
             assert_same_bits(se, want_se)
+
+    @pytest.mark.parametrize("model", [BrownianMotion(2), SmoothStationary(3.0), DegenerateLine()],
+                             ids=["bm2", "smooth", "line"])
+    @pytest.mark.parametrize("fn", [lambda v: v[:, -1, 0], lambda v: v[None, :, -1, 0],
+                                    lambda v: v[:, ::64, 0].T],
+                             ids=["endpoint", "endpoint-row", "strided-nodes"])
+    def test_statistics_that_are_views_of_the_block(self, model, fn):
+        # each of these returns a view of the reused block buffer; at 256
+        # steps a chunk of 1000 paths streams as 5 blocks, so a block's
+        # statistics must be copied out before the next block is drawn
+        grid = TimeGrid(256)
+        assert len(row_blocks(MC_CHUNK, grid.n_steps + 1)) > 1
+        args = (model, grid, 11, MC_CHUNK + 3, fn)
+        mean, se = mc_moments(*args)
+        want_mean, want_se = self.whole_chunk_moments(*args)
+        assert_same_bits(mean, want_mean)
+        assert_same_bits(se, want_se)
 
 
 class TestBlockedFunctionals:
