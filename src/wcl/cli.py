@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .experiments import DRIVERS, EXPERIMENTS, ExperimentConfig
-from .processes import thread_cap
 
 
 def build_parser():
@@ -69,7 +69,8 @@ def cli_main(argv=None) -> int:
 
     try:
         config = build_config(args)
-        thread_cap()  # a bad WCL_THREADS is a usage error, caught before any run
+        # an --out the reports cannot go to is a usage error, caught before any run
+        os.makedirs(config.out_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"wcl {args.experiment}: error: {exc}", file=sys.stderr)
         return 2

