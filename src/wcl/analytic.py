@@ -74,10 +74,14 @@ def gauss_kernel_sq(sq_norm, eps, d=1, out=None):
     return out if out.ndim else float(out)
 
 
-# tensor nodes of one simplex quadrature; each of its full-size work
-# arrays (the weights, t_1, the integrand's and the final products) takes
-# 8 bytes per node
+# tensor nodes of one simplex quadrature.  Its one full-size array, the
+# product weight * jacobian * integrand, takes 8 bytes per node; all else
+# is slab-sized (see _SLAB_NODES), so 10^7 nodes need about 80 MB
 MAX_SIMPLEX_NODES = 10**7
+# nodes per slab of integrate_simplex, in whole rows along the first cube
+# axis (at least one row).  Each slab temporary then holds about 64 kB;
+# with slabs of 2^16 nodes `wcl kac` peaked 0.9 MB higher (39.2 MB)
+_SLAB_NODES = 1 << 13
 
 
 def integrate_interval(f, n_nodes: int) -> float:
@@ -122,11 +126,17 @@ def integrate_simplex(f, n, n_nodes: int) -> float:
     and each cube coordinate passes through u = sin^2(theta).
     The substitution removes inverse-square-root endpoint singularities
     (Kac-moment integrands), letting tensor Gauss-Legendre converge.
-    f receives the t_j as open grids, arrays that broadcast against each
-    other (t_1 is full-size, t_n varies along the last axis only), and
-    the result has the bits of dense tensor grids.  The tensor rule has
-    n_nodes ** n nodes; more than MAX_SIMPLEX_NODES is refused before
-    anything is allocated (200 nodes at n = 4 would need 1.6e9).
+
+    The tensor rule has n_nodes ** n nodes; more than MAX_SIMPLEX_NODES
+    is refused before anything is allocated (200 nodes at n = 4 would
+    need 1.6e9).  It is evaluated in slabs of whole rows along the first
+    cube axis, about _SLAB_NODES nodes each: f is called once per slab,
+    with the t_j as open grids, arrays that broadcast against each other
+    (t_1 is slab-sized, t_n varies along the last axis only).  f's value
+    at a node must depend on that node's t_j only.  Each slab's
+    weight * jacobian * f fills its rows of one full-size array (8 bytes
+    per node), summed once, so the result has the bits of dense tensor
+    grids.
     """
     if n not in (2, 3, 4):
         raise ValueError("simplex order must be 2, 3 or 4")
@@ -140,19 +150,25 @@ def integrate_simplex(f, n, n_nodes: int) -> float:
     # open grids: each coordinate varies along its own axis only, so the
     # products below broadcast to full size only where they must
     grids = np.meshgrid(*([u] * n), indexing="ij", sparse=True)
-    weight = np.ones((1,) * n)
-    for g in np.meshgrid(*([wu] * n), indexing="ij", sparse=True):
-        weight = weight * g
+    weights = np.meshgrid(*([wu] * n), indexing="ij", sparse=True)
+    # t_2 ... t_n and the jacobian t_2 * ... * t_n do not vary along the
+    # first axis: one row each, shared by every slab
     ts = [None] * n
     ts[n - 1] = grids[n - 1]
-    jac = np.ones((1,) * n)
-    for j in range(n - 2, -1, -1):
+    for j in range(n - 2, 0, -1):
         ts[j] = ts[j + 1] * grids[j]
-        jac = jac * ts[j + 1]
-    vals = np.asarray(f(*ts), dtype=float)
-    if np.any(~np.isfinite(vals)):
-        raise ValueError("integrand evaluated to a non-finite value at a node")
-    return float(np.sum(weight * jac * vals))
+    jac = math.prod(reversed(ts[1:]))
+    total = np.empty((n_nodes,) * n)
+    step = max(1, _SLAB_NODES // n_nodes ** (n - 1))
+    for lo in range(0, n_nodes, step):
+        rows = slice(lo, lo + step)
+        weight = math.prod((weights[0][rows], *weights[1:]))
+        ts[0] = ts[1] * grids[0][rows]
+        vals = np.asarray(f(*ts), dtype=float)
+        if np.any(~np.isfinite(vals)):
+            raise ValueError("integrand evaluated to a non-finite value at a node")
+        np.multiply(weight * jac, vals, out=total[rows])
+    return float(np.sum(total))
 
 
 def _gauss_rule(b, hermite):
@@ -185,8 +201,13 @@ def gauss_legendre(n):
     return x, w
 
 
+@functools.lru_cache(maxsize=32)
 def gauss_hermite_rule(n):
-    """Nodes/weights for E[g(Z)], Z standard normal (probabilists' scaling)."""
+    """Nodes/weights for E[g(Z)], Z standard normal (probabilists' scaling),
+    built once per n and shared between callers, so read-only."""
     if n < 1:
         raise ValueError(f"a Gauss rule needs at least one node, got {n}")
-    return _gauss_rule(np.sqrt(np.arange(1.0, n)), hermite=True)
+    x, w = _gauss_rule(np.sqrt(np.arange(1.0, n)), hermite=True)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w

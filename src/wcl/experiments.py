@@ -52,6 +52,10 @@ from .processes import (
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # the config fields of the sampled model; a driver takes those it reads
 MODEL_FIELDS = ("eps_grid", "omega", "dimension", "u")
+# The engine samples in blocks of at least 8 paths (processes._ROW_GROUP),
+# so one block holds 8 * (n_steps + 1) values per dimension: 64 MB at 2^20
+# steps, 128 times the 512 kB a block is sized for.  More is refused.
+MAX_STEPS = 1 << 20
 
 
 @dataclass
@@ -76,8 +80,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_steps < 256:
-            raise ValueError("n_steps must be >= 256")
+        if not 256 <= self.n_steps <= MAX_STEPS:
+            raise ValueError(f"n_steps must lie in [256, {MAX_STEPS}], got {self.n_steps}")
         if self.n_steps % driver.step_divisor:
             raise ValueError(f"{self.experiment} needs n_steps divisible by "
                              f"{driver.step_divisor}, got {self.n_steps}")

@@ -260,27 +260,34 @@ class TestQuadrature:
         return val
 
     def test_open_grids_give_the_dense_bits(self):
-        # the selftest's three simplex rows and the kac driver's n = 2, 3
+        # the selftest's three simplex rows and the kac driver's n = 2, 3,
+        # then node counts whose last slab is shorter than the others:
+        # 161 rows in slabs of 50, 61 in slabs of 2, 31 in slabs of 1
         cases = [(lambda a, b: np.ones_like(a), 2, 60),
                  (lambda a, b, c: np.ones_like(a), 3, 40),
                  (lambda a, b: 1.0 / np.sqrt(a * (b - a)), 2, 120),
                  (self.kac_integrand, 2, 160),
                  (self.kac_integrand, 3, 60),
-                 (lambda *ts: np.ones_like(ts[0]), 4, 30)]
+                 (lambda *ts: np.ones_like(ts[0]), 4, 30),
+                 (self.kac_integrand, 2, 161),
+                 (self.kac_integrand, 3, 61),
+                 (self.kac_integrand, 4, 31)]
         for f, n, n_nodes in cases:
             assert integrate_simplex(f, n, n_nodes) == self.dense_simplex(f, n, n_nodes)
 
     def test_simplex_peak_is_integrand_sized(self):
-        # kac's n = 3, 60-node rule: 216 000 nodes, 1.7 MB per full-size
-        # array.  Dense grids peaked at 20.7 MB here, open grids at 8.7 MB
-        integrate_simplex(self.kac_integrand, 3, 60)  # builds the cached rule
-        tracemalloc.start()
-        try:
-            integrate_simplex(self.kac_integrand, 3, 60)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12e6
+        # one full-size array of 8 bytes per node, the rest slab-sized.
+        # kac's n = 3, 60-node rule has 216 000 nodes: dense grids peaked
+        # at 20.7 MB here, whole open grids at 8.7 MB, slabs at 2.2 MB
+        for n, n_nodes in ((3, 60), (4, 30)):
+            integrate_simplex(self.kac_integrand, n, n_nodes)  # builds the cached rule
+            tracemalloc.start()
+            try:
+                integrate_simplex(self.kac_integrand, n, n_nodes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * 8 * n_nodes**n, (n, n_nodes, peak)
 
     def test_simplex_node_budget(self):
         # 200 nodes at n = 4 would need 1.6e9 tensor nodes: refused
@@ -302,6 +309,12 @@ class TestQuadrature:
 
 
 class TestGaussHermiteRule:
+    def test_built_once_and_read_only(self):
+        x, w = gauss_hermite_rule(50)
+        assert gauss_hermite_rule(50)[0] is x
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
     def test_moments(self):
         x, w = gauss_hermite_rule(40)
         assert np.sum(w) == pytest.approx(1.0, rel=1e-12)

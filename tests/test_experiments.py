@@ -2,6 +2,7 @@ import collections
 import inspect
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from wcl.cli import build_parser, cli_main
 from wcl.experiments import (
     DRIVERS,
     EXPERIMENTS,
+    MAX_STEPS,
     MODEL_FIELDS,
     ExperimentConfig,
     ExperimentReport,
@@ -307,6 +309,21 @@ class TestCliValidation:
         err = self.assert_usage_error(
             ["selftest", "--steps", "8", "--out", str(tmp_path), "--quiet"], capsys)
         assert "n_steps" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**20])
+    def test_steps_above_maximum(self, tmp_path, capsys, steps):
+        # refused by the config check alone: a run would need a block of
+        # more than 64 MB before its first path
+        tracemalloc.start()
+        try:
+            err = self.assert_usage_error(
+                ["rice", "--steps", str(steps), "--out", str(tmp_path), "--quiet"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "n_steps" in err and str(MAX_STEPS) in err
+        assert peak < 1e6
         assert not (tmp_path / "report.json").exists()
 
     def test_fac_steps_not_multiple_of_8(self, tmp_path, capsys):
