@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import hermite_eval, hermite_sequence, integrate_log
-from .functionals import lag_blocks, leading_view, triangle_rule
+from .functionals import SelfIntersection, eval_family_many, lag_blocks, leading_view
+from .functionals import triangle_rule
 from .processes import ProcessModel, TimeGrid, mc_moments
 from .processes import sample_values  # noqa: F401  (perfbench wraps each binding)
 
@@ -262,14 +263,12 @@ def expansion_study_mc(model: ProcessModel, k_max: int, eps: float, u,
                        n_samples: int, seed: int, grid: TimeGrid) -> ExpansionStudy:
     """Sample G_eps and its expansion terms jointly: residual second
     moments per cutoff and cross-order term covariances."""
-    from .functionals import SelfIntersection, eval_functional_many
-
     u = np.asarray(u, dtype=float)
     spec = SelfIntersection(eps, tuple(u))
     m = k_max + 1
 
     def stats(values):
-        g = eval_functional_many(spec, values)
+        [g] = eval_family_many(lambda e: spec, [eps], values)
         [terms] = chaos_terms_many(values, k_max, [eps], u)
         res = (g - np.cumsum(terms, axis=0)) ** 2
         return np.concatenate([g[None], res, terms,

@@ -56,6 +56,11 @@ MODEL_FIELDS = ("eps_grid", "omega", "dimension", "u")
 # so one block holds 8 * (n_steps + 1) values per dimension: 64 MB at 2^20
 # steps, 128 times the 512 kB a block is sized for.  More is refused.
 MAX_STEPS = 1 << 20
+# The pair-kernel drivers stop sooner.  A chaos block holds a lag-sum table
+# of n * n_walk * P * 8 B, n_walk = 83 at d = 3 and k_max = 6: 40 MB at
+# 256 steps and 41.5 MB at 2^13, where a block is down to P = 8 paths.
+# Past that P stays at 8 and the table grows with n (5.3 GB at 2^20).
+PAIR_MAX_STEPS = 1 << 13
 
 
 @dataclass
@@ -80,8 +85,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 256 <= self.n_steps <= MAX_STEPS:
-            raise ValueError(f"n_steps must lie in [256, {MAX_STEPS}], got {self.n_steps}")
+        if not 256 <= self.n_steps <= driver.max_steps:
+            raise ValueError(f"n_steps must lie in [256, {driver.max_steps}] for "
+                             f"{self.experiment}, got {self.n_steps}")
         if self.n_steps % driver.step_divisor:
             raise ValueError(f"{self.experiment} needs n_steps divisible by "
                              f"{driver.step_divisor}, got {self.n_steps}")
@@ -582,9 +588,10 @@ def selftest_experiment(config: ExperimentConfig) -> ExperimentReport:
 class Driver:
     """One CLI driver: its run, default budget (each runs in under 25 s on a
     2-CPU host), the MODEL_FIELDS it reads, the tolerance names its rows
-    read, and the divisor of n_steps that makes each time it reads off the
-    grid a node: 2 for bridge, which reads w(1/2), 8 for fac, whose Hoelder
-    pairs start at t = 1/8.  Calling it runs it and records the runtime."""
+    read, the divisor of n_steps that makes each time it reads off the grid
+    a node (2 for bridge, which reads w(1/2), 8 for fac, whose Hoelder pairs
+    start at t = 1/8) and the largest n_steps it takes.  Calling it runs it
+    and records the runtime."""
 
     run: Callable[[ExperimentConfig], ExperimentReport]
     n_samples: int
@@ -592,6 +599,7 @@ class Driver:
     reads: tuple
     tolerances: tuple
     step_divisor: int = 1
+    max_steps: int = MAX_STEPS
 
     def __call__(self, config: ExperimentConfig) -> ExperimentReport:
         start = time.perf_counter()
@@ -613,9 +621,10 @@ DRIVERS = {
     "bridge": Driver(bridge_experiment, 20000, 1024, (),
                      ("bridge_limit", "bridge_mc", "bridge_symmetry", "degenerate_mass"), 2),
     "chaos": Driver(chaos_table, 4000, 256, ("eps_grid", "dimension", "u"),
-                    ("chaos_term0", "bridge_series")),
+                    ("chaos_term0", "bridge_series"), max_steps=PAIR_MAX_STEPS),
     "fac": Driver(fac_study_cmd, 10000, 512, ("eps_grid",),
-                  ("endpoint_ratio", "plateau", "kl_tail", "holder", "operator_bounds"), 8),
+                  ("endpoint_ratio", "plateau", "kl_tail", "holder", "operator_bounds"), 8,
+                  PAIR_MAX_STEPS),
     "sweep": Driver(sweep_experiment, 10000, 4096, ("eps_grid",),
                     ("sweep_quadrature", "sweep_mc")),
     "selftest": Driver(selftest_experiment, 100, 256, (), ("selftest",)),

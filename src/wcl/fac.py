@@ -26,9 +26,9 @@ Phi_eps is a pure function of (spec, values), and each row of
 ``eval_family_many`` is bit for bit its single-eps value, so a hit is
 exactly what recomputing would give.
 
-The KL-tail projections go through ``functionals.grouped_matvec``, so
-like every statistic here each path's value has the same bits in any
-row block.
+The KL-tail projections go through ``functionals.node_sums``, so like
+every statistic here each path's value has the same bits in any row
+block.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import hermite_eval
-from .functionals import eval_family_many, grouped_matvec, interval_weights
+from .functionals import eval_family_many, interval_weights, node_sums
 from .functionals import eval_functional_many  # noqa: F401  (perfbench wraps each binding)
 from .processes import (
     MC_CHUNK,
@@ -389,8 +389,9 @@ def _kl_squares(values: np.ndarray, basis: np.ndarray) -> np.ndarray:
     ||proj||^2 using all d of them, for each row of ``basis`` (K, n+1): the
     KL functions times the trapezoid weights.  Shape (K, N).  A dgemm
     would give each path bits that depend on the batch's row count, so the
-    projections go through ``grouped_matvec``."""
-    return sum(grouped_matvec(values[:, :, j], basis) ** 2 for j in range(values.shape[2]))
+    projections go through ``node_sums``, one fill per coordinate."""
+    fills = [lambda b, out, j=j: np.copyto(out, b[:, :, j]) for j in range(values.shape[2])]
+    return sum(p**2 for p in node_sums(values, basis, fills))
 
 
 def bm_kl_second_moment(k: int) -> float:

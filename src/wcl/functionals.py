@@ -1,37 +1,29 @@
-"""Approximating functionals on sampled paths: smoothed local time at a
-level, offset local time, smoothed self-intersection local time, the
-endpoint kernel, band-occupation local time, upcrossing counts, the
-local-time field and the occupation-formula identity.  Each takes a batch
-of path values (N, n+1, d) and returns one result per path.
+"""Approximating functionals on sampled paths (N, n+1, d), one value per
+path: smoothed local time at a level, offset local time, smoothed
+self-intersection local time, the endpoint kernel, band-occupation local
+time, upcrossing counts, the local-time field and the occupation-formula
+identity.  ``eval_family_many`` evaluates a whole eps family at once,
+(n_eps, N), each row bit for bit its single-eps value.
 
-Time integrals use node values with trapezoid weights; the triangle
-{s < t} uses the product-trapezoid weights of the square restricted to
-the strict upper triangle plus half the diagonal, so a constant
-integrand integrates to exactly 1/2 and the occupation identity is an
-exact Fubini swap at the shared discretization.
+Every time integral of a node function, sum_k w_k g(f(t_k)) with the
+trapezoid weights w, is made by ``node_sums``: local time, offset local
+time, the band, the local-time field, both sides of the occupation
+identity (an exact Fubini swap at the shared time discretization) and
+``fac``'s KL projections.  Per ``processes.row_blocks`` block, each fill
+writes g into one reused buffer, whose rows are zero-padded to whole
+8-row groups before the product with w, so no path's value depends on
+its batch and no chunk-sized temporary is made.
 
-``eval_family_many`` evaluates a whole eps family at once, (n_eps, N).
-For LocalTime and SelfIntersection it runs an eps-grid kernel: one pass
-over the row blocks, and for G_eps the eps-free work of each lag, the
-differences and |dv - u|^2, done once.  The eps-dependent steps run per
-eps, in the same order as for one eps, and a single eps is a one-row
-call of the same kernel, so each row is bit for bit the
-``eval_functional_many`` value.
-
-Local time, the band and upcrossings run over the ~512 kB row blocks of
-``processes.row_blocks`` with reused temporaries and give the bits of
-their whole-array formulas, local time's and the band's on arrays padded
-to 8-row groups.
-Offset local time, the local-time field and the occupation identity end
-in one whole-array product, its rows padded to 8-row groups the same way,
-so none of these values depends on the batch.
-
-The pair kernels, G_eps here and the chaos terms in ``chaos``, work on
-the time-major blocks of ``lag_blocks``: the paths of a row block copied
-to (d, n+1, P), P padded to whole groups of 8 paths, so that each lag
-slice is one contiguous run and the lag work goes into per-block buffers
-that are reused.  Each path's value is then bit for bit the same
-whatever batch, caller split or block computes it.
+The pair kernels, G_eps here and the chaos terms in ``chaos``, integrate
+over the triangle {s < t} with the product-trapezoid weights of the
+square restricted to the strict upper triangle plus half the diagonal,
+so a constant integrand integrates to exactly 1/2.  They work on the
+time-major blocks of ``lag_blocks``: the paths of a row block copied to
+(d, n+1, P), P padded to whole groups of 8 paths, so that each lag slice
+is one contiguous run and the lag work goes into per-block buffers that
+are reused.  G_eps does the eps-free work of each lag, the differences
+and |dv - u|^2, once for the whole eps grid.  Each path's value is then
+bit for bit the same whatever batch, caller split or block computes it.
 """
 
 from __future__ import annotations
@@ -178,96 +170,84 @@ def _check_dim(spec: FunctionalSpec, values: np.ndarray) -> None:
 
 def eval_functional_many(spec: FunctionalSpec, values: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over a batch of paths of shape (N, n+1, d)."""
-    _check_dim(spec, values)
-    n_steps = values.shape[1] - 1
-    d = values.shape[2]
-    if isinstance(spec, EndpointKernel):
-        return gauss_kernel_sq(values[:, -1, 0] ** 2, spec.eps, d=1)
-    if isinstance(spec, LocalTime):
-        return _local_time_many(values, (spec.eps,))[0]
-    if isinstance(spec, OffsetLocalTime):
-        w = interval_weights(n_steps)
-        u = np.asarray(spec.u, dtype=float)
-        sq = np.sum((values - u[None, None, :]) ** 2, axis=2)
-        return grouped_matvec(gauss_kernel_sq(sq, spec.eps, d=d), w)
-    if isinstance(spec, SelfIntersection):
-        return _self_intersection_many(values, (spec.eps,), np.asarray(spec.u, dtype=float))[0]
-    raise TypeError(f"unknown functional spec {spec!r}")
+    return eval_family_many(lambda eps: spec, (spec.eps,), values)[0]
 
 
 def eval_family_many(family, eps_grid, values: np.ndarray) -> np.ndarray:
     """Phi_eps = family(eps) for every eps of ``eps_grid`` over a batch of
     paths (N, n+1, d); shape (n_eps, N).
 
-    A LocalTime or SelfIntersection family whose members differ only in
-    eps goes through one pass of its eps-grid kernel; any other family is
-    one single-eps call per eps.
-    Either way, every row is bit for bit its single-eps value.
+    A family whose members differ only in eps goes through one eps-grid
+    pass: the endpoint kernel squares the end values once, LocalTime and
+    OffsetLocalTime make one ``node_sums`` pass with one fill per eps, and
+    G_eps runs its eps-grid kernel.  Any other family is one single-eps
+    call per member.  Either way, every row is bit for bit its single-eps
+    value.
     """
     specs = [family(eps) for eps in eps_grid]
     if not specs:
         raise ValueError("need at least one eps")
     first = specs[0]
+    key = lambda s: (type(s), tuple(getattr(s, "u", ())))
+    if any(key(s) != key(first) for s in specs):
+        return np.stack([eval_functional_many(s, values) for s in specs])
+    _check_dim(first, values)
     eps = [s.eps for s in specs]
-    if all(type(s) is LocalTime for s in specs):
-        _check_dim(first, values)
-        return _local_time_many(values, eps)
-    if all(type(s) is SelfIntersection and tuple(s.u) == tuple(first.u) for s in specs):
-        _check_dim(first, values)
+    kind = type(first)
+    if kind is EndpointKernel:
+        sq = values[:, -1, 0] ** 2
+        return np.stack([gauss_kernel_sq(sq, e, d=1) for e in eps])
+    if kind is SelfIntersection:
         return _self_intersection_many(values, eps, np.asarray(first.u, dtype=float))
-    return np.stack([eval_functional_many(s, values) for s in specs])
+    w = interval_weights(values.shape[1] - 1)
+    if kind is LocalTime:
+        return node_sums(values[:, :, 0], w, [
+            lambda b, out, e=e: gauss_kernel_sq(np.square(b, out=out), e, out=out)
+            for e in eps])
+    if kind is OffsetLocalTime:
+        u, d = np.asarray(first.u, dtype=float), values.shape[2]
+        return node_sums(values, w, [
+            lambda b, out, e=e: gauss_kernel_sq(np.sum((b - u) ** 2, axis=2, out=out), e,
+                                                d=d, out=out)
+            for e in eps])
+    raise TypeError(f"unknown functional spec {first!r}")
 
 
-def _local_time_many(values, eps_grid):
-    """LocalTime for every eps of ``eps_grid``, (n_eps, N): per row block
-    and eps, the squared node values and then their kernel are formed in
-    place in one reused buffer.
+def node_sums(values: np.ndarray, w: np.ndarray, fills) -> np.ndarray:
+    """Weighted node sums sum_i w[i] g(t_i) over the paths (N, n+1, ...),
+    one per fill, path and weight vector: shape (len(fills), N), or
+    (len(fills), K, N) for a stack w of K weight vectors (K, n+1).
 
-    That buffer is the call's only block-sized temporary.  With a second
-    one, both freed at every return, glibc gives the top of the heap back
-    to the system and faults it in again on the next call: streamed
-    through the engine's 8-row blocks at n_steps = 4096, that was 96 page
-    faults per block, 122 000 in one ``wcl sweep`` run at its defaults.
+    For each ``row_blocks`` block of the paths, ``fill(block, out)`` writes
+    the node values g of the block's nb paths into ``out``, the leading
+    (nb, n+1) rows of one reused buffer.  The rows are zero-padded to
+    whole _ROW_GROUP groups and multiplied by each weight vector, so every
+    row goes through dgemv's grouped kernel and has the bits it has in any
+    batch.  Alone it would go through numpy's one-row product (ddot), in a
+    ragged tail through dgemv's one-row tail, and in a matrix-matrix
+    product through dgemm, whose bits depend on the row count.
+
+    The buffer is the call's only block-sized temporary, and a fill that
+    works in place in ``out`` keeps it so.  With a second one, both freed
+    at every return, glibc gives the top of the heap back to the system
+    and faults it in again on the next call: streamed through the engine's
+    8-row blocks at n_steps = 4096, that was 96 page faults per block,
+    122 000 in one ``wcl sweep`` run at its defaults.
     """
-    v = values[:, :, 0]
-    w = interval_weights(v.shape[1] - 1)
-    out = np.empty((len(eps_grid), v.shape[0]))
-    blocks = row_blocks(*v.shape)
-    buf = block_buffer(blocks, v.shape[1])
+    n_paths, n_nodes = values.shape[:2]
+    stack = np.atleast_2d(w)
+    out = np.empty((len(fills), len(stack), n_paths))
+    blocks = row_blocks(n_paths, n_nodes)
+    buf = block_buffer(blocks, n_nodes)
     for rows in blocks:
         nb = rows.stop - rows.start
-        for e, eps in enumerate(eps_grid):
-            kern = _padded_rows(buf, nb)
-            np.square(v[rows], out=kern[:nb])
-            out[e, rows] = (gauss_kernel_sq(kern, eps, d=1, out=kern) @ w)[:nb]
-    return out
-
-
-def _padded_rows(buf: np.ndarray, nb: int) -> np.ndarray:
-    """The leading rows of ``buf`` for a block of nb paths, rounded up to
-    whole _ROW_GROUP groups, with the rows past nb zeroed.  A product of
-    these rows with a weight vector goes through dgemv's grouped kernel,
-    so each path has the bits it has in any batch; alone it would go
-    through numpy's one-row product (ddot), and in a ragged tail through
-    dgemv's one-row tail."""
-    padded = buf[: -(-nb // _ROW_GROUP) * _ROW_GROUP]
-    padded[nb:] = 0.0
-    return padded
-
-
-def grouped_matvec(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """a @ w over the last axis of a, with its rows stacked and zero-padded
-    to whole _ROW_GROUP groups, so that every row goes through dgemv's
-    grouped kernel and has the bits it has in any batch; alone or in a
-    ragged tail it would go through ddot or dgemv's one-row tail, and in
-    a matrix-matrix product through dgemm, whose bits depend on the row
-    count.  A stack w (K, m) gives one product per row of w, shape
-    (K,) + a.shape[:-1], from the one padded copy."""
-    rows = a.reshape(-1, a.shape[-1])
-    padded = np.zeros((-(-len(rows) // _ROW_GROUP) * _ROW_GROUP, rows.shape[1]))
-    padded[: len(rows)] = rows
-    out = np.stack([padded @ wk for wk in np.atleast_2d(w)])[:, : len(rows)]
-    return out.reshape(w.shape[:-1] + a.shape[:-1])
+        padded = buf[: -(-nb // _ROW_GROUP) * _ROW_GROUP]
+        padded[nb:] = 0.0
+        for f, fill in enumerate(fills):
+            fill(values[rows], padded[:nb])
+            for k, wk in enumerate(stack):
+                out[f, k, rows] = (padded @ wk)[:nb]
+    return out if np.ndim(w) > 1 else out[:, 0]
 
 
 def _self_intersection_many(values, eps_grid, u):
@@ -325,18 +305,12 @@ def indicator_local_time_many(values: np.ndarray, x: float, eps: float) -> np.nd
     if not eps > 0:
         raise ValueError("eps must be positive")
     v = _scalar_paths(values)
-    w = interval_weights(v.shape[1] - 1)
-    out = np.empty(v.shape[0])
-    blocks = row_blocks(*v.shape)
-    buf = block_buffer(blocks, v.shape[1])
-    for rows in blocks:
-        nb = rows.stop - rows.start
-        padded = _padded_rows(buf, nb)
-        # the 0.0 / 1.0 mask of |v - x| <= eps, built in place
-        inside = np.subtract(v[rows], x, out=padded[:nb])
-        np.abs(inside, out=inside)
-        np.less_equal(inside, eps, out=inside)
-        out[rows] = (padded @ w)[:nb]
+
+    def inside(block, out):  # the 0.0 / 1.0 mask of |v - x| <= eps, built in place
+        np.abs(np.subtract(block, x, out=out), out=out)
+        np.less_equal(out, eps, out=out)
+
+    [out] = node_sums(v, interval_weights(v.shape[1] - 1), [inside])
     out /= 2.0 * eps
     return out
 
@@ -358,10 +332,10 @@ def local_time_field(values: np.ndarray, eps: float, x_grid) -> np.ndarray:
     if not eps > 0:
         raise ValueError("eps must be positive")
     v = _scalar_paths(values)
-    w = interval_weights(v.shape[1] - 1)
-    x_grid = np.asarray(x_grid, dtype=float)
-    sq = (v[:, None, :] - x_grid[None, :, None]) ** 2
-    return grouped_matvec(gauss_kernel_sq(sq, eps, d=1), w)
+    fills = [lambda b, out, x=x: gauss_kernel_sq(np.square(np.subtract(b, x, out=out), out=out),
+                                                 eps, out=out)
+             for x in np.asarray(x_grid, dtype=float)]
+    return node_sums(v, interval_weights(v.shape[1] - 1), fills).T
 
 
 # raw moments of the standard normal, E Z^k for k = 0..4
@@ -397,19 +371,21 @@ def occupation_identity(values: np.ndarray, eps: float, coeffs):
     if not eps > 0:
         raise ValueError("eps must be positive")
     v = _scalar_paths(values)
-    w = interval_weights(v.shape[1] - 1)
-    # lhs: per node m, int f(x) p_eps(m - x) dx via central moments of N(m, eps)
     s = math.sqrt(eps)
-    lhs_node = np.zeros_like(v)
-    for j, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        moment_j = np.zeros_like(v)
-        for i in range(0, j + 1, 2):
-            moment_j += math.comb(j, i) * _GAUSS_MOMENTS[i] * s**i * v ** (j - i)
-        lhs_node += c * moment_j
-    lhs = grouped_matvec(lhs_node, w)
-    # rhs: evaluate the smoothed polynomial along the path
     g = _smoothed_poly_coeffs(coeffs, eps)
-    rhs = grouped_matvec(np.polynomial.polynomial.polyval(v, g), w)
-    return lhs, rhs
+
+    def lhs(block, out):
+        # per node m, int f(x) p_eps(m - x) dx via central moments of N(m, eps)
+        out[...] = 0.0
+        for j, c in enumerate(coeffs):
+            if c == 0.0:
+                continue
+            moment_j = np.zeros_like(block)
+            for i in range(0, j + 1, 2):
+                moment_j += math.comb(j, i) * _GAUSS_MOMENTS[i] * s**i * block ** (j - i)
+            out += c * moment_j
+
+    def rhs(block, out):  # the smoothed polynomial along the path
+        out[...] = np.polynomial.polynomial.polyval(block, g)
+
+    return tuple(node_sums(v, interval_weights(v.shape[1] - 1), [lhs, rhs]))

@@ -14,10 +14,10 @@ import pytest
 from wcl.analytic import gauss_kernel_sq, hermite_bound_constant, hermite_eval
 from wcl.chaos import expansion_study_mc, self_intersection_mean_quadrature
 from wcl.experiments import (
+    DRIVERS,
+    ExperimentConfig,
     bridge_weighted_second_moment_quadrature,
     degenerate_outside_mass_quadrature,
-    kac_moment_quadrature,
-    rice_closed_form,
 )
 from wcl.fac import (
     MCConfig,
@@ -30,18 +30,14 @@ from wcl.fac import (
 )
 from wcl.functionals import (
     EndpointKernel,
-    LocalTime,
     SelfIntersection,
     eval_family_many,
-    eval_functional_many,
-    indicator_local_time_many,
     occupation_identity,
 )
 from wcl.processes import (
     BrownianMotion,
     DegenerateLine,
     IntegratorOperator,
-    SmoothStationary,
     TimeGrid,
     integrator_inequality,
     mc_moments,
@@ -110,20 +106,20 @@ def test_criterion_02_hermite_recurrence_and_bound(announce):
              f"<= 1e-9; bound violations {violations}/1.3e6 points = 0")
 
 
+def driver_rows(name, **settings):
+    """The report rows, by name, of DRIVERS[name] run with ``settings``."""
+    report = DRIVERS[name](ExperimentConfig(name, **settings))
+    return {row.name: row for row in report.rows}
+
+
 def test_criterion_03_rice_upcrossings(announce):
-    omega = 2.0 * math.pi
-    model = SmoothStationary(omega)
-    grid = TimeGrid(2048)
+    rows = driver_rows("rice", n_samples=20000, n_steps=2048, seed=12345)
     details = []
     ok = True
     for level, oracle in ((0.0, 1.0), (1.0, 0.6065306597126334)):
-        assert rice_closed_form(omega, level) == pytest.approx(oracle, rel=1e-10)
-
-        def count(values, c=level):
-            v = values[:, :, 0]
-            return np.sum((v[:, :-1] < c) & (v[:, 1:] >= c), axis=1).astype(float)
-
-        (mean,), (se,) = mc_moments(model, grid, 12345, 20000, count)
+        row = rows[f"upcrossings_mc_c{level:g}"]
+        assert row.oracle == pytest.approx(oracle, rel=1e-10)
+        mean, se = row.estimate, row.std_error
         bias = abs(mean - oracle)
         ok = ok and bias <= 3.0 * se and bias <= 0.02
         details.append(f"c={level:g}: {mean:.4f} vs {oracle:.4f} "
@@ -134,11 +130,9 @@ def test_criterion_03_rice_upcrossings(announce):
 
 def test_criterion_04_local_time_mean(announce):
     target = math.sqrt(2.0 / math.pi)
-    grid = TimeGrid(4096)
-    eps = 1e-4
-    (mean,), (se,) = mc_moments(
-        BrownianMotion(1), grid, 99, 10000,
-        lambda v: eval_functional_many(LocalTime(eps), v))
+    rows = driver_rows("sweep", n_samples=10000, n_steps=4096, seed=99, eps_grid=[1e-4])
+    row = rows["local_time_mean_mc_eps0.0001"]
+    mean = row.estimate
     err = abs(mean - target)
     announce(4, err <= 0.01,
              f"E local time at 0, eps=1e-4, 1e4 paths x 4096 steps: "
@@ -146,16 +140,16 @@ def test_criterion_04_local_time_mean(announce):
 
 
 def test_criterion_05_kac_moments(announce):
-    q1 = kac_moment_quadrature(1)
-    q2 = kac_moment_quadrature(2)
+    # the band at x = 0 has half-width 0.01
+    rows = driver_rows("kac", n_samples=10000, n_steps=4096, seed=12345)
+    q1 = rows["kac_quadrature_n1"].estimate
+    q2 = rows["kac_quadrature_n2"].estimate
     ok = (abs(q1 - 0.7978845608) <= 1e-3 and abs(q2 - 1.0) <= 1e-3)
     details = [f"quad n=1 {q1:.8f}, n=2 {q2:.8f} within 1e-3"]
-    grid = TimeGrid(4096)
-    eps = 0.01
     for n, oracle in ((1, q1), (2, q2)):
-        (mean,), (se,) = mc_moments(
-            BrownianMotion(1), grid, 12345, 10000,
-            lambda v, n=n: indicator_local_time_many(v, 0.0, eps) ** n)
+        row = rows[f"kac_mc_moment_n{n}"]
+        mean, se = row.estimate, row.std_error
+        assert row.oracle == oracle
         good = abs(mean - oracle) <= 4.0 * se
         ok = ok and good
         details.append(f"MC n={n}: {mean:.4f} vs {oracle:.4f} (4SE {4 * se:.4f})")

@@ -13,6 +13,7 @@ from wcl.experiments import (
     EXPERIMENTS,
     MAX_STEPS,
     MODEL_FIELDS,
+    PAIR_MAX_STEPS,
     ExperimentConfig,
     ExperimentReport,
     ReportRow,
@@ -324,6 +325,18 @@ class TestCliValidation:
             tracemalloc.stop()
         assert "n_steps" in err and str(MAX_STEPS) in err
         assert peak < 1e6
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("name", ["fac", "chaos"])
+    def test_pair_drivers_refuse_steps_above_their_bound(self, tmp_path, capsys, name):
+        # past 2^13 steps a chaos block's lag-sum table grows with n_steps;
+        # only the config check runs, never a grid of that size
+        assert PAIR_MAX_STEPS == 1 << 13
+        assert ExperimentConfig(name, n_steps=PAIR_MAX_STEPS).n_steps == PAIR_MAX_STEPS
+        err = self.assert_usage_error(
+            [name, "--steps", str(PAIR_MAX_STEPS + 8), "--out", str(tmp_path), "--quiet"],
+            capsys)
+        assert "n_steps" in err and str(PAIR_MAX_STEPS) in err and name in err
         assert not (tmp_path / "report.json").exists()
 
     def test_fac_steps_not_multiple_of_8(self, tmp_path, capsys):

@@ -75,6 +75,28 @@ def sinusoid_reference(seed, omega, n_steps, n_paths):
     return (xi[:, :1] * c[None, :] + xi[:, 1:] * s[None, :])[:, :, None]
 
 
+def kl_weights(n_steps):
+    """The fac driver's KL basis times the trapezoid weights, (8, n+1)."""
+    basis = np.stack([fac.kl_basis(k, TimeGrid(n_steps).times) for k in range(1, 9)])
+    return basis * interval_weights(n_steps)
+
+
+# each caller of functionals.node_sums as (path dimension, paths -> an
+# array with one row per path).  Projected by dgemm instead, 7437 to 7474
+# of the 8000 KL values of 1000 BM(2) paths at n = 512 had other bits
+# (up to 1.3e-13 relative) alone or in batches of 7 to 128
+NODE_SUMS_CALLERS = {
+    "local_time": (1, lambda v: eval_family_many(LocalTime, EPS_GRID, v).T),
+    "band": (1, lambda v: indicator_local_time_many(v, 0.2, 0.1)),
+    "offset": (2, lambda v: eval_family_many(lambda e: OffsetLocalTime(e, (0.4, 0.3)),
+                                             EPS_GRID, v).T),
+    "field": (1, lambda v: local_time_field(v, 0.1, [-0.2, 0.0, 0.3])),
+    "occupation": (1, lambda v: np.stack(occupation_identity(v, 0.01, [0.3, 1.0, -0.5, 0.2, 0.1]),
+                                         axis=1)),
+    "kl_projections": (2, lambda v: fac._kl_squares(v, kl_weights(v.shape[1] - 1)).T),
+}
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -235,7 +257,8 @@ class TestStreamedEngine:
 
 class TestBlockedFunctionals:
     """Each O(n) functional equals its whole-array formula, including
-    levels and band edges that sit exactly on node values."""
+    levels and band edges that sit exactly on node values, and each node
+    sum has the same bits in any batch."""
 
     @settings(max_examples=40, deadline=None)
     @given(n_steps=st.sampled_from(N_STEPS), kind=st.sampled_from(PATH_COUNTS),
@@ -266,47 +289,26 @@ class TestBlockedFunctionals:
             want = np.sum((v[:, :-1] < level) & (v[:, 1:] >= level), axis=1)
             assert_same_bits(upcrossing_count_many(values, level), want)
 
-    @settings(max_examples=30, deadline=None)
-    @given(n_steps=st.sampled_from(N_STEPS), n_paths=st.sampled_from([1, 7, 9, 256, 1000, 1003]),
-           batch=st.sampled_from([1, 3, 5, 8]), block_elements=st.sampled_from([300, 5000]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_local_time_has_the_same_bits_in_any_batch(self, n_steps, n_paths, batch,
-                                                       block_elements, seed):
-        # alone, in small batches and in other row blocks, each path's
-        # LocalTime is that of the whole-chunk call
-        values = brownian_reference(seed, n_steps, n_paths, 1)
-        whole = eval_family_many(LocalTime, EPS_GRID, values)
-        parts = [eval_family_many(LocalTime, EPS_GRID, values[i : i + batch])
-                 for i in range(0, n_paths, batch)]
-        assert_same_bits(np.concatenate(parts, axis=1), whole)
-        with mock.patch.object(processes, "_BLOCK_ELEMENTS", block_elements):
-            assert_same_bits(eval_family_many(LocalTime, EPS_GRID, values), whole)
-
-    @settings(max_examples=30, deadline=None)
+    @pytest.mark.parametrize("name", sorted(NODE_SUMS_CALLERS))
+    @settings(max_examples=15, deadline=None)
     @given(n_steps=st.sampled_from([2, 8, 256, 1000]),
-           n_paths=st.sampled_from([1, 7, 9, 256, 1003]),
-           batch=st.sampled_from([1, 3, 5, 8]), seed=st.integers(0, 2**32 - 1))
-    @example(n_steps=1000, n_paths=1003, batch=3, seed=0)
-    def test_whole_array_functionals_have_the_same_bits_in_any_batch(self, n_steps, n_paths,
-                                                                     batch, seed):
-        # offset local time, the local-time field, both sides of the
-        # occupation identity and the band occupation, alone and in small
-        # batches.  At 1000 steps the trapezoid weights are not powers of
-        # two, so a sum's bits depend on the order dgemv adds in: an
-        # unpadded band product gave 276 of these 1003 paths other bits in
-        # batches of 3
-        scalar = brownian_reference(seed, n_steps, n_paths, 1)
-        planar = brownian_reference(seed + 1, n_steps, n_paths, 2)
-        cases = [
-            (scalar, lambda v: indicator_local_time_many(v, 0.2, 0.1)),
-            (planar, lambda v: eval_functional_many(OffsetLocalTime(0.1, (0.4, 0.3)), v)),
-            (scalar, lambda v: local_time_field(v, 0.1, [-0.2, 0.0, 0.3])),
-            (scalar, lambda v: np.stack(occupation_identity(v, 0.01, [0.3, 1.0, -0.5, 0.2, 0.1]),
-                                        axis=1)),
-        ]
-        for values, f in cases:
-            parts = [f(values[i : i + batch]) for i in range(0, n_paths, batch)]
-            assert_same_bits(np.concatenate(parts), f(values))
+           n_paths=st.sampled_from([1, 7, 9, 256, 1003]), batch=st.sampled_from([1, 3, 5, 8]),
+           block_elements=st.sampled_from([300, 5000]), seed=st.integers(0, 2**32 - 1))
+    @example(n_steps=1000, n_paths=1003, batch=3, block_elements=300, seed=0)
+    def test_same_bits_in_any_batch(self, name, n_steps, n_paths, batch, block_elements,
+                                    seed):
+        # every caller of node_sums: alone, in small batches and in other
+        # row blocks, each path's value is that of the whole-chunk call.  At 1000 steps the trapezoid
+        # weights are not powers of two, so a sum's bits depend on the order
+        # dgemv adds in: an unpadded band product gave 276 of these 1003
+        # paths other bits in batches of 3
+        d, f = NODE_SUMS_CALLERS[name]
+        values = brownian_reference(seed, n_steps, n_paths, d)
+        whole = f(values)
+        parts = [f(values[i : i + batch]) for i in range(0, n_paths, batch)]
+        assert_same_bits(np.concatenate(parts), whole)
+        with mock.patch.object(processes, "_BLOCK_ELEMENTS", block_elements):
+            assert_same_bits(f(values), whole)
 
 
 class TestNoChunkTemporaries:
@@ -345,10 +347,18 @@ class TestNoChunkTemporaries:
         _, peak = self.peak(run)
         assert peak <= 2 * MB
 
-    @pytest.mark.parametrize("name", ["local_time", "band", "upcrossings"])
+    @pytest.mark.parametrize("name", ["local_time", "band", "upcrossings", "offset", "field",
+                                      "occupation", "kl_projections"])
     def test_functional_peaks(self, chunk, name):
+        # the chunk's values array is 32.8 MB; a whole padded copy of it, as
+        # node sums made before they streamed, would be as large
+        basis = kl_weights(self.grid.n_steps)
         fn = {"local_time": lambda: eval_family_many(LocalTime, [1, 0.1, 0.01], chunk),
               "band": lambda: indicator_local_time_many(chunk, 0.0, 0.01),
-              "upcrossings": lambda: upcrossing_count_many(chunk, 0.0)}[name]
+              "upcrossings": lambda: upcrossing_count_many(chunk, 0.0),
+              "offset": lambda: eval_functional_many(OffsetLocalTime(0.1, (0.4,)), chunk),
+              "field": lambda: local_time_field(chunk, 0.1, [-0.2, 0.0, 0.3]),
+              "occupation": lambda: occupation_identity(chunk, 0.01, [0.3, 1.0, -0.5, 0.2, 0.1]),
+              "kl_projections": lambda: fac._kl_squares(chunk, basis)}[name]
         _, peak = self.peak(fn)
         assert peak <= 2 * MB
