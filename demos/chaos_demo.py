@@ -6,6 +6,8 @@ second-moment spectrum of the terms, the residual left after truncating
 at each order, and the closed-form mean for comparison.
 """
 
+import numpy as np
+
 from wcl.chaos import (
     chaos_term_table,
     expansion_study_mc,
@@ -23,17 +25,17 @@ print(f"quadrature mean of G_eps: "
       f"{self_intersection_mean_quadrature(eps, u, 1):.6f}")
 print()
 
-[table] = chaos_term_table(model, 6, [eps], u, n_samples, seed, grid)
+means, cov = chaos_term_table(model, 6, [eps], u, n_samples, seed, grid)
 print("order   E[term^2]    std err")
-for est in table:
-    print(f"{est.k:<7d} {est.mean:.6f}    {est.std_error:.2e}")
+for k, (mean, se) in enumerate(zip(means[0], np.sqrt(np.diag(cov)))):
+    print(f"{k:<7d} {mean:.6f}    {se:.2e}")
 
 print()
 study = expansion_study_mc(model, 6, eps, u, n_samples, seed, grid)
 print(f"Var G_eps = {study.var_g:.6f}")
 print("truncation order K, residual second moment E[(G - S_K)^2]:")
 for k, (res, se) in enumerate(zip(study.residual_moments,
-                                  study.residual_std_errors)):
+                                  np.sqrt(np.diag(study.residual_cov)))):
     frac = res / study.var_g
     print(f"  K = {k}: {res:.6f} +- {se:.1e}   ({100 * frac:5.1f}% of Var G)")
 print()

@@ -23,9 +23,9 @@ eps_grid = (1.0, 0.1, 0.01, 1e-3, 1e-4)
 print("Monte Carlo mean of L_eps as eps -> 0")
 print("eps        mean      std err   target sqrt(2/pi) = %.6f" % math.sqrt(2 / math.pi))
 # one pass: each chunk of paths is drawn once and serves every eps
-means, ses = mc_moments(model, grid, seed, n_paths,
+means, cov = mc_moments(model, grid, seed, n_paths,
                         lambda values: eval_family_many(LocalTime, eps_grid, values))
-for eps, mean, se in zip(eps_grid, means, ses):
+for eps, mean, se in zip(eps_grid, means, np.sqrt(np.diag(cov))):
     print(f"{eps:<10g} {mean:.5f}   {se:.5f}")
 
 # The band-indicator estimator (1/2eps) int 1_{|w| < eps} dt approaches

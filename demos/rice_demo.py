@@ -23,9 +23,9 @@ print(f"omega = 2 pi: one full rotation per unit time, so exactly one")
 print(f"zero upcrossing per path on average.\n")
 print("level   MC count   std err   closed form   quadrature")
 # one pass: each chunk of paths is drawn once and counted at every level
-means, ses = mc_moments(model, grid, seed, n_paths, lambda values: np.stack(
+means, cov = mc_moments(model, grid, seed, n_paths, lambda values: np.stack(
     [upcrossing_count_many(values, level) for level in levels]))
-for level, mean, se in zip(levels, means, ses):
+for level, mean, se in zip(levels, means, np.sqrt(np.diag(cov))):
     print(f"{level:<7g} {mean:.4f}     {se:.4f}    "
           f"{rice_closed_form(omega, level):.4f}        "
           f"{rice_quadrature(omega, level):.4f}")

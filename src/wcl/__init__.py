@@ -8,7 +8,6 @@ from .analytic import (
     integrate_simplex,
 )
 from .chaos import (
-    ChaosTermEstimate,
     bridge_term,
     bridge_term_variance,
     sobolev_partial_norm,
@@ -37,6 +36,7 @@ from .processes import (
     SmoothStationary,
     TimeGrid,
     covariance,
+    delta_se,
     integrator_inequality,
     mc_moments,
     operator_bounds,

@@ -31,7 +31,7 @@ import numpy as np
 from .analytic import hermite_eval, hermite_sequence, integrate_log
 from .functionals import SelfIntersection, eval_family_many, lag_blocks, leading_view
 from .functionals import triangle_rule
-from .processes import ProcessModel, TimeGrid, mc_moments
+from .processes import ProcessModel, TimeGrid, delta_se, mc_moments
 from .processes import sample_values  # noqa: F401  (perfbench wraps each binding)
 
 # Past order 15 the change of basis cancels too much: against a
@@ -218,31 +218,16 @@ def sobolev_partial_norm(term_second_moments, gamma: float, k_max: int) -> float
     return float(np.sum((k + 1.0) ** gamma * m[: k_max + 1]))
 
 
-@dataclass(frozen=True)
-class ChaosTermEstimate:
-    """Monte Carlo estimate of E[term_k^2] with its sampling error."""
-
-    k: int
-    mean: float
-    std_error: float
-    n_samples: int
-
-
 def chaos_term_table(model: ProcessModel, k_max: int, eps_grid, u,
                      n_samples: int, seed: int, grid: TimeGrid):
-    """Second-moment estimates for every order 0..k_max and every eps of
-    ``eps_grid`` from one sampling pass; returns one list of
-    ChaosTermEstimate per eps."""
+    """Monte Carlo E[term_k^2] for every eps of ``eps_grid`` and order
+    0..k_max from one sampling pass: means (n_eps, k_max + 1) and their
+    covariance, (eps i, order k) at row i * (k_max + 1) + k."""
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    means, se = mc_moments(model, grid, seed, n_samples, lambda v: (
+    means, cov = mc_moments(model, grid, seed, n_samples, lambda v: (
         chaos_terms_many(v, k_max, eps_grid, u) ** 2).reshape(-1, v.shape[0]))
-    m = k_max + 1
-    return [
-        [ChaosTermEstimate(k, float(means[i * m + k]), float(se[i * m + k]), n_samples)
-         for k in range(m)]
-        for i in range(len(eps_grid))
-    ]
+    return means.reshape(len(eps_grid), k_max + 1), cov
 
 
 @dataclass(frozen=True)
@@ -251,12 +236,10 @@ class ExpansionStudy:
 
     mean_g: float
     var_g: float
-    se_mean_g: float
     residual_moments: tuple  # E[(G - S_K)^2] for K = 0..k_max
-    residual_std_errors: tuple
+    residual_cov: np.ndarray  # their covariance as Monte Carlo means
     cross_cov: np.ndarray  # sample covariances of distinct-order terms
     cross_cov_std_errors: np.ndarray
-    n_samples: int
 
 
 def expansion_study_mc(model: ProcessModel, k_max: int, eps: float, u,
@@ -274,17 +257,21 @@ def expansion_study_mc(model: ProcessModel, k_max: int, eps: float, u,
         return np.concatenate([g[None], res, terms,
                                (terms[:, None, :] * terms).reshape(m * m, -1)])
 
-    mean, se = mc_moments(model, grid, seed, n_samples, stats)
+    mean, cov = mc_moments(model, grid, seed, n_samples, stats)
     t_mean = mean[1 + m : 1 + 2 * m]
+    # the gradient of E[t_i t_j] - E[t_i] E[t_j] in the means
+    jac = np.zeros((m, m, len(mean)))
+    i, j = np.indices((m, m))
+    jac[i, j, 1 + 2 * m + m * i + j] = 1.0
+    jac[i, j, 1 + m + i] -= t_mean[j]
+    jac[i, j, 1 + m + j] -= t_mean[i]
     return ExpansionStudy(
         mean_g=float(mean[0]),
-        var_g=float(se[0] ** 2 * n_samples),
-        se_mean_g=float(se[0]),
+        var_g=float(cov[0, 0] * n_samples),
         residual_moments=tuple(float(x) for x in mean[1 : 1 + m]),
-        residual_std_errors=tuple(float(x) for x in se[1 : 1 + m]),
+        residual_cov=cov[1 : 1 + m, 1 : 1 + m],
         cross_cov=mean[1 + 2 * m :].reshape(m, m) - np.outer(t_mean, t_mean),
-        cross_cov_std_errors=se[1 + 2 * m :].reshape(m, m),
-        n_samples=n_samples,
+        cross_cov_std_errors=delta_se(cov, jac),
     )
 
 

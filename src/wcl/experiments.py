@@ -45,6 +45,7 @@ from .processes import (
     IntegratorOperator,
     SmoothStationary,
     TimeGrid,
+    delta_se,
     mc_moments,
     sample_values,  # noqa: F401  (module namespace: perfbench wraps each binding)
 )
@@ -91,8 +92,9 @@ class ExperimentConfig:
         if self.n_steps % driver.step_divisor:
             raise ValueError(f"{self.experiment} needs n_steps divisible by "
                              f"{driver.step_divisor}, got {self.n_steps}")
-        if self.n_samples < 100:
-            raise ValueError("n_samples must be >= 100")
+        if not 100 <= self.n_samples <= processes.MAX_SAMPLES:
+            raise ValueError(f"n_samples must lie in [100, {processes.MAX_SAMPLES}], "
+                             f"got {self.n_samples}")
         if not isinstance(self.eps_grid, list) or not self.eps_grid:
             raise ValueError("eps_grid must be a non-empty list")
         # across this range the oracles' log map s = eps * ((1 + eps) / eps)^x
@@ -257,7 +259,8 @@ def rice_experiment(config: ExperimentConfig) -> ExperimentReport:
     def count(values):
         return np.stack([upcrossing_count_many(values, c) for c in levels]).astype(float)
 
-    mean, se = mc_moments(model, grid, config.seed, config.n_samples, count)
+    mean, cov = mc_moments(model, grid, config.seed, config.n_samples, count)
+    se = np.sqrt(np.diag(cov))
     for i, level in enumerate(levels[:2]):
         rows.append(ReportRow(f"upcrossings_mc_c{level:g}", mean[i], se[i],
                               rice_closed_form(config.omega, level),
@@ -305,7 +308,8 @@ def kac_experiment(config: ExperimentConfig) -> ExperimentReport:
         band = indicator_local_time_many(values, 0.0, eps)
         return np.stack([band**n for n in quads])
 
-    mean, se = mc_moments(model, grid, config.seed, config.n_samples, moments)
+    mean, cov = mc_moments(model, grid, config.seed, config.n_samples, moments)
+    se = np.sqrt(np.diag(cov))
     for i, n in enumerate(quads):
         rows.append(ReportRow(f"kac_mc_moment_n{n}", mean[i], se[i], quads[n],
                               config.tolerance(f"kac_mc_n{n}", 4.0 * se[i])))
@@ -365,11 +369,11 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
         x_half = values[:, half, 0]
         return np.stack([kern, kern * x_half, kern * x_half**2])
 
-    mean, se = mc_moments(model, grid, config.seed, config.n_samples, weighted)
+    mean, cov = mc_moments(model, grid, config.seed, config.n_samples, weighted)
     second = mean[2] / mean[0]
-    second_se = second * math.hypot(se[2] / mean[2], se[0] / mean[0])
     first = mean[1] / mean[0]
-    first_se = math.hypot(se[1] / mean[0], abs(first) * se[0] / mean[0])
+    second_se, first_se = delta_se(cov, np.array([[-second, 0.0, 1.0],  # d(mean[j] / mean[0])
+                                                  [-first, 1.0, 0.0]]) / mean[0])
     rows.append(ReportRow("bridge_second_moment_mc", second, second_se, quad,
                           config.tolerance("bridge_mc", 0.0)))
     rows.append(ReportRow("bridge_first_moment_mc", first, first_se, 0.0,
@@ -385,10 +389,11 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
         far = np.max(np.abs(values[:, :, 0]), axis=1) > delta
         return np.stack([kern, kern * far])
 
-    (kern_mean, far_mean), _ = mc_moments(DegenerateLine(), grid, config.seed,
-                                          config.n_samples, outside)
+    (kern_mean, far_mean), cov = mc_moments(DegenerateLine(), grid, config.seed,
+                                            config.n_samples, outside)
     mc_mass = far_mean / kern_mean if kern_mean > 0 else 0.0
-    rows.append(ReportRow("degenerate_outside_mass_mc", mc_mass, None, 0.0,
+    mass_se = delta_se(cov, np.array([-mc_mass, 1.0]) / kern_mean) if kern_mean > 0 else None
+    rows.append(ReportRow("degenerate_outside_mass_mc", mc_mass, mass_se, 0.0,
                           config.tolerance("degenerate_mass", 0.01)))
     return ExperimentReport(config, rows)
 
@@ -402,29 +407,27 @@ def chaos_table(config: ExperimentConfig) -> ExperimentReport:
     grid = TimeGrid(config.n_steps)
     rows = []
     k_max = 6
-    tables = dict(zip(config.eps_grid, chaos.chaos_term_table(
-        model, k_max, config.eps_grid, u, config.n_samples, config.seed, grid)))
+    means, cov = chaos.chaos_term_table(model, k_max, config.eps_grid, u,
+                                        config.n_samples, config.seed, grid)
+    # (eps, order k) is row pos[eps] + k of cov
+    by_eps = dict(zip(config.eps_grid, means))
+    pos = {eps: i * (k_max + 1) for i, eps in enumerate(config.eps_grid)}
     for eps in config.eps_grid:
         mean0 = chaos.self_intersection_mean_quadrature(eps, u, d)
-        est0 = tables[eps][0]
-        rows.append(ReportRow(f"term0_second_moment_eps{eps:g}", est0.mean,
-                              est0.std_error, mean0**2,
-                              config.tolerance("chaos_term0", 4.0 * est0.std_error
-                                               + 2e-2 * mean0**2)))
-    # eps-stability of each order across the grid
+        se0 = math.sqrt(cov[pos[eps], pos[eps]])
+        rows.append(ReportRow(f"term0_second_moment_eps{eps:g}", by_eps[eps][0], se0, mean0**2,
+                              config.tolerance("chaos_term0", 4.0 * se0 + 2e-2 * mean0**2)))
+    # eps-stability of each order across the grid, both eps on the same paths
     eps_sorted = sorted(config.eps_grid, reverse=True)
     for k in range(1, k_max + 1):
         for a, b in zip(eps_sorted, eps_sorted[1:]):
-            ea, eb = tables[a][k], tables[b][k]
-            diff = ea.mean - eb.mean
-            se = math.hypot(ea.std_error, eb.std_error)
-            rows.append(ReportRow(
-                f"term{k}_diff_eps{a:g}_eps{b:g}", diff, se, None, None))
+            jac = np.zeros(len(cov))
+            jac[[pos[a] + k, pos[b] + k]] = 1.0, -1.0
+            rows.append(ReportRow(f"term{k}_diff_eps{a:g}_eps{b:g}",
+                                  by_eps[a][k] - by_eps[b][k], delta_se(cov, jac)))
     # Sobolev partial norms across gamma for the smallest eps
-    smallest = eps_sorted[-1]
-    moments = [est.mean for est in tables[smallest]]
     for gamma in (-1.5, -1.0, 0.0):
-        val = chaos.sobolev_partial_norm(moments, gamma, k_max)
+        val = chaos.sobolev_partial_norm(by_eps[eps_sorted[-1]], gamma, k_max)
         rows.append(ReportRow(f"sobolev_partial_norm_gamma{gamma:g}", val))
     # bridge expansion: partial sums of (k+1)^gamma * m_k at gamma = -1
     bridge_moments = [chaos.bridge_term_variance(nn) for nn in range(41)]
@@ -528,8 +531,9 @@ def sweep_experiment(config: ExperimentConfig) -> ExperimentReport:
     grid = TimeGrid(config.n_steps)
     rows = []
 
-    mean, se = mc_moments(model, grid, config.seed, config.n_samples,
-                          lambda values: eval_family_many(LocalTime, config.eps_grid, values))
+    mean, cov = mc_moments(model, grid, config.seed, config.n_samples,
+                           lambda values: eval_family_many(LocalTime, config.eps_grid, values))
+    se = np.sqrt(np.diag(cov))
     for i, eps in enumerate(config.eps_grid):
         oracle = math.sqrt(2.0 / math.pi) * (math.sqrt(1.0 + eps) - math.sqrt(eps))
         # p_{t+eps}(0) = 1/sqrt(2 pi s), s = t + eps

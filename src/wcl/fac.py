@@ -50,6 +50,7 @@ from .processes import (
     ProcessModel,
     TimeGrid,
     covariance,
+    delta_se,
     mc_moments,
     model_dimension,
     replica_seed,
@@ -202,12 +203,12 @@ def _touch(block) -> dict:
 
 def _weighted_moments(model: ProcessModel, family, eps_grid, mc: MCConfig,
                       grid: TimeGrid, stat):
-    """Means and standard errors of the rows [x, Phi_eps, Phi_eps * x] for
-    every eps of ``eps_grid``, from one engine pass; ``stat(values)`` gives
-    x, (k, paths).
+    """Means of the rows [x, Phi_eps, Phi_eps * x] for every eps of
+    ``eps_grid``, from one engine pass; ``stat(values)`` gives x,
+    (k, paths).
 
-    Returns (mean, std_error), each a triple (x (k,), Phi (n_eps,),
-    Phi * x (n_eps, k)).
+    Returns ((x (k,), Phi (n_eps,), Phi * x (n_eps, k)), cov), cov the
+    covariance of the means in that order, flattened.
     """
     n_eps = len(eps_grid)
 
@@ -216,9 +217,9 @@ def _weighted_moments(model: ProcessModel, family, eps_grid, mc: MCConfig,
         phi = _phi_rows(family, eps_grid, values)
         return np.concatenate([x, phi, (phi[:, None, :] * x).reshape(-1, x.shape[-1])])
 
-    mean, se = mc_moments(model, grid, mc.seed, mc.n_samples, rows)
+    mean, cov = mc_moments(model, grid, mc.seed, mc.n_samples, rows)
     k = (len(mean) - n_eps) // (n_eps + 1)
-    return [(a[:k], a[k : k + n_eps], a[k + n_eps :].reshape(n_eps, k)) for a in (mean, se)]
+    return (mean[:k], mean[k : k + n_eps], mean[k + n_eps :].reshape(n_eps, k)), cov
 
 
 def fac_ratios(model: ProcessModel, family, eps_grid, polys, mc: MCConfig,
@@ -229,10 +230,11 @@ def fac_ratios(model: ProcessModel, family, eps_grid, polys, mc: MCConfig,
     ``family`` maps eps to a FunctionalSpec."""
     eps_grid = [float(e) for e in eps_grid]
     norms = np.array([poly_norm(p, model) for p in polys])
-    mean, se = _weighted_moments(
+    (_, _, pairing), cov = _weighted_moments(
         model, family, eps_grid, mc, grid,
         lambda v: np.stack([eval_poly_many(p, v, grid) for p in polys]))
-    return np.abs(mean[2]) / norms, se[2] / norms
+    se = np.sqrt(np.diag(cov))[-pairing.size:].reshape(pairing.shape)
+    return np.abs(pairing) / norms, se / norms
 
 
 def random_poly(rng: np.random.Generator, degree: int, grid: TimeGrid,
@@ -365,23 +367,22 @@ def tail_moment_diagnostic(model: ProcessModel, family, eps_grid, basis_size: in
     w_time = interval_weights(grid.n_steps)
     basis = np.stack([kl_basis(k, t) * w_time for k in range(1, basis_size + 1)])
 
-    (c2, mean_phi, weighted), (c2_se, _, weighted_se) = _weighted_moments(
+    (c2, mean_phi, weighted), cov = _weighted_moments(
         model, family, eps_grid, mc, grid,
         lambda v: _kl_squares(v, basis))
-    weighted = weighted / mean_phi[:, None]
-    weighted_se = weighted_se / mean_phi[:, None]
-
-    def tails(vec):
-        return np.cumsum(vec[::-1])[::-1]
-
-    return TailDiagnostic(
-        eps_grid=eps_grid,
-        basis_size=basis_size,
-        tail_sums=[tails(m).tolist() for m in weighted],
-        tail_std_errors=[np.sqrt(tails(e**2)).tolist() for e in weighted_se],
-        unweighted_tails=tails(c2).tolist(),
-        unweighted_std_errors=np.sqrt(tails(c2_se**2)).tolist(),
-    )
+    # tail n sums the rows k >= n, unweighted then over E Phi per eps; jac
+    # holds their gradients in the means [c2, Phi, Phi * c2]
+    tails = np.cumsum(np.vstack([c2, weighted / mean_phi[:, None]])[:, ::-1], axis=1)[:, ::-1]
+    n_eps, upper = len(eps_grid), np.triu(np.ones((basis_size, basis_size)))
+    jac = np.zeros((1 + n_eps, basis_size, len(cov)))
+    jac[0, :, :basis_size] = upper
+    for e, phi in enumerate(mean_phi):
+        lo = basis_size + n_eps + e * basis_size
+        jac[1 + e, :, lo : lo + basis_size] = upper / phi
+        jac[1 + e, :, basis_size + e] = -tails[1 + e] / phi
+    se = delta_se(cov, jac)
+    return TailDiagnostic(eps_grid, basis_size, tails[1:].tolist(), se[1:].tolist(),
+                          tails[0].tolist(), se[0].tolist())
 
 
 def _kl_squares(values: np.ndarray, basis: np.ndarray) -> np.ndarray:

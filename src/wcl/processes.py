@@ -39,6 +39,8 @@ import numpy as np
 _MIN_SINGULAR_VALUE = 1e-10
 # paths per replica chunk of every Monte Carlo estimate (see mc_moments)
 MC_CHUNK = 1000
+# the engine keeps one (k,) sums array per chunk: 9 MB at k = 104 (fac's study)
+MAX_SAMPLES = 10**7
 # Rows times columns per row block of every blocked kernel: sampling, the
 # O(n) path functionals and the pair kernels.  A block temporary then
 # holds about 512 kB, so it stays in cache while it is worked on.
@@ -299,31 +301,29 @@ def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
 
 
 def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
-    """Monte Carlo means and standard errors of k per-path statistics.
+    """Monte Carlo means of k per-path statistics and their covariance.
 
     Replica chunk r holds the paths r * MC_CHUNK onwards, at most
-    ``MC_CHUNK`` of them, drawn once from ``replica_seed(seed, r)``.  The
-    chunk streams through ``fn`` in the row blocks of ``sample_blocks``:
-    ``fn(values)`` maps a block of values (paths, n_steps + 1, d) to a
-    (k, paths) array, or (paths,) for k = 1, of statistics of the same
-    paths, and the blocks' columns make the chunk's (k, paths) table, so
-    no chunk-sized array of paths is made.  A path's statistic must not
-    depend on the other paths of the call, to the bit, for the result to
-    be that of one whole-chunk call; ``fn`` may not keep ``values``,
-    whose buffer the next block overwrites, but may return a view of it,
-    since a block's statistics are copied into the table at once.  The
-    table is C-ordered, so its sums do not depend on the layout of what
-    ``fn`` returns.  Chunks run, and are reduced, one after another in
-    replica order.
+    ``MC_CHUNK`` of them, drawn once from ``replica_seed(seed, r)``;
+    chunks run, and are reduced, one after another.  A chunk streams
+    through ``fn`` in the row blocks of ``sample_blocks``: ``fn(values)``
+    maps a block (paths, n_steps + 1, d) to a (k, paths) array, or
+    (paths,) for k = 1, whose columns fill the chunk's C-ordered table,
+    so no chunk-sized array of paths is made and no sum depends on the
+    layout ``fn`` returns.  A path's statistic must not depend on the
+    other paths of the call, to the bit, for the result to be that of one
+    whole-chunk call.  ``fn`` may return a view of ``values``, which is
+    copied at once, but may not keep it: the next block overwrites it.
 
     Each mean is the compensated sum (``math.fsum``) of the per-chunk
-    sums over n.  Variances merge the per-chunk (count, mean, M2) by the
-    update of Chan, Golub & LeVeque (Am. Stat. 1983), which does not
-    cancel when the mean is large against the spread, as E[x^2] - mean^2
-    does.  Returns (mean, std_error), two arrays of shape (k,).
+    sums over n.  The chunks' (k, k) co-moments C merge by the update of
+    Chan, Golub & LeVeque (Am. Stat. 1983), C_a + C_b + delta delta^T
+    n_a n_b / n, which does not cancel when a mean is large against the
+    spread, as E[xy] - E[x] E[y] does.  Returns (mean, cov): the (k,)
+    means and their (k, k) covariance C / n^2; see ``delta_se``.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"need 1 to {MAX_SAMPLES} samples, got {n_samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
@@ -345,28 +345,36 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
 
 
 def _chunk_moments(x):
-    """(count, sums, M2) of one chunk's (k, paths) statistics."""
+    """(count, sums, co-moments) of one chunk's (k, paths) statistics."""
     nb = x.shape[1]
     s = np.sum(x, axis=1)
-    return nb, s, np.sum((x - (s / nb)[:, None]) ** 2, axis=1)
+    c = x - (s / nb)[:, None]
+    # c @ c.T is exactly symmetric (syrk), but its diagonal is not the rows'
+    # sums of squares to the bit; those give a row the bits of its own pass
+    m2 = c @ c.T
+    np.fill_diagonal(m2, np.sum(c**2, axis=1))
+    return nb, s, m2
 
 
 def _merge_chunks(parts):
-    """(mean, std_error) from per-chunk (count, sums, M2) in replica order."""
-    sums = []
-    n = 0
+    """(mean, cov) from per-chunk (count, sums, co-moments) in replica order."""
+    # from zero: the first chunk's mean and co-moments come through exactly
+    sums, n, running, m2 = [], 0, 0.0, 0.0
     for nb, s, m2_chunk in parts:
-        mean_chunk = s / nb
-        if n == 0:
-            running, m2 = mean_chunk, m2_chunk
-        else:
-            delta = mean_chunk - running
-            running = running + delta * (nb / (n + nb))
-            m2 = m2 + m2_chunk + delta**2 * (n * nb / (n + nb))
+        delta = s / nb - running
+        running = running + delta * (nb / (n + nb))
+        m2 = m2 + m2_chunk + np.outer(delta, delta) * (n * nb / (n + nb))
         sums.append(s)
         n += nb
     mean = np.array([math.fsum(col) for col in zip(*sums)]) / n
-    return mean, np.sqrt(m2 / n / n)
+    return mean, m2 / n / n
+
+
+def delta_se(cov, jac):
+    """Delta-method standard errors sqrt(J C J^T) of smooth functions of the
+    means of ``mc_moments``, C = ``cov``, with gradients ``jac`` (..., k).
+    Clamped at 0: C of path-free means (chaos order 0) is rounding noise, so J C J^T can be < 0."""
+    return np.sqrt(np.maximum(np.einsum("...i,ij,...j->...", jac, cov, jac), 0.0))
 
 
 def covariance(model: ProcessModel, s: float, t: float) -> np.ndarray:

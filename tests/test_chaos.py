@@ -231,12 +231,13 @@ class TestMonteCarloTables:
     def test_table_consistent_with_single_order(self):
         grid = TimeGrid(128)
         model = BrownianMotion(1)
-        [table] = chaos_term_table(model, 3, [0.1], [0.5], 400, 7, grid)
+        means, cov = chaos_term_table(model, 3, [0.1], [0.5], 400, 7, grid)
+        assert means.shape == (1, 4) and cov.shape == (4, 4)
         # 400 samples fit in the first replica chunk: the same paths
         values, _ = sample_values(model, grid, replica_seed(7, 0), n_paths=400)
         single = chaos_terms_many(values, 2, [0.1], [0.5])[0, 2] ** 2
-        assert table[2].mean == pytest.approx(np.mean(single), rel=1e-12)
-        assert table[2].n_samples == 400
+        assert means[0, 2] == pytest.approx(np.mean(single), rel=1e-12)
+        assert cov[2, 2] == pytest.approx(np.var(single) / 400, rel=1e-12)
 
     def test_sample_count_guard(self):
         grid = TimeGrid(128)
@@ -252,26 +253,32 @@ class TestMonteCarloTables:
             expansion_study_mc(BrownianMotion(1), 2, 0.1, [0.5], 100, -2, TimeGrid(32))
 
     def test_eps_grid_tables_match_single_eps_tables(self):
-        # one pass over the grid gives each eps the table of its own pass,
-        # bit for bit; 1100 samples make two replica chunks
+        # one pass over the grid gives each eps the means and variances of
+        # its own pass, bit for bit; 1100 samples make two replica chunks
         grid = TimeGrid(64)
         model = BrownianMotion(2)
         eps_grid = [1.0, 0.1, 0.01]
-        tables = chaos_term_table(model, 4, eps_grid, [0.4, 0.3], 1100, 7, grid)
-        assert len(tables) == 3
-        for eps, table in zip(eps_grid, tables):
-            assert table == chaos_term_table(model, 4, [eps], [0.4, 0.3], 1100, 7, grid)[0]
+        means, cov = chaos_term_table(model, 4, eps_grid, [0.4, 0.3], 1100, 7, grid)
+        assert means.shape == (3, 5)
+        for i, eps in enumerate(eps_grid):
+            [mean], var = chaos_term_table(model, 4, [eps], [0.4, 0.3], 1100, 7, grid)
+            assert np.array_equal(means[i], mean)
+            # the diagonal keeps its bits; a covariance is a dot product
+            # whose rounding depends on the other rows of the table
+            block = cov[5 * i : 5 * i + 5, 5 * i : 5 * i + 5]
+            assert np.array_equal(np.diag(block), np.diag(var))
+            assert np.all(np.abs(block - var) <= 1e-12 * np.sqrt(np.outer(np.diag(var),
+                                                                          np.diag(var))))
 
     def test_expansion_study_fields(self):
         grid = TimeGrid(128)
         st = expansion_study_mc(BrownianMotion(1), 3, 0.1, [0.5], 400, 7, grid)
-        assert st.n_samples == 400
         assert len(st.residual_moments) == 4
         assert st.cross_cov.shape == (4, 4)
         assert st.var_g >= 0.0
         # the mean of G matches the order-0 term up to MC noise
         mean0 = term0(BrownianMotion(1), grid, 0, 0.1, [0.5])
-        assert abs(st.mean_g - mean0) <= 5.0 * st.se_mean_g
+        assert abs(st.mean_g - mean0) <= 5.0 * math.sqrt(st.var_g / 400)
 
 
 # the u = 0 means int_eps^{1+eps} (1 + eps - s) (2 pi s)^(-d/2) ds, in forms

@@ -24,6 +24,7 @@ from wcl.experiments import (
     rice_quadrature,
     selftest_experiment,
 )
+from wcl.processes import MAX_SAMPLES
 
 
 class TestOracles:
@@ -337,6 +338,17 @@ class TestCliValidation:
             [name, "--steps", str(PAIR_MAX_STEPS + 8), "--out", str(tmp_path), "--quiet"],
             capsys)
         assert "n_steps" in err and str(PAIR_MAX_STEPS) in err and name in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**20])
+    def test_samples_above_maximum(self, tmp_path, capsys, samples):
+        # the engine keeps one sums array per replica chunk; only the config
+        # check runs, never a budget of that size
+        assert MAX_SAMPLES == 10**7
+        assert ExperimentConfig("rice", n_samples=MAX_SAMPLES).n_samples == MAX_SAMPLES
+        err = self.assert_usage_error(
+            ["rice", "--samples", str(samples), "--out", str(tmp_path), "--quiet"], capsys)
+        assert "n_samples" in err and str(MAX_SAMPLES) in err
         assert not (tmp_path / "report.json").exists()
 
     def test_fac_steps_not_multiple_of_8(self, tmp_path, capsys):

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcl import processes
-from wcl.functionals import upcrossing_count_many
+from wcl.analytic import gauss_kernel_sq
+from wcl.experiments import bridge_weighted_second_moment_quadrature
+from wcl.fac import MCConfig, tail_moment_diagnostic
+from wcl.functionals import EndpointKernel, upcrossing_count_many
 from wcl.processes import (
     BrownianMotion,
     DegenerateLine,
@@ -133,12 +136,17 @@ class TestMonteCarloEngine:
         def fn(v):
             return np.stack([v[:, -1, 0], v[:, -1, 0] ** 2])
 
-        mean, se = mc_moments(DegenerateLine(), self.grid, 3, 2500, fn)
+        mean, cov = mc_moments(DegenerateLine(), self.grid, 3, 2500, fn)
         parts = self.per_path(fn, 3, 2500)
         x = np.concatenate(parts, axis=1)
+        assert np.array_equal(cov, cov.T)
         for k in range(2):
             assert mean[k] == math.fsum(np.sum(p[k]) for p in parts) / 2500
-            assert se[k] == pytest.approx(np.std(x[k]) / math.sqrt(2500), rel=1e-12)
+            assert math.sqrt(cov[k, k]) == pytest.approx(np.std(x[k]) / math.sqrt(2500),
+                                                         rel=1e-12)
+            # a row's variance has the bits of a pass over that row alone
+            _, (var,) = mc_moments(DegenerateLine(), self.grid, 3, 2500, lambda v: fn(v)[k])
+            assert cov[k, k] == var
 
     def test_merged_variance_does_not_cancel(self):
         # a mean of 1e8 against a unit spread: E[x^2] - mean^2 loses the
@@ -147,7 +155,8 @@ class TestMonteCarloEngine:
             return 1e8 + v[:, -1, 0]
 
         n = 2500
-        (mean,), (se,) = mc_moments(DegenerateLine(), self.grid, 11, n, fn)
+        (mean,), ((var,),) = mc_moments(DegenerateLine(), self.grid, 11, n, fn)
+        se = math.sqrt(var)
         x = np.concatenate(self.per_path(fn, 11, n), axis=1)[0]
         expect = np.std(x) / math.sqrt(n)
         naive_var = math.fsum(x**2) / n - mean**2
@@ -164,7 +173,7 @@ class TestMonteCarloEngine:
         x = self._stats
         n = x.shape[1]
         bounds = [0, *sorted(cuts), n]
-        mean, se = processes._merge_chunks(
+        mean, cov = processes._merge_chunks(
             processes._chunk_moments(x[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
         expect_mean = np.array([math.fsum(row) for row in x]) / n
         spread = np.std(x, axis=1)
@@ -172,17 +181,64 @@ class TestMonteCarloEngine:
         # a chunk mean is rounded to about eps * |mean|, which against the
         # spread bounds how well any merge recovers the variance
         rtol = 1e-12 + 4.0 * np.finfo(float).eps * np.abs(expect_mean) / spread
+        se = np.sqrt(np.diag(cov))
         assert np.all(np.abs(se / (spread / math.sqrt(n)) - 1.0) <= rtol)
+        # each covariance relative to the spreads of its two rows
+        scale = np.outer(spread, spread) / n
+        assert np.all(np.abs(cov - np.cov(x, bias=True) / n)
+                      <= np.maximum.outer(rtol, rtol) * scale)
 
     def test_one_statistic_and_shape_check(self):
         one = mc_moments(DegenerateLine(), self.grid, 5, 300, lambda v: v[:, -1, 0])
         two = mc_moments(DegenerateLine(), self.grid, 5, 300, lambda v: v[None, :, -1, 0])
-        assert one[0].shape == (1,)
+        assert one[0].shape == (1,) and one[1].shape == (1, 1)
         assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
         with pytest.raises(ValueError):
             mc_moments(DegenerateLine(), self.grid, 5, 300, lambda v: v[:5, -1, 0])
         with pytest.raises(ValueError):
             mc_moments(DegenerateLine(), self.grid, 5, 0, lambda v: v[:, -1, 0])
+
+
+class TestDeltaMethod:
+    def test_z_scores_are_calibrated(self):
+        # Over 40 seeds at a fixed budget, the sd of z = (estimate - oracle)
+        # / se of two ratio estimates is about 1 with the delta-method se:
+        # 0.923 for the bridge ratio (0.673 from r * hypot(se_A / A,
+        # se_B / B), which leaves out Cov(A, B)) and 0.993 for the weighted
+        # KL first tail (1.159 from se_A / B, which leaves out Var B).  The
+        # band holds the sd of an sd from 40 draws, about 0.11.
+        def sd_of_z(estimates):
+            z = [(est - oracle) / se for est, se, oracle in estimates]
+            return float(np.std(z, ddof=1))
+
+        eps = 0.01  # bridge: E[w(1/2)^2 p_eps(w(1))] / E[p_eps(w(1))], 4000 paths
+
+        def bridge(seed):
+            mean, cov = mc_moments(BrownianMotion(1), TimeGrid(2), seed, 4000, lambda v: (
+                gauss_kernel_sq(v[:, -1, 0] ** 2, eps) * np.stack([np.ones(len(v)),
+                                                                  v[:, 1, 0] ** 2])))
+            ratio = mean[1] / mean[0]
+            se = processes.delta_se(cov, np.array([-ratio, 1.0]) / mean[0])
+            return ratio, se, bridge_weighted_second_moment_quadrature(eps)
+
+        assert 0.75 <= sd_of_z(map(bridge, range(40))) <= 1.25
+        # the first KL tail, 8 terms, under the endpoint kernel at eps = 1, 4000
+        # paths of 64 steps, against its grid-exact value (tests/test_fac.py)
+        n, size = 64, 8
+        t = np.linspace(0.0, 1.0, n + 1)
+        w = np.full(n + 1, 1.0 / n)
+        w[[0, -1]] /= 2.0
+        a = np.stack([math.sqrt(2.0) * np.sin((k - 0.5) * math.pi * t) * w
+                      for k in range(1, size + 1)])
+        var = np.einsum("ki,ij,kj->k", a, np.minimum.outer(t, t), a)
+        oracle = float(np.sum(var - (a @ t) ** 2 / 2.0))
+
+        def kl_tail(seed):
+            diag = tail_moment_diagnostic(BrownianMotion(1), EndpointKernel, [1.0], size,
+                                          MCConfig(4000, seed), TimeGrid(n))
+            return diag.tail_sums[0][0], diag.tail_std_errors[0][0], oracle
+
+        assert 0.75 <= sd_of_z(map(kl_tail, range(40))) <= 1.25
 
 
 class TestCovariance:

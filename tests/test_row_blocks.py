@@ -220,10 +220,10 @@ class TestStreamedEngine:
         DRIVERS[name](ExperimentConfig(name, n_steps=256, n_samples=1100,
                                        out_dir=str(tmp_path)))
         assert len(calls) == passes
-        for args, (mean, se) in calls:
-            want_mean, want_se = self.whole_chunk_moments(*args)
+        for args, (mean, cov) in calls:
+            want_mean, want_cov = self.whole_chunk_moments(*args)
             assert_same_bits(mean, want_mean)
-            assert_same_bits(se, want_se)
+            assert_same_bits(cov, want_cov)
 
     @settings(max_examples=12, deadline=None)
     @given(n_samples=st.integers(1, 4 * MC_CHUNK), seed=st.integers(0, 2**32 - 1))
@@ -232,10 +232,10 @@ class TestStreamedEngine:
         # one to five blocks
         args = (BrownianMotion(1), TimeGrid(256), seed, n_samples,
                 lambda v: np.stack([v[:, -1, 0], np.max(v[:, :, 0], axis=1)]))
-        mean, se = mc_moments(*args)
-        want_mean, want_se = self.whole_chunk_moments(*args)
+        mean, cov = mc_moments(*args)
+        want_mean, want_cov = self.whole_chunk_moments(*args)
         assert_same_bits(mean, want_mean)
-        assert_same_bits(se, want_se)
+        assert_same_bits(cov, want_cov)
 
     @pytest.mark.parametrize("model", [BrownianMotion(2), SmoothStationary(3.0), DegenerateLine()],
                              ids=["bm2", "smooth", "line"])
@@ -249,10 +249,10 @@ class TestStreamedEngine:
         grid = TimeGrid(256)
         assert len(row_blocks(MC_CHUNK, grid.n_steps + 1)) > 1
         args = (model, grid, 11, MC_CHUNK + 3, fn)
-        mean, se = mc_moments(*args)
-        want_mean, want_se = self.whole_chunk_moments(*args)
+        mean, cov = mc_moments(*args)
+        want_mean, want_cov = self.whole_chunk_moments(*args)
         assert_same_bits(mean, want_mean)
-        assert_same_bits(se, want_se)
+        assert_same_bits(cov, want_cov)
 
 
 class TestBlockedFunctionals:
