@@ -26,7 +26,6 @@ from .functionals import (
     OffsetLocalTime,
     SelfIntersection,
     local_time_field,
-    occupation_identity,
 )
 from .processes import (
     BrownianMotion,

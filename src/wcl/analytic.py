@@ -15,6 +15,9 @@ import numpy as np
 
 MAX_HERMITE_DEGREE = 60
 MAX_BOUND_DEGREE = 20
+# Gauss-Hermite rule sizes: from 766 nodes the largest node (54.6) makes
+# exp(-x^2/4) underflow to 0 in _gauss_rule, and the weights come out NaN
+MAX_HERMITE_NODES = 700
 
 
 def hermite_sequence(n_max, x):
@@ -207,6 +210,8 @@ def gauss_hermite_rule(n):
     built once per n and shared between callers, so read-only."""
     if n < 1:
         raise ValueError(f"a Gauss rule needs at least one node, got {n}")
+    if n > MAX_HERMITE_NODES:
+        raise ValueError(f"a Gauss-Hermite rule has at most {MAX_HERMITE_NODES} nodes, got {n}")
     x, w = _gauss_rule(np.sqrt(np.arange(1.0, n)), hermite=True)
     x.flags.writeable = False
     w.flags.writeable = False

@@ -342,15 +342,11 @@ def bridge_weighted_second_moment_quadrature(eps: float, n_nodes: int = 200) -> 
     return num / den
 
 
-def degenerate_outside_mass_quadrature(eps: float, delta: float,
-                                       n_nodes: int = 400) -> float:
-    """E[p_eps(xi) 1_{|xi| > delta}] / E[p_eps(xi)] for xi ~ N(0,1);
-    sup norm of the degenerate line path equals |xi|."""
-    x, w = gauss_hermite_rule(n_nodes)
-    kern = gauss_kernel_sq(x**2, eps)
-    num = float(np.dot(w, kern * (np.abs(x) > delta)))
-    den = float(np.dot(w, kern))
-    return num / den
+def degenerate_outside_mass_quadrature(eps: float, delta: float) -> float:
+    """E[p_eps(xi) 1_{|xi| > delta}] / E[p_eps(xi)] for xi ~ N(0,1), |xi|
+    being the sup norm of the degenerate line path.  Weighted by p_eps, xi
+    is N(0, eps / (1 + eps)), so this is erfc(delta sqrt((1 + eps) / 2 eps))."""
+    return math.erfc(delta * math.sqrt((1.0 + eps) / (2.0 * eps)))
 
 
 def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:

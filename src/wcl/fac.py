@@ -106,10 +106,6 @@ class PolyFunctional:
     def degree(self) -> int:
         return max(sum(e) for e, _ in self.monomials)
 
-    @staticmethod
-    def constant(c: float) -> "PolyFunctional":
-        return PolyFunctional((), (), (((), float(c)),))
-
 
 def eval_poly_many(p: PolyFunctional, values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Batched polynomial evaluation over paths (N, n+1, d)."""

@@ -1,18 +1,17 @@
 """Approximating functionals on sampled paths (N, n+1, d), one value per
 path: smoothed local time at a level, offset local time, smoothed
 self-intersection local time, the endpoint kernel, band-occupation local
-time, upcrossing counts, the local-time field and the occupation-formula
-identity.  ``eval_family_many`` evaluates a whole eps family at once,
-(n_eps, N), each row bit for bit its single-eps value.
+time, upcrossing counts and the local-time field.  ``eval_family_many``
+evaluates a whole eps family at once, (n_eps, N), each row bit for bit
+its single-eps value.
 
 Every time integral of a node function, sum_k w_k g(f(t_k)) with the
 trapezoid weights w, is made by ``node_sums``: local time, offset local
-time, the band, the local-time field, both sides of the occupation
-identity (an exact Fubini swap at the shared time discretization) and
-``fac``'s KL projections.  Per ``processes.row_blocks`` block, each fill
-writes g into one reused buffer, whose rows are zero-padded to whole
-8-row groups before the product with w, so no path's value depends on
-its batch and no chunk-sized temporary is made.
+time, the band, the local-time field and ``fac``'s KL projections.  Per
+``processes.row_blocks`` block, each fill writes g into one reused
+buffer, whose rows are zero-padded to whole 8-row groups before the
+product with w, so no path's value depends on its batch and no
+chunk-sized temporary is made.
 
 The pair kernels, G_eps here and the chaos terms in ``chaos``, integrate
 over the triangle {s < t} with the product-trapezoid weights of the
@@ -336,56 +335,3 @@ def local_time_field(values: np.ndarray, eps: float, x_grid) -> np.ndarray:
                                                  eps, out=out)
              for x in np.asarray(x_grid, dtype=float)]
     return node_sums(v, interval_weights(v.shape[1] - 1), fills).T
-
-
-# raw moments of the standard normal, E Z^k for k = 0..4
-_GAUSS_MOMENTS = np.array([1.0, 0.0, 1.0, 0.0, 3.0])
-MAX_OCCUPATION_DEGREE = 4
-
-
-def _smoothed_poly_coeffs(coeffs, eps):
-    """Coefficients of g(m) = E f(m + sqrt(eps) Z) for polynomial f."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    out = np.zeros_like(coeffs)
-    for j, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        for i in range(0, j + 1, 2):
-            out[j - i] += c * math.comb(j, i) * _GAUSS_MOMENTS[i] * eps ** (i / 2)
-    return out
-
-
-def occupation_identity(values: np.ndarray, eps: float, coeffs):
-    """Both sides of the occupation identity for a polynomial test
-    function f given by ``coeffs`` (degree <= 4, ascending powers), one
-    value per scalar path (N, n+1, 1).
-
-    lhs integrates f against the local-time field, with the x-integral
-    done analytically node by node; rhs integrates the Gaussian-smoothed
-    polynomial along the path.  Equality is exact Fubini at the shared
-    time discretization.  Returns (lhs, rhs), two arrays of shape (N,).
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if len(coeffs) > MAX_OCCUPATION_DEGREE + 1:
-        raise ValueError(f"polynomial degree must be <= {MAX_OCCUPATION_DEGREE}")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    v = _scalar_paths(values)
-    s = math.sqrt(eps)
-    g = _smoothed_poly_coeffs(coeffs, eps)
-
-    def lhs(block, out):
-        # per node m, int f(x) p_eps(m - x) dx via central moments of N(m, eps)
-        out[...] = 0.0
-        for j, c in enumerate(coeffs):
-            if c == 0.0:
-                continue
-            moment_j = np.zeros_like(block)
-            for i in range(0, j + 1, 2):
-                moment_j += math.comb(j, i) * _GAUSS_MOMENTS[i] * s**i * block ** (j - i)
-            out += c * moment_j
-
-    def rhs(block, out):  # the smoothed polynomial along the path
-        out[...] = np.polynomial.polynomial.polyval(block, g)
-
-    return tuple(node_sums(v, interval_weights(v.shape[1] - 1), [lhs, rhs]))

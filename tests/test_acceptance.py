@@ -11,7 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from wcl.analytic import gauss_kernel_sq, hermite_bound_constant, hermite_eval
+from wcl.analytic import (
+    gauss_hermite_rule,
+    gauss_kernel_sq,
+    hermite_bound_constant,
+    hermite_eval,
+)
 from wcl.chaos import expansion_study_mc, self_intersection_mean_quadrature
 from wcl.experiments import DRIVERS, ExperimentConfig
 from wcl.fac import (
@@ -27,7 +32,7 @@ from wcl.functionals import (
     EndpointKernel,
     SelfIntersection,
     eval_family_many,
-    occupation_identity,
+    local_time_field,
 )
 from wcl.processes import (
     BrownianMotion,
@@ -151,18 +156,35 @@ def test_criterion_05_kac_moments(announce):
 
 
 def test_criterion_06_occupation_identity(announce):
+    # lhs = sum_x W_x f(x) ell_eps(x): the local-time field on a 200-node
+    # Gauss-Legendre rule in x over [min v - 12 sqrt(eps), max v + 12 sqrt(eps)];
+    # rhs = sum_k w_k E f(v_k + sqrt(eps) Z): a 5-node Gauss-Hermite rule,
+    # exact for f of degree <= 9.  The sides share no code; both sum
+    # against the trapezoid weights w in t.
     grid = TimeGrid(128)
+    eps = 0.01
+    x, wx = np.polynomial.legendre.leggauss(200)
+    z, wz = gauss_hermite_rule(5)
+    w = np.full(129, 1.0 / 128)
+    w[[0, -1]] *= 0.5
     rng = np.random.default_rng(314)
     worst = 0.0
     for s in range(100):
         values, _ = sample_values(BrownianMotion(1), grid, s, n_paths=1)
+        v = values[0, :, 0]
         coeffs = rng.standard_normal(5)
-        (lhs,), (rhs,) = occupation_identity(values, 0.01, coeffs)
+        lo, hi = v.min() - 12.0 * math.sqrt(eps), v.max() + 12.0 * math.sqrt(eps)
+        xs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+        field = local_time_field(values, eps, xs)[0]
+        lhs = 0.5 * (hi - lo) * float(np.sum(wx * np.polynomial.polynomial.polyval(xs, coeffs)
+                                             * field))
+        smoothed = np.polynomial.polynomial.polyval(v[:, None] + math.sqrt(eps) * z, coeffs)
+        rhs = float(w @ (smoothed @ wz))
         scale = max(abs(lhs), abs(rhs), 1e-30)
         worst = max(worst, abs(lhs - rhs) / scale)
     announce(6, worst <= 1e-12,
-             f"occupation identity on 100 random paths, worst relative "
-             f"gap {worst:.2e} <= 1e-12")
+             f"occupation identity on 100 random paths, field integrated in x against "
+             f"Gauss-Hermite smoothing along the path, worst relative gap {worst:.2e} <= 1e-12")
 
 
 def test_criterion_07_bridge_universality(announce):

@@ -21,7 +21,7 @@ from wcl.analytic import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-# the rule sizes the drivers build
+# the rule sizes the drivers build, and a larger Gauss-Hermite rule
 LEGENDRE_SIZES = (40, 60, 120, 160, 200, 400)
 HERMITE_SIZES = (80, 200, 400)
 
@@ -325,6 +325,14 @@ class TestGaussHermiteRule:
         x, w = gauss_hermite_rule(400)
         assert np.all(np.isfinite(w))
         assert np.dot(w, x**2) == pytest.approx(1.0, rel=1e-10)
+
+    def test_largest_rule_is_finite_and_larger_refused(self):
+        # from 766 nodes the weights were NaN: exp(-x^2/4) underflows at the
+        # largest node
+        _, w = gauss_hermite_rule(700)
+        assert np.all(np.isfinite(w)) and abs(np.sum(w) - 1.0) <= 1e-14
+        with pytest.raises(ValueError, match="at most 700 nodes"):
+            gauss_hermite_rule(701)
 
     @pytest.mark.parametrize("n", HERMITE_SIZES)
     def test_nodes_match_scipy(self, n):

@@ -59,6 +59,16 @@ class TestOracles:
         small = degenerate_outside_mass_quadrature(1e-4, 0.1)
         assert small < 1e-10 < big
 
+    def test_degenerate_mass_matches_scipy_erfc(self):
+        # weighted by p_eps, xi ~ N(0, eps / (1 + eps)); a 400-node
+        # Gauss-Hermite rule gave 9.2e-108 at eps = 1e-4 and 0.077 at 0.01
+        from scipy.special import erfc  # reference only
+
+        for eps in (1e-4, 0.01, 1.0):
+            ref = float(erfc(0.1 / math.sqrt(2.0 * eps / (1.0 + eps))))
+            assert degenerate_outside_mass_quadrature(eps, 0.1) == pytest.approx(ref, rel=1e-12)
+        assert degenerate_outside_mass_quadrature(0.01, 0.1) == pytest.approx(0.3149, rel=1e-3)
+
     def test_sweep_quadrature_rows_pass_at_small_eps(self):
         # a 500-node rule in t was off by 1.8e-4 at eps = 1e-6, against a
         # 1e-8 gate

@@ -56,7 +56,7 @@ def one_path(model, grid, seed):
 
 class TestPolyFunctional:
     def test_constant(self):
-        p = PolyFunctional.constant(2.5)
+        p = PolyFunctional((), (), (((), 2.5),))  # no evaluation points
         grid = TimeGrid(8)
         path = one_path(BrownianMotion(1), grid, 0)
         assert eval_poly_many(p, path, grid)[0] == 2.5
@@ -104,9 +104,9 @@ class TestMCEstimators:
         # ||1|| = 1 exactly, so the ratio against P = 1 is just E Phi
         grid = TimeGrid(256)
         eps = 0.5
-        [[mean]], [[se]] = fac_ratios(BrownianMotion(1), EndpointKernel, [eps],
-                                      [PolyFunctional.constant(1.0)], MCConfig(20000, 5),
-                                      grid)
+        one = PolyFunctional((), (), (((), 1.0),))
+        [[mean]], [[se]] = fac_ratios(BrownianMotion(1), EndpointKernel, [eps], [one],
+                                      MCConfig(20000, 5), grid)
         oracle = 1.0 / math.sqrt(2.0 * math.pi * (1.0 + eps))
         assert abs(mean - oracle) <= 4.0 * se
 

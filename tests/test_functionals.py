@@ -13,7 +13,6 @@ from wcl.functionals import (
     indicator_local_time_many,
     interval_weights,
     local_time_field,
-    occupation_identity,
     triangle_rule,
     upcrossing_count_many,
 )
@@ -80,7 +79,6 @@ class TestSpecValidation:
         values = one_path(BrownianMotion(2), TimeGrid(16), 3)
         for call in (lambda: indicator_local_time_many(values, 0.0, 0.1),
                      lambda: local_time_field(values, 0.1, [0.0]),
-                     lambda: occupation_identity(values, 0.1, [1.0]),
                      lambda: upcrossing_count_many(values, 0.0)):
             with pytest.raises(ValueError, match="d = 2"):
                 call()
@@ -189,35 +187,27 @@ class TestLocalTimeField:
 
 
 class TestOccupationIdentity:
+    """sum_x W_x f(x) ell_eps(x), the field integrated against a polynomial f
+    on a Gauss-Legendre rule in x, at closed forms of its other side
+    sum_k w_k E f(v_k + sqrt(eps) Z); criterion 6 checks it on random paths."""
+
+    @staticmethod
+    def field_integral(values, eps, coeffs):
+        v = values[0, :, 0]
+        lo, hi = v.min() - 12.0 * math.sqrt(eps), v.max() + 12.0 * math.sqrt(eps)
+        x, wx = np.polynomial.legendre.leggauss(200)
+        xs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+        f = np.polynomial.polynomial.polyval(xs, coeffs)
+        return 0.5 * (hi - lo) * float(np.sum(wx * f * local_time_field(values, eps, xs)[0]))
+
     def test_constant_test_function(self):
         p = one_path(BrownianMotion(1), TimeGrid(64), 31)
-        (lhs,), (rhs,) = occupation_identity(p, 0.01, [1.0])
-        assert lhs == pytest.approx(1.0, rel=1e-12)
-        assert rhs == pytest.approx(1.0, rel=1e-12)
+        assert self.field_integral(p, 0.01, [1.0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_odd_function_zero_path(self):
-        (lhs,), (rhs,) = occupation_identity(zero_path(), 0.5, [0.0, 1.0])
-        assert lhs == 0.0
-        assert rhs == 0.0
-
-    def test_exact_on_random_paths(self):
-        grid = TimeGrid(128)
-        rng = np.random.default_rng(314)
-        for s in range(100):
-            p = one_path(BrownianMotion(1), grid, s)
-            coeffs = rng.standard_normal(5)
-            (lhs,), (rhs,) = occupation_identity(p, 0.01, coeffs)
-            scale = max(abs(lhs), abs(rhs), 1e-30)
-            assert abs(lhs - rhs) / scale < 1e-12
+        assert abs(self.field_integral(zero_path(), 0.5, [0.0, 1.0])) <= 1e-15
 
     def test_quadratic_closed_form(self):
-        # f = x^2 on the zero path: both sides equal eps
-        (lhs,), (rhs,) = occupation_identity(zero_path(), 0.3, [0.0, 0.0, 1.0])
-        assert lhs == pytest.approx(0.3, rel=1e-12)
-        assert rhs == pytest.approx(0.3, rel=1e-12)
-
-    def test_degree_guard(self):
-        with pytest.raises(ValueError):
-            occupation_identity(zero_path(), 0.1, [0.0] * 6)
-        with pytest.raises(ValueError):
-            occupation_identity(zero_path(), 0.0, [1.0])
+        # f = x^2 on the zero path: E (sqrt(eps) Z)^2 = eps
+        assert self.field_integral(zero_path(), 0.3, [0.0, 0.0, 1.0]) == pytest.approx(
+            0.3, rel=1e-12)

@@ -301,6 +301,25 @@ class TestOperator:
         assert np.array_equal(IntegratorOperator(dense).singular_values,
                               np.linalg.svd(dense, compute_uv=False))
 
+    @staticmethod
+    def dense_images(matrix):
+        """M @ cum, cum[i, k] = 1 for the cells i < k of [0, t_k]."""
+        n = len(matrix)
+        return matrix @ (np.arange(n)[:, None] < np.arange(n + 1)[None, :]).astype(float)
+
+    @pytest.mark.parametrize("n", [8, 2048])
+    def test_profile_node_images_are_the_dense_product(self, n):
+        # column k sums M's first k columns: for a multiplication operator
+        # those sums add zeros only, as the product does
+        op = IntegratorOperator.from_profile(lambda s: 1.0 + 0.5 * s, n)
+        assert np.array_equal(op.node_image_matrix(), self.dense_images(op.matrix))
+
+    def test_dense_node_images_match_the_dense_product(self):
+        matrix = np.eye(256) + 0.3 * np.random.default_rng(8).standard_normal((256, 256))
+        images = IntegratorOperator(matrix).node_image_matrix()
+        np.testing.assert_allclose(images, self.dense_images(matrix), rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(images)))
+
     def test_non_finite_matrix_rejected(self):
         for bad in (math.nan, math.inf):
             matrix = np.eye(4)

@@ -26,7 +26,6 @@ from wcl.functionals import (
     indicator_local_time_many,
     interval_weights,
     local_time_field,
-    occupation_identity,
     upcrossing_count_many,
 )
 from wcl.processes import (
@@ -91,8 +90,6 @@ NODE_SUMS_CALLERS = {
     "offset": (2, lambda v: eval_family_many(lambda e: OffsetLocalTime(e, (0.4, 0.3)),
                                              EPS_GRID, v).T),
     "field": (1, lambda v: local_time_field(v, 0.1, [-0.2, 0.0, 0.3])),
-    "occupation": (1, lambda v: np.stack(occupation_identity(v, 0.01, [0.3, 1.0, -0.5, 0.2, 0.1]),
-                                         axis=1)),
     "kl_projections": (2, lambda v: fac._kl_squares(v, kl_weights(v.shape[1] - 1)).T),
 }
 
@@ -141,8 +138,10 @@ class TestBlockedSampling:
 
 
 class TestSampleBlocks:
-    """``sample_values`` is the concatenation of ``sample_blocks``, and both
-    are the whole-array draw of every model."""
+    """``sample_values`` is the concatenation of ``sample_blocks``, whose
+    blocks are those of ``row_blocks`` for every model, and both are the
+    whole-array draw of every model, an integrator's increments mapped
+    one row block at a time."""
 
     grid = TimeGrid(256)
     models = {
@@ -162,10 +161,17 @@ class TestSampleBlocks:
         if name == "line":
             xi = np.random.default_rng(seed).normal(size=(n_paths, 1))
             return (xi * self.grid.times)[:, :, None]
+        # the increments of all paths, mapped by one product per row block
         dw = np.random.default_rng(seed).standard_normal(size=(n_paths, n, 2))
         dw *= math.sqrt(self.grid.h)
-        basis = self.models[name].operator.node_image_matrix()
-        return np.ascontiguousarray(np.tensordot(dw, basis, axes=(1, 0)).transpose(0, 2, 1))
+        images = self.models[name].operator.node_image_matrix()
+        blocked = [np.tensordot(dw[rows], images, axes=(1, 0)).transpose(0, 2, 1)
+                   for rows in row_blocks(n_paths, n + 1)]
+        # a block's dgemm rounds like the whole batch's only to the last bits
+        whole = np.tensordot(dw, images, axes=(1, 0)).transpose(0, 2, 1)
+        values = np.concatenate(blocked)
+        np.testing.assert_allclose(values, whole, rtol=1e-12, atol=1e-12 * np.max(np.abs(whole)))
+        return values
 
     @pytest.mark.parametrize("name", sorted(models))
     @pytest.mark.parametrize("n_paths", [1, 7, 8, 9, 247, 249, 1000, 1003])
@@ -174,9 +180,7 @@ class TestSampleBlocks:
         seed = 11 + n_paths
         blocks = [(rows, v.copy())
                   for rows, v in sample_blocks(self.models[name], self.grid, seed, n_paths)]
-        want_rows = ([slice(0, n_paths)] if name == "integrator"
-                     else row_blocks(n_paths, self.grid.n_steps + 1))
-        assert [rows for rows, _ in blocks] == want_rows
+        assert [rows for rows, _ in blocks] == row_blocks(n_paths, self.grid.n_steps + 1)
         assert all(len(v) == rows.stop - rows.start for rows, v in blocks)
         whole = self.reference(name, seed, n_paths)
         assert_same_bits(np.concatenate([v for _, v in blocks]), whole)
@@ -348,7 +352,7 @@ class TestNoChunkTemporaries:
         assert peak <= 2 * MB
 
     @pytest.mark.parametrize("name", ["local_time", "band", "upcrossings", "offset", "field",
-                                      "occupation", "kl_projections"])
+                                      "kl_projections"])
     def test_functional_peaks(self, chunk, name):
         # the chunk's values array is 32.8 MB; a whole padded copy of it, as
         # node sums made before they streamed, would be as large
@@ -358,7 +362,6 @@ class TestNoChunkTemporaries:
               "upcrossings": lambda: upcrossing_count_many(chunk, 0.0),
               "offset": lambda: eval_functional_many(OffsetLocalTime(0.1, (0.4,)), chunk),
               "field": lambda: local_time_field(chunk, 0.1, [-0.2, 0.0, 0.3]),
-              "occupation": lambda: occupation_identity(chunk, 0.01, [0.3, 1.0, -0.5, 0.2, 0.1]),
               "kl_projections": lambda: fac._kl_squares(chunk, basis)}[name]
         _, peak = self.peak(fn)
         assert peak <= 2 * MB
