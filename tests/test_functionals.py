@@ -189,7 +189,8 @@ class TestLocalTimeField:
 class TestOccupationIdentity:
     """sum_x W_x f(x) ell_eps(x), the field integrated against a polynomial f
     on a Gauss-Legendre rule in x, at closed forms of its other side
-    sum_k w_k E f(v_k + sqrt(eps) Z); criterion 6 checks it on random paths."""
+    sum_k w_k E f(v_k + sqrt(eps) Z); on random paths against numpy's
+    Hermite rule here and against gauss_hermite_rule in criterion 6."""
 
     @staticmethod
     def field_integral(values, eps, coeffs):
@@ -206,6 +207,26 @@ class TestOccupationIdentity:
 
     def test_odd_function_zero_path(self):
         assert abs(self.field_integral(zero_path(), 0.5, [0.0, 1.0])) <= 1e-15
+
+    def test_exact_on_random_paths(self):
+        # the other side from numpy's probabilists' Hermite rule (7 nodes,
+        # exact to degree 13) and trapezoid weights in t
+        grid = TimeGrid(128)
+        eps = 0.01
+        z, wz = np.polynomial.hermite_e.hermegauss(7)
+        wz = wz / math.sqrt(2.0 * math.pi)
+        w = np.full(129, 1.0 / 128)
+        w[[0, -1]] *= 0.5
+        rng = np.random.default_rng(314)
+        for s in range(100):
+            p = one_path(BrownianMotion(1), grid, s)
+            coeffs = rng.standard_normal(5)
+            lhs = self.field_integral(p, eps, coeffs)
+            v = p[0, :, 0]
+            rhs = float(w @ (np.polynomial.polynomial.polyval(
+                v[:, None] + math.sqrt(eps) * z, coeffs) @ wz))
+            scale = max(abs(lhs), abs(rhs), 1e-30)
+            assert abs(lhs - rhs) / scale < 1e-12
 
     def test_quadratic_closed_form(self):
         # f = x^2 on the zero path: E (sqrt(eps) Z)^2 = eps
