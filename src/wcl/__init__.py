@@ -23,7 +23,6 @@ from .fac import (
 from .functionals import (
     EndpointKernel,
     LocalTime,
-    OffsetLocalTime,
     SelfIntersection,
     local_time_field,
 )

@@ -42,6 +42,18 @@ def hermite_eval(n, x):
     return h if h.ndim else float(h)
 
 
+def hermite_coefficients(k_max: int) -> np.ndarray:
+    """h[a, p], the z^p coefficient of H_a for a, p <= k_max, from
+    H_{a+1} = z H_a - a H_{a-1}; exact integers in float64."""
+    h = np.zeros((k_max + 1, k_max + 1))
+    h[0, 0] = 1.0
+    for a in range(k_max):
+        h[a + 1, 1:] = h[a, :-1]
+        if a:
+            h[a + 1] -= a * h[a - 1]
+    return h
+
+
 def hermite_bound_constant(n):
     """Smallest a_n with |H_n(x)| <= a_n * exp(x^2/4) for all real x.
 

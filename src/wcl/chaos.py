@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import hermite_eval, hermite_sequence, integrate_log
+from .analytic import hermite_coefficients, hermite_eval, hermite_sequence, integrate_log
 from .functionals import SelfIntersection, eval_family_many, lag_blocks, leading_view
 from .functionals import triangle_rule
 from .processes import ProcessModel, TimeGrid, delta_se, mc_moments
@@ -88,7 +88,7 @@ def chaos_terms_many(values: np.ndarray, k_max: int, eps_grid, u) -> np.ndarray:
     order = alphas.sum(axis=1)
     betas = np.vstack([np.zeros((1, d), dtype=int), alphas])  # row 0 is beta = 0
     # change of basis T[alpha, beta], (n_alpha, 1 + n_alpha)
-    basis = _hermite_coefficients(k_max)
+    basis = hermite_coefficients(k_max)
     change = np.ones((len(alphas), len(betas)))
     for j in range(d):
         change *= basis[alphas[:, j][:, None], betas[:, j][None, :]]
@@ -141,18 +141,6 @@ def chaos_terms_many(values: np.ndarray, k_max: int, eps_grid, u) -> np.ndarray:
             terms = np.einsum("klb,lbp->kp", c, sums)
             out[e, 1:, rows] = terms[:, :nb] + c0[:, None]
     return out
-
-
-def _hermite_coefficients(k_max: int) -> np.ndarray:
-    """h[a, p], the z^p coefficient of H_a for a, p <= k_max, from
-    H_{a+1} = z H_a - a H_{a-1}; exact integers in float64."""
-    h = np.zeros((k_max + 1, k_max + 1))
-    h[0, 0] = 1.0
-    for a in range(k_max):
-        h[a + 1, 1:] = h[a, :-1]
-        if a:
-            h[a + 1] -= a * h[a - 1]
-    return h
 
 
 def _monomial_walk(k_max: int, d: int):

@@ -25,6 +25,7 @@ from .analytic import (
     gauss_hermite_rule,
     gauss_kernel_sq,
     gauss_legendre,
+    hermite_coefficients,
     hermite_eval,
     integrate_interval,
     integrate_log,
@@ -187,8 +188,8 @@ class ExperimentReport:
             "all_passed": self.all_passed,
         }
 
-    def write(self, out_dir=None):
-        out_dir = out_dir or self.config.out_dir
+    def write(self):
+        out_dir = self.config.out_dir
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
@@ -234,10 +235,10 @@ def rice_closed_form(omega: float, level: float) -> float:
     return omega / (2.0 * math.pi) * math.exp(-0.5 * level**2)
 
 
-def rice_quadrature(omega: float, level: float, n_nodes: int = 400) -> float:
+def rice_quadrature(omega: float, level: float) -> float:
     """Expected upcrossings via the double integral of x times the joint
     density of (xi(t), xi'(t)); independent N(0,1) and N(0, omega^2)."""
-    x, w = gauss_legendre(n_nodes)
+    x, w = gauss_legendre(400)
     # x-integral over (0, 8*omega); the process is stationary, so the
     # integrand does not depend on t and the t-integral over (0, 1) is 1
     xv = 4.0 * omega * (x + 1.0)
@@ -318,7 +319,7 @@ def kac_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 # -------------------------------------------------------------- Bridge
 
-def bridge_weighted_second_moment_quadrature(eps: float, n_nodes: int = 200) -> float:
+def bridge_weighted_second_moment_quadrature(eps: float) -> float:
     """Exact 2-D quadrature value of
     E[w(1/2)^2 p_eps(w(1))] / E[p_eps(w(1))]; w(1/2) = w(1)/2 + zeta
     with zeta ~ N(0, 1/4) independent of w(1).
@@ -328,7 +329,7 @@ def bridge_weighted_second_moment_quadrature(eps: float, n_nodes: int = 200) -> 
     smooth zeta axis uses Gauss-Hermite.
     """
     half_width = 10.0 * math.sqrt(eps / (1.0 + eps))
-    y, wy = gauss_legendre(n_nodes)
+    y, wy = gauss_legendre(200)
     y = half_width * y
     wy = half_width * wy
     prior = gauss_kernel_sq(y**2, 1.0)
@@ -511,11 +512,7 @@ def fac_study_cmd(config: ExperimentConfig) -> ExperimentReport:
 
 def _hermite_monomials(n):
     """Monomials of H_n as a single-point PolyFunctional body."""
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    # convert Hermite coefficient vector to the power basis
-    poly = np.polynomial.hermite_e.herme2poly(coeffs)
-    return [((j,), float(c)) for j, c in enumerate(poly) if c != 0.0]
+    return [((j,), float(c)) for j, c in enumerate(hermite_coefficients(n)[n]) if c != 0.0]
 
 
 # ---------------------------------------------------------------- Sweep

@@ -52,7 +52,6 @@ from .processes import (
     covariance,
     delta_se,
     mc_moments,
-    model_dimension,
     replica_seed,
     sample_values,  # noqa: F401  (module namespace: perfbench wraps each binding)
 )
@@ -158,7 +157,7 @@ def poly_norm(p: PolyFunctional, model: ProcessModel) -> float:
     Raises ValueError if a coordinate index exceeds the model dimension or
     the norm is zero (to rounding), as for P evaluated only where X = 0.
     """
-    d = model_dimension(model)
+    d = model.d
     if any(c > d for c in p.coords):
         raise ValueError(f"coordinate indices {p.coords} out of range for d={d}")
     pts = list(zip(p.times, p.coords))
@@ -302,7 +301,7 @@ def uniform_fac_study(model: ProcessModel, family, eps_grid, degree: int,
         raise ValueError("eps grid must be decreasing with at least 3 points")
     if n_random_polys < 20:
         raise ValueError("need at least 20 random polynomials")
-    d = model_dimension(model)
+    d = model.d
     rng = np.random.default_rng(replica_seed(mc.seed, 10**6))
     polys = [random_poly(rng, degree, grid, d) for _ in range(n_random_polys)]
     ratios, ratio_se = fac_ratios(model, family, eps_grid, polys, mc, grid)

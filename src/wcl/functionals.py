@@ -1,17 +1,15 @@
 """Approximating functionals on sampled paths (N, n+1, d), one value per
-path: smoothed local time at a level, offset local time, smoothed
-self-intersection local time, the endpoint kernel, band-occupation local
-time, upcrossing counts and the local-time field.  ``eval_family_many``
-evaluates a whole eps family at once, (n_eps, N), each row bit for bit
-its single-eps value.
+path: smoothed local time at a level, smoothed self-intersection local
+time, the endpoint kernel, band-occupation local time, upcrossing counts
+and the local-time field.  ``eval_family_many`` evaluates a whole eps
+family at once, (n_eps, N), each row bit for bit its single-eps value.
 
 Every time integral of a node function, sum_k w_k g(f(t_k)) with the
-trapezoid weights w, is made by ``node_sums``: local time, offset local
-time, the band, the local-time field and ``fac``'s KL projections.  Per
-``processes.row_blocks`` block, each fill writes g into one reused
-buffer, whose rows are zero-padded to whole 8-row groups before the
-product with w, so no path's value depends on its batch and no
-chunk-sized temporary is made.
+trapezoid weights w, is made by ``node_sums``: local time, the band, the
+local-time field and ``fac``'s KL projections.  Per ``processes.row_blocks``
+block, each fill writes g into one reused buffer, whose rows are
+zero-padded to whole 8-row groups before the product with w, so no path's
+value depends on its batch and no chunk-sized temporary is made.
 
 The pair kernels, G_eps here and the chaos terms in ``chaos``, integrate
 over the triangle {s < t} with the product-trapezoid weights of the
@@ -50,19 +48,6 @@ class LocalTime:
 
 
 @dataclass(frozen=True)
-class OffsetLocalTime:
-    """F_eps(f) = int_0^1 p_eps^d(f(t) - u) dt."""
-
-    eps: float
-    u: tuple
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        _warn_zero_offset(self.u)
-
-
-@dataclass(frozen=True)
 class SelfIntersection:
     """G_eps(f) = int_{s<t} p_eps^d(f(t) - f(s) - u) ds dt."""
 
@@ -86,7 +71,7 @@ class EndpointKernel:
             raise ValueError("eps must be positive")
 
 
-FunctionalSpec = LocalTime | OffsetLocalTime | SelfIntersection | EndpointKernel
+FunctionalSpec = LocalTime | SelfIntersection | EndpointKernel
 
 
 def _warn_zero_offset(u):
@@ -162,7 +147,7 @@ def leading_view(buf: np.ndarray, *shape) -> np.ndarray:
 
 def _check_dim(spec: FunctionalSpec, values: np.ndarray) -> None:
     d = values.shape[2]
-    want = 1 if isinstance(spec, (LocalTime, EndpointKernel)) else len(np.asarray(spec.u))
+    want = len(spec.u) if isinstance(spec, SelfIntersection) else 1
     if d != want:
         raise ValueError(f"path dimension {d} does not match the functional ({want})")
 
@@ -176,12 +161,10 @@ def eval_family_many(family, eps_grid, values: np.ndarray) -> np.ndarray:
     """Phi_eps = family(eps) for every eps of ``eps_grid`` over a batch of
     paths (N, n+1, d); shape (n_eps, N).
 
-    A family whose members differ only in eps goes through one eps-grid
-    pass: the endpoint kernel squares the end values once, LocalTime and
-    OffsetLocalTime make one ``node_sums`` pass with one fill per eps, and
-    G_eps runs its eps-grid kernel.  Any other family is one single-eps
-    call per member.  Either way, every row is bit for bit its single-eps
-    value.
+    The members must differ only in eps, and go through one eps-grid pass:
+    the endpoint kernel squares the end values once, LocalTime makes one
+    ``node_sums`` pass with one fill per eps, and G_eps runs its eps-grid
+    kernel.  Every row is bit for bit its single-eps value.
     """
     specs = [family(eps) for eps in eps_grid]
     if not specs:
@@ -189,7 +172,7 @@ def eval_family_many(family, eps_grid, values: np.ndarray) -> np.ndarray:
     first = specs[0]
     key = lambda s: (type(s), tuple(getattr(s, "u", ())))
     if any(key(s) != key(first) for s in specs):
-        return np.stack([eval_functional_many(s, values) for s in specs])
+        raise ValueError("the members of a family may differ in eps only")
     _check_dim(first, values)
     eps = [s.eps for s in specs]
     kind = type(first)
@@ -198,16 +181,9 @@ def eval_family_many(family, eps_grid, values: np.ndarray) -> np.ndarray:
         return np.stack([gauss_kernel_sq(sq, e, d=1) for e in eps])
     if kind is SelfIntersection:
         return _self_intersection_many(values, eps, np.asarray(first.u, dtype=float))
-    w = interval_weights(values.shape[1] - 1)
     if kind is LocalTime:
-        return node_sums(values[:, :, 0], w, [
+        return node_sums(values[:, :, 0], interval_weights(values.shape[1] - 1), [
             lambda b, out, e=e: gauss_kernel_sq(np.square(b, out=out), e, out=out)
-            for e in eps])
-    if kind is OffsetLocalTime:
-        u, d = np.asarray(first.u, dtype=float), values.shape[2]
-        return node_sums(values, w, [
-            lambda b, out, e=e: gauss_kernel_sq(np.sum((b - u) ** 2, axis=2, out=out), e,
-                                                d=d, out=out)
             for e in eps])
     raise TypeError(f"unknown functional spec {first!r}")
 

@@ -130,23 +130,15 @@ class IntegratorOperator:
         if np.count_nonzero(matrix) == np.count_nonzero(diagonal):
             # a diagonal matrix's singular values are its sorted |entries|:
             # no O(n^3) SVD for from_profile's multiplication operators
-            self._singular_values = np.sort(np.abs(diagonal))[::-1]
+            self.singular_values = np.sort(np.abs(diagonal))[::-1]
         else:
-            self._singular_values = np.linalg.svd(matrix, compute_uv=False)
-        if self._singular_values[-1] <= _MIN_SINGULAR_VALUE:
+            self.singular_values = np.linalg.svd(matrix, compute_uv=False)
+        if self.singular_values[-1] <= _MIN_SINGULAR_VALUE:
             raise ValueError("operator matrix is numerically singular")
 
     @property
     def h(self) -> float:
         return 1.0 / self.n_cells
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        return self._singular_values
-
-    @classmethod
-    def identity(cls, n_cells):
-        return cls(np.eye(n_cells))
 
     @classmethod
     def from_profile(cls, g, n_cells):
@@ -188,6 +180,7 @@ class SmoothStationary:
     derivative variance omega^2."""
 
     omega: float
+    d = 1  # scalar paths only; unannotated, so not a dataclass field
 
     def __post_init__(self):
         if not self.omega > 0:
@@ -198,14 +191,10 @@ class SmoothStationary:
 class DegenerateLine:
     """eta(t) = t * xi with xi standard Gaussian; all mass on lines."""
 
+    d = 1  # scalar paths only; unannotated, so not a dataclass field
+
 
 ProcessModel = BrownianMotion | Integrator | SmoothStationary | DegenerateLine
-
-
-def model_dimension(model: ProcessModel) -> int:
-    if isinstance(model, (BrownianMotion, Integrator)):
-        return model.d
-    return 1
 
 
 def replica_seed(master_seed: int, replica: int):
@@ -227,11 +216,10 @@ def sample_blocks(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
     keeps.  ``seed`` may be an int or a numpy SeedSequence.
 
     An integrator's path still depends in the last bit on its batch, as
-    dgemm rounds a row by the row count.  With a dense 256-cell operator,
-    path 0 of batches of 2 to 1003 paths had other bits than alone at 9 of
-    9 sizes (d = 1) and 7 of 9 (d = 2), up to 1.6e-15 of its largest value,
-    on OpenBLAS's SkylakeX core, even with rows padded to groups of 8;
-    under OPENBLAS_CORETYPE=Sandybridge at none.
+    dgemm rounds a row by the row count, even with rows padded to groups
+    of 8.  ``test_integrator_batch_error_is_bounded`` in
+    tests/test_processes.py states that error and holds it under 1e-14 of
+    the path's largest value.
     """
     n = grid.n_steps
     blocks = row_blocks(n_paths, n + 1)
@@ -269,7 +257,7 @@ def sample_blocks(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
     else:
         raise TypeError(f"unknown model {model!r}")
     rng = np.random.default_rng(seed)
-    buf = block_buffer(blocks, n + 1, model_dimension(model))
+    buf = block_buffer(blocks, n + 1, model.d)
     for rows in blocks:
         nb = rows.stop - rows.start
         rng.standard_normal(out=z[:nb])
@@ -284,7 +272,7 @@ def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
 
     ``seed`` may be an int or a numpy SeedSequence.
     """
-    values = np.empty((n_paths, grid.n_steps + 1, model_dimension(model)))
+    values = np.empty((n_paths, grid.n_steps + 1, model.d))
     for rows, block in sample_blocks(model, grid, seed, n_paths):
         values[rows] = block
     return values, None

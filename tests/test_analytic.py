@@ -13,6 +13,7 @@ from wcl.analytic import (
     gauss_kernel_sq,
     gauss_legendre,
     hermite_bound_constant,
+    hermite_coefficients,
     hermite_eval,
     hermite_sequence,
     integrate_interval,
@@ -47,6 +48,15 @@ class TestHermite:
             expect = np.polynomial.polynomial.polyval(xs, poly)
             got = hermite_eval(n, xs)
             assert np.allclose(got, expect, rtol=1e-9, atol=1e-9)
+
+    def test_coefficient_table_matches_numpy(self):
+        # row n holds H_n's power-basis coefficients, exact integers up to
+        # the chaos kernel's largest order
+        table = hermite_coefficients(15)
+        for n in range(16):
+            expect = np.polynomial.hermite_e.herme2poly([0.0] * n + [1.0])
+            assert np.array_equal(table[n, : n + 1], expect)
+            assert not np.any(table[n, n + 1 :])
 
     def test_sequence_consistency(self):
         xs = np.linspace(-3.0, 3.0, 17)

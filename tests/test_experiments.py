@@ -157,14 +157,16 @@ class TestSelftest:
         assert len(lines) == len(report.rows) + 1
 
     @pytest.mark.parametrize("name, n_samples", [("selftest", 100), ("rice", 2100)])
-    def test_byte_identical_reports(self, tmp_path, name, n_samples):
+    def test_byte_identical_reports(self, tmp_path, monkeypatch, name, n_samples):
         # identical configs must give byte-identical files, Monte Carlo
         # drivers over several replica chunks included
         outs = []
         for sub in ("a", "b"):
             d = tmp_path / sub
+            d.mkdir()
+            monkeypatch.chdir(d)  # the config's out_dir is "."
             cfg = ExperimentConfig(name, n_steps=256, n_samples=n_samples)
-            EXPERIMENTS[name](cfg).write(out_dir=str(d))
+            EXPERIMENTS[name](cfg).write()
             outs.append((d / "report.json").read_bytes())
         assert outs[0] == outs[1]
 

@@ -29,7 +29,6 @@ from wcl.fac import (
 from wcl.functionals import (
     EndpointKernel,
     LocalTime,
-    OffsetLocalTime,
     SelfIntersection,
     eval_family_many,
 )
@@ -41,7 +40,6 @@ from wcl.processes import (
     SmoothStationary,
     TimeGrid,
     covariance,
-    model_dimension,
     sample_values,
 )
 
@@ -214,7 +212,7 @@ class TestExactNorm:
         z1, w1 = gauss_hermite_rule(5)
         rng = np.random.default_rng(41)
         for model in (BrownianMotion(2), Integrator(op)):
-            d = model_dimension(model)
+            d = model.d
             for _ in range(10):
                 n = int(rng.integers(1, 5))
                 nodes = rng.choice(grid.n_steps * d, size=n, replace=False)
@@ -262,8 +260,7 @@ class TestRandomPoly:
 class TestUniformStudy:
     def test_study_report_shape(self, tmp_path):
         grid = TimeGrid(64)
-        family = lambda eps: OffsetLocalTime(eps, (0.5,))
-        study = uniform_fac_study(BrownianMotion(1), family, [1.0, 0.5, 0.1],
+        study = uniform_fac_study(BrownianMotion(1), LocalTime, [1.0, 0.5, 0.1],
                                   degree=2, n_random_polys=20,
                                   mc=MCConfig(500, 17), grid=grid)
         assert isinstance(study, FacStudyReport)
@@ -278,15 +275,14 @@ class TestUniformStudy:
 
     def test_grid_validation(self):
         grid = TimeGrid(64)
-        family = lambda eps: OffsetLocalTime(eps, (0.5,))
         with pytest.raises(ValueError):
-            uniform_fac_study(BrownianMotion(1), family, [1.0, 0.5], 2, 20,
+            uniform_fac_study(BrownianMotion(1), LocalTime, [1.0, 0.5], 2, 20,
                               MCConfig(500, 0), grid)
         with pytest.raises(ValueError):
-            uniform_fac_study(BrownianMotion(1), family, [0.1, 0.5, 1.0], 2, 20,
+            uniform_fac_study(BrownianMotion(1), LocalTime, [0.1, 0.5, 1.0], 2, 20,
                               MCConfig(500, 0), grid)
         with pytest.raises(ValueError):
-            uniform_fac_study(BrownianMotion(1), family, [1.0, 0.5, 0.1], 2, 5,
+            uniform_fac_study(BrownianMotion(1), LocalTime, [1.0, 0.5, 0.1], 2, 5,
                               MCConfig(500, 0), grid)
 
 

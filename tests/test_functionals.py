@@ -7,7 +7,6 @@ import pytest
 from wcl.functionals import (
     EndpointKernel,
     LocalTime,
-    OffsetLocalTime,
     SelfIntersection,
     eval_functional_many,
     indicator_local_time_many,
@@ -56,9 +55,8 @@ class TestSpecValidation:
         for cls in (LocalTime, EndpointKernel):
             with pytest.raises(ValueError):
                 cls(0.0)
-        for cls in (OffsetLocalTime, SelfIntersection):
-            with pytest.raises(ValueError):
-                cls(-1.0, (0.5,))
+        with pytest.raises(ValueError):
+            SelfIntersection(-1.0, (0.5,))
 
     def test_zero_offset_warns_for_d_above_one(self):
         with pytest.warns(UserWarning):
@@ -105,13 +103,6 @@ class TestClosedFormValues:
                 got = eval_functional_many(SelfIntersection(eps, u), p)[0]
                 assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_offset_local_time_zero_path(self):
-        u = (0.3, 0.4)
-        eps = 0.5
-        expect = (2.0 * math.pi * eps) ** -1 * math.exp(-0.25 / (2.0 * eps))
-        got = eval_functional_many(OffsetLocalTime(eps, u), zero_path(d=2))[0]
-        assert got == pytest.approx(expect, rel=1e-12)
-
     def test_batch_matches_single(self):
         grid = TimeGrid(64)
         paths = [one_path(BrownianMotion(2), grid, s) for s in range(5)]
@@ -124,8 +115,7 @@ class TestClosedFormValues:
     def test_everything_non_negative(self):
         grid = TimeGrid(64)
         p = one_path(BrownianMotion(1), grid, 17)
-        for spec in (LocalTime(0.1), EndpointKernel(0.1),
-                     OffsetLocalTime(0.1, (0.5,)), SelfIntersection(0.1, (0.5,))):
+        for spec in (LocalTime(0.1), EndpointKernel(0.1), SelfIntersection(0.1, (0.5,))):
             assert eval_functional_many(spec, p)[0] >= 0.0
 
 

@@ -19,7 +19,6 @@ from wcl.chaos import chaos_terms_many
 from wcl.functionals import (
     EndpointKernel,
     LocalTime,
-    OffsetLocalTime,
     SelfIntersection,
     eval_family_many,
     eval_functional_many,
@@ -208,8 +207,9 @@ def test_chaos_row_does_not_depend_on_the_rest_of_the_grid(d, n_paths, eps_grid,
 
 def test_other_families_stack_single_eps_calls():
     values = brownian(1, 16, 3, 4)
-    for family in (EndpointKernel, lambda eps: OffsetLocalTime(eps, (0.2,)),
-                   lambda eps: SelfIntersection(eps, (eps,))):
-        got = eval_family_many(family, EPS_GRID, values)
-        want = np.stack([eval_functional_many(family(eps), values) for eps in EPS_GRID])
-        assert np.array_equal(got, want)
+    got = eval_family_many(EndpointKernel, EPS_GRID, values)
+    want = np.stack([eval_functional_many(EndpointKernel(eps), values) for eps in EPS_GRID])
+    assert np.array_equal(got, want)
+    # a family whose members differ in more than eps is refused
+    with pytest.raises(ValueError, match="differ in eps only"):
+        eval_family_many(lambda eps: SelfIntersection(eps, (eps,)), EPS_GRID, values)

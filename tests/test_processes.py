@@ -49,7 +49,7 @@ class TestTimeGrid:
 class TestSampling:
     def test_paths_start_at_zero(self):
         grid = TimeGrid(64)
-        for model in (BrownianMotion(2), Integrator(IntegratorOperator.identity(64)),
+        for model in (BrownianMotion(2), Integrator(IntegratorOperator(np.eye(64))),
                       DegenerateLine()):
             values, _ = sample_values(model, grid, 1, n_paths=3)
             assert np.all(values[:, 0, :] == 0.0)
@@ -86,7 +86,7 @@ class TestSampling:
 
     def test_identity_integrator_matches_bm_law(self):
         grid = TimeGrid(16)
-        model = Integrator(IntegratorOperator.identity(16))
+        model = Integrator(IntegratorOperator(np.eye(16)))
         values, _ = sample_values(model, grid, 11, n_paths=40000)
         assert np.var(values[:, -1, 0]) == pytest.approx(1.0, rel=0.03)
 
@@ -99,9 +99,26 @@ class TestSampling:
         expect = np.einsum("pij,ik->pkj", dw, op.node_image_matrix())
         np.testing.assert_allclose(values, expect, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_integrator_batch_error_is_bounded(self, d):
+        # an integrator path's bits depend on its batch (dgemm rounds a row
+        # by the row count); the gap to the path alone stays at rounding
+        # level.  On OpenBLAS's SkylakeX core path 0 differed at 9 of these
+        # 9 sizes (d = 1) and 6 (d = 2), by at most 1.3e-15 of its largest
+        # value; on Haswell and Sandybridge at none
+        n = 256
+        rng = np.random.default_rng(5)
+        model = Integrator(IntegratorOperator(np.eye(n) + 0.3 * rng.standard_normal((n, n))
+                                              / math.sqrt(n)), d)
+        grid = TimeGrid(n)
+        alone = sample_values(model, grid, 0)[0][0]
+        for n_paths in (2, 3, 7, 8, 9, 16, 64, 247, 1003):
+            path = sample_values(model, grid, 0, n_paths)[0][0]
+            assert np.max(np.abs(path - alone)) <= 1e-14 * np.max(np.abs(alone)), n_paths
+
     def test_integrator_grid_mismatch(self):
         with pytest.raises(ValueError):
-            sample_values(Integrator(IntegratorOperator.identity(8)), TimeGrid(16), 0)
+            sample_values(Integrator(IntegratorOperator(np.eye(8))), TimeGrid(16), 0)
 
     def test_degenerate_line_is_linear(self):
         grid = TimeGrid(10)
@@ -255,7 +272,7 @@ class TestCovariance:
         assert covariance(DegenerateLine(), 0.5, 1.0)[0, 0] == 0.5
 
     def test_identity_integrator_matches_bm(self):
-        model = Integrator(IntegratorOperator.identity(8))
+        model = Integrator(IntegratorOperator(np.eye(8)))
         for s, t in ((0.25, 0.5), (0.5, 0.5), (0.125, 1.0)):
             assert covariance(model, s, t)[0, 0] == pytest.approx(min(s, t), rel=1e-14)
 
@@ -274,7 +291,7 @@ class TestCovariance:
 
 class TestOperator:
     def test_identity_bounds(self):
-        m, big = operator_bounds(IntegratorOperator.identity(8))
+        m, big = operator_bounds(IntegratorOperator(np.eye(8)))
         assert m == pytest.approx(1.0)
         assert big == pytest.approx(1.0)
 
@@ -334,7 +351,7 @@ class TestOperator:
             IntegratorOperator(np.ones((2, 3)))
 
     def test_sigma_interval_identity(self):
-        op = IntegratorOperator.identity(8)
+        op = IntegratorOperator(np.eye(8))
         assert sigma_interval(op, 0.25, 0.75) == pytest.approx(math.sqrt(0.5), rel=1e-14)
         assert sigma_interval(op, 0.5, 0.5) == 0.0
         with pytest.raises(ValueError):
@@ -355,7 +372,7 @@ class TestOperator:
 
 class TestIntegratorInequality:
     def test_identity_exact(self):
-        op = IntegratorOperator.identity(8)
+        op = IntegratorOperator(np.eye(8))
         partition = [0.0, 0.25, 0.5, 1.0]
         coeffs = [1.0, -2.0, 0.5]
         lhs, rhs = integrator_inequality(op, partition, coeffs)
@@ -364,7 +381,7 @@ class TestIntegratorInequality:
         assert rhs == pytest.approx(expect, rel=1e-12)
 
     def test_zero_coefficients(self):
-        op = IntegratorOperator.identity(4)
+        op = IntegratorOperator(np.eye(4))
         lhs, rhs = integrator_inequality(op, [0.0, 0.5, 1.0], [0.0, 0.0])
         assert lhs == 0.0 and rhs == 0.0
 
@@ -391,7 +408,7 @@ class TestIntegratorInequality:
         assert lhs / rhs >= 1.0 - 1e-8
 
     def test_bad_partition_rejected(self):
-        op = IntegratorOperator.identity(4)
+        op = IntegratorOperator(np.eye(4))
         with pytest.raises(ValueError):
             integrator_inequality(op, [0.0, 0.5, 0.5, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
@@ -427,7 +444,7 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             BrownianMotion(0)
         with pytest.raises(ValueError):
-            Integrator(IntegratorOperator.identity(4), 0)
+            Integrator(IntegratorOperator(np.eye(4)), 0)
         with pytest.raises(ValueError):
             SmoothStationary(0.0)
 

@@ -20,9 +20,7 @@ from wcl import chaos, experiments, fac, processes
 from wcl.experiments import DRIVERS, ExperimentConfig
 from wcl.functionals import (
     LocalTime,
-    OffsetLocalTime,
     eval_family_many,
-    eval_functional_many,
     indicator_local_time_many,
     interval_weights,
     local_time_field,
@@ -87,8 +85,6 @@ def kl_weights(n_steps):
 NODE_SUMS_CALLERS = {
     "local_time": (1, lambda v: eval_family_many(LocalTime, EPS_GRID, v).T),
     "band": (1, lambda v: indicator_local_time_many(v, 0.2, 0.1)),
-    "offset": (2, lambda v: eval_family_many(lambda e: OffsetLocalTime(e, (0.4, 0.3)),
-                                             EPS_GRID, v).T),
     "field": (1, lambda v: local_time_field(v, 0.1, [-0.2, 0.0, 0.3])),
     "kl_projections": (2, lambda v: fac._kl_squares(v, kl_weights(v.shape[1] - 1)).T),
 }
@@ -351,7 +347,7 @@ class TestNoChunkTemporaries:
         _, peak = self.peak(run)
         assert peak <= 2 * MB
 
-    @pytest.mark.parametrize("name", ["local_time", "band", "upcrossings", "offset", "field",
+    @pytest.mark.parametrize("name", ["local_time", "band", "upcrossings", "field",
                                       "kl_projections"])
     def test_functional_peaks(self, chunk, name):
         # the chunk's values array is 32.8 MB; a whole padded copy of it, as
@@ -360,7 +356,6 @@ class TestNoChunkTemporaries:
         fn = {"local_time": lambda: eval_family_many(LocalTime, [1, 0.1, 0.01], chunk),
               "band": lambda: indicator_local_time_many(chunk, 0.0, 0.01),
               "upcrossings": lambda: upcrossing_count_many(chunk, 0.0),
-              "offset": lambda: eval_functional_many(OffsetLocalTime(0.1, (0.4,)), chunk),
               "field": lambda: local_time_field(chunk, 0.1, [-0.2, 0.0, 0.3]),
               "kl_projections": lambda: fac._kl_squares(chunk, basis)}[name]
         _, peak = self.peak(fn)
