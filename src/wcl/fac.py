@@ -37,6 +37,7 @@ import csv
 import hashlib
 import json
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -62,6 +63,7 @@ MAX_POLY_POINTS = 8
 # block key -> {spec key -> Phi_eps row}, least recently used first
 _PHI_MEMO: OrderedDict = OrderedDict()
 _PHI_MEMO_PATHS = 8 * MC_CHUNK
+_PHI_LOCK = threading.Lock()  # the engine's chunks run on several threads
 
 
 @dataclass(frozen=True)
@@ -189,11 +191,12 @@ def _touch(block) -> dict:
     """The memo's rows of ``block``, marked most recently used; evicts the
     least recently used blocks while they hold more than _PHI_MEMO_PATHS
     paths."""
-    rows = _PHI_MEMO.setdefault(block, {})
-    _PHI_MEMO.move_to_end(block)
-    while sum(shape[0] for shape, _, _ in _PHI_MEMO) > _PHI_MEMO_PATHS:
-        _PHI_MEMO.popitem(last=False)
-    return rows
+    with _PHI_LOCK:
+        rows = _PHI_MEMO.setdefault(block, {})
+        _PHI_MEMO.move_to_end(block)
+        while sum(shape[0] for shape, _, _ in _PHI_MEMO) > _PHI_MEMO_PATHS:
+            _PHI_MEMO.popitem(last=False)
+        return rows
 
 
 def _weighted_moments(model: ProcessModel, family, eps_grid, mc: MCConfig,

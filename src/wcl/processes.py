@@ -29,11 +29,15 @@ samples its replica chunks through it, and each chunk streams through
 the statistic block by block, never as a whole array of paths.  The
 blocks are those of ``functionals.lag_blocks`` too, so a pair kernel
 called on an engine block runs on the same block it would cut itself.
+Chunks run at the same time, one per CPU, and merge in replica order;
+``mc_moments`` says what that asks of a statistic.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +45,8 @@ import numpy as np
 _MIN_SINGULAR_VALUE = 1e-10
 # paths per replica chunk of every Monte Carlo estimate (see mc_moments)
 MC_CHUNK = 1000
-# the engine keeps one (k,) sums array per chunk: 9 MB at k = 104 (fac's study)
+# the engine keeps one (k,) sums array per chunk, 9 MB at k = 104 (fac's
+# study), and the (k, k) co-moments of about 2 x CPUs chunks not yet merged
 MAX_SAMPLES = 10**7
 # Rows times columns per row block of every blocked kernel: sampling, the
 # O(n) path functionals and the pair kernels.  A block temporary then
@@ -282,9 +287,11 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
     """Monte Carlo means of k per-path statistics and their covariance.
 
     Replica chunk r holds the paths r * MC_CHUNK onwards, at most
-    ``MC_CHUNK`` of them, drawn once from ``replica_seed(seed, r)``;
-    chunks run, and are reduced, one after another.  A chunk streams
-    through ``fn`` in the row blocks of ``sample_blocks``: ``fn(values)``
+    ``MC_CHUNK`` of them, drawn once from ``replica_seed(seed, r)``.
+    Chunks run at the same time, one per CPU, and about 2 x CPUs of them
+    are held until they are reduced, in replica order (``_in_order``), so
+    ``fn`` must not touch shared mutable state.  A chunk streams through
+    ``fn`` in the row blocks of ``sample_blocks``: ``fn(values)``
     maps a block (paths, n_steps + 1, d) to a (k, paths) array, or
     (paths,) for k = 1, whose columns fill the chunk's C-ordered table,
     so no chunk-sized array of paths is made and no sum depends on the
@@ -305,8 +312,8 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
-    def run(r, nb):
-        table = None
+    def run(r):
+        nb, table = min(MC_CHUNK, n_samples - r * MC_CHUNK), None
         for rows, values in sample_blocks(model, grid, replica_seed(seed, r), nb):
             x = np.atleast_2d(np.asarray(fn(values), dtype=float))
             if x.ndim != 2 or x.shape[1] != len(values):
@@ -318,8 +325,58 @@ def mc_moments(model: ProcessModel, grid: TimeGrid, seed, n_samples: int, fn):
             table[:, rows] = x
         return _chunk_moments(table)
 
-    return _merge_chunks(run(r, min(MC_CHUNK, n_samples - lo))
-                         for r, lo in enumerate(range(0, n_samples, MC_CHUNK)))
+    return _merge_chunks(_in_order(run, -(-n_samples // MC_CHUNK)))
+
+
+def _in_order(job, n_jobs):
+    """job(0), ..., job(n_jobs - 1), yielded in order.  The caller and
+    min(n_jobs, CPUs) - 1 helper threads start the next job while fewer
+    than 2 x workers are started and not yielded.  An error stops new jobs
+    and is raised here, in job order, once the helpers have joined."""
+    # the CPUs this process may run on; macOS and Windows have no affinity call
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(n_jobs, cpus or 1)
+    cond, done = threading.Condition(), {}
+    taken = merged = 0
+
+    def work(stop):  # runs jobs until stop() holds, waiting while none may start
+        nonlocal taken
+        while True:
+            with cond:
+                while not stop() and (taken == n_jobs or taken - merged >= 2 * workers):
+                    cond.wait()
+                if stop():
+                    return
+                r, taken = taken, taken + 1
+            try:
+                result = job(r)
+            except BaseException as exc:  # the caller raises it
+                result = exc
+            with cond:
+                done[r] = result
+                taken = n_jobs if isinstance(result, BaseException) else taken
+                cond.notify_all()
+
+    helpers = [threading.Thread(target=work, args=(lambda: taken == n_jobs,))
+               for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        while merged < n_jobs:
+            work(lambda: merged in done)
+            with cond:
+                result = done.pop(merged)
+                merged += 1
+                cond.notify_all()
+            if isinstance(result, BaseException):
+                raise result
+            yield result
+    finally:
+        with cond:
+            taken = n_jobs
+            cond.notify_all()
+        for thread in helpers:
+            thread.join()
 
 
 def _chunk_moments(x):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -463,6 +465,32 @@ class TestPhiMemo:
         assert seen == []
         fac._phi_rows(self.family, [1.0], blocks[1])
         assert seen == [[1.0]]
+
+    def test_threads_share_the_memo_safely(self):
+        # the engine's helper threads share the memo: a thread walking it
+        # while another evicts or inserts would raise RuntimeError
+        errors = []
+
+        def touch(t):
+            try:
+                for i in range(300):
+                    fac._touch(((40, 33, 2), "<f8", bytes([t]) + i.to_bytes(2, "big")))
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=touch, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sum(shape[0] for shape, _, _ in fac._PHI_MEMO) == fac._PHI_MEMO_PATHS
 
     @settings(max_examples=25, deadline=None)
     @given(calls=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1),

@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -214,6 +218,139 @@ class TestMonteCarloEngine:
             mc_moments(DegenerateLine(), self.grid, 5, 300, lambda v: v[:5, -1, 0])
         with pytest.raises(ValueError):
             mc_moments(DegenerateLine(), self.grid, 5, 0, lambda v: v[:, -1, 0])
+
+
+class TestWorkers:
+    """The engine's chunks run on the caller and one helper thread per
+    further CPU; ``os.sched_getaffinity`` is patched, so every case runs
+    on a 1-CPU host too."""
+
+    grid = TimeGrid(64)
+    dense = np.eye(64) + 0.3 * np.random.default_rng(5).standard_normal((64, 64)) / 8.0
+    models = {"bm1": BrownianMotion(1), "bm2": BrownianMotion(2),
+              "smooth": SmoothStationary(7.0),
+              "integrator": Integrator(IntegratorOperator(dense))}
+
+    @staticmethod
+    def stat(v):
+        return np.stack([v[:, -1].sum(axis=1), (v**2).sum(axis=(1, 2)), np.abs(v).max(axis=(1, 2))])
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Every thread started while the test runs."""
+        threads = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            threads.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        return threads
+
+    @pytest.mark.parametrize("n_samples", [1, 999, 1000, 1001, 2500, 4000])
+    @pytest.mark.parametrize("name", sorted(models))
+    def test_two_workers_give_the_bits_of_one(self, monkeypatch, started, name, n_samples):
+        got = []
+        for n_cpus in (1, 2):
+            self.cpus(monkeypatch, n_cpus)
+            got.append(mc_moments(self.models[name], self.grid, 7, n_samples, self.stat))
+            # one helper for a second CPU and a second chunk, none otherwise
+            assert len(started) == (n_samples > 1000 and n_cpus == 2)
+        (mean1, cov1), (mean2, cov2) = got
+        assert np.array_equal(mean1, mean2) and np.array_equal(cov1, cov2)
+
+    def test_chunks_done_out_of_order_merge_in_replica_order(self, monkeypatch, started):
+        # the caller sleeps in each block, so the helper runs most chunks
+        # and finishes some before chunks the caller holds
+        ran = set()
+
+        def slow(v):
+            ran.add(threading.get_ident())
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.02)
+            return self.stat(v)
+
+        self.cpus(monkeypatch, 1)
+        mean1, cov1 = mc_moments(BrownianMotion(2), self.grid, 3, 6500, self.stat)
+        self.cpus(monkeypatch, 2)
+        mean2, cov2 = mc_moments(BrownianMotion(2), self.grid, 3, 6500, slow)
+        assert len(ran) == 2 and len(started) == 1
+        assert np.array_equal(mean1, mean2) and np.array_equal(cov1, cov2)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_error_in_a_chunk_is_raised_and_no_thread_is_left(self, monkeypatch, n_cpus):
+        # chunk 2's first path of the line t * xi ends at its first normal;
+        # a chunk of the line at 64 steps is one block, so one call of fn
+        xi = np.random.default_rng(replica_seed(5, 2)).standard_normal()
+        calls = []
+
+        def fn(v):
+            calls.append(None)
+            if v[0, -1, 0] == xi:
+                raise ValueError("chunk 2")
+            return v[:, -1, 0]
+
+        self.cpus(monkeypatch, n_cpus)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="chunk 2"):
+            mc_moments(DegenerateLine(), self.grid, 5, 20000, fn)
+        assert threading.active_count() == before
+        # of 20 chunks, none starts once chunk 2 has failed: at most the
+        # 2 x 2 taken while chunks 0 and 1 were not yet merged
+        assert len(calls) <= 6
+
+    def test_at_most_two_results_per_worker_wait(self, monkeypatch):
+        # the consumer is slow, so the helper runs ahead until it is held
+        self.cpus(monkeypatch, 2)
+        yielded, ahead = [0], []
+
+        def job(r):
+            ahead.append(r - yielded[0])
+            return r
+
+        for r in processes._in_order(job, 40):
+            assert r == yielded[0]
+            yielded[0] += 1
+            time.sleep(0.005)
+        # a job starts while fewer than 2 x 2 jobs are taken and not
+        # yielded, so at most 3 ahead of those yielded, and the helper
+        # reaches that bound while the consumer sleeps
+        assert max(ahead) == 3
+
+    def test_cpu_count_where_there_is_no_affinity_call(self, monkeypatch, started):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for n_cpus, helpers in ((None, 0), (1, 0), (2, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: n_cpus)
+            assert list(processes._in_order(lambda r: r, 3)) == [0, 1, 2]
+            assert len(started) == helpers
+            started.clear()
+
+    def test_each_job_runs_once_under_stress(self, monkeypatch):
+        # eight workers on this host's CPUs, switching threads every
+        # microsecond: a lost update of the shared job counter would run a
+        # job twice or skip one
+        self.cpus(monkeypatch, 8)
+        runs, out = [], []
+
+        def consume():
+            out.extend(processes._in_order(lambda r: runs.append(r) or r, 2000))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=consume)
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert out == list(range(2000)) and sorted(runs) == out
 
 
 class TestDeltaMethod:

@@ -1,8 +1,9 @@
 """Which code the seven CLI drivers reach.
 
-Every driver runs through ``cli.main`` under ``sys.setprofile``, and every
-top-level function and method of ``src/wcl`` must be entered by some
-driver, or be named in ``UNREACHED`` with the reason it stays.  A closure
+Every driver runs through ``cli.main`` under ``sys.setprofile`` and
+``threading.setprofile``, and every top-level function and method of
+``src/wcl`` must be entered by some driver, on any thread, or be named
+in ``UNREACHED`` with the reason it stays.  A closure
 or lambda counts with the function that holds it.  A body that no driver
 enters and no allowlist entry explains is API that no workload, gate or
 benchmark exercises: it gets a driver row or goes.  An allowlisted body
@@ -12,6 +13,7 @@ that a driver comes to reach leaves the list.
 import ast
 import os
 import sys
+import threading
 
 import pytest
 
@@ -82,12 +84,16 @@ def run_drivers(tmp_path, monkeypatch):
         out = str(tmp_path / name)
         quiet = ["--quiet"] if i else []  # the first prints its rows
         monkeypatch.setattr(sys, "argv", ["wcl", name, *BUDGET, "--out", out, *quiet])
+        # threading.setprofile: a body entered only on an engine helper
+        # thread counts too
         sys.setprofile(profile)
+        threading.setprofile(profile)
         try:
             with pytest.raises(SystemExit) as exc:
                 cli.main()
         finally:
             sys.setprofile(None)
+            threading.setprofile(None)
         assert exc.value.code == 0, name
     return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
 
