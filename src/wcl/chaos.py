@@ -14,15 +14,18 @@ only the weighted lag sums of the monomials dv^beta of the increments,
 each from its parent with one multiply into a reused block buffer.  The
 Hermite-to-monomial change of basis, an exact integer matrix, is folded
 into the per-lag, per-eps coefficients, which contract the lag sums into
-the terms.  Each path's terms are bit for bit the same whatever batch,
-caller split or block computes them.  The price is cancellation among
-the monomials: against a long-double pair sum the error is below 2e-14
-of the largest term of each order at k_max = 6, and it grows with the
-order, so orders stop at MAX_TERM_ORDER.
+the terms a group of lags at a time, so a block holds a fixed number of
+block buffers at any n_steps.  Each path's terms are bit for bit the
+same whatever batch, caller split or block computes them.  Against a
+long-double pair sum the error is below 2e-14 of the largest term of
+each order at k_max = 6 (measured at most 1.2e-15 at n_steps = 256 and
+512).  The monomials of an order cancel in the change of basis, more at
+higher orders, so orders stop at MAX_TERM_ORDER.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,9 +38,10 @@ from .processes import ProcessModel, TimeGrid, delta_se, mc_moments
 from .processes import sample_values  # noqa: F401  (perfbench wraps each binding)
 
 # Past order 15 the change of basis cancels too much: against a
-# long-double pair sum at n_steps = 33 (d = 1, 2; 190 batches of 8 paths)
-# orders up to 15 kept within 6.3e-13 of the largest term of their order,
-# order 16 reached 9.5e-13 and order 17 1.9e-12.
+# long-double pair sum at n_steps = 33 (d = 1, 2; eps = 0.01, 0.1, 1;
+# seeds 1000 to 1189, 8 paths each) orders up to 14 kept within 7.3e-13 of
+# the largest term of their order, order 15 reached 2.5e-12, order 16
+# 9.4e-13 and order 17 3.3e-12.
 MAX_TERM_ORDER = 15
 MAX_BRIDGE_ORDER = 40
 
@@ -65,13 +69,23 @@ def chaos_terms_many(values: np.ndarray, k_max: int, eps_grid, u) -> np.ndarray:
     them with the lag sums; a row depends on its own eps only, never on
     the rest of the grid.
 
+    The lag sums of (n+1) // n_beta lags at a time fill one group buffer,
+    about one (n+1) * P block buffer; each full group is contracted with
+    its lags' scalars, made for the group, by one matrix product per eps
+    into that eps's (k_max, P) terms.  The path-free beta = 0 part is
+    added at the end.  A block then holds the time-major copy of its
+    paths and their increments (d block buffers each), one buffer per
+    product depth and the group: at 2^13 steps (d = 3, k_max = 6, three
+    eps, 8 paths) the call peaked at 7.8 MB, where a table of every lag's
+    sums would be 43.5 MB.  The group size depends on n and the monomial
+    count only, never on P, so a path's bits do not depend on its batch.
+
     Against a long-double sum over node pairs of the Hermite factors, the
     error is below 2e-14 of the largest term of each order for d = 1, 2,
-    k_max = 6 and eps = 0.01, 0.1, 1 (measured at most 9.1e-15 at
-    n_steps = 256 and 1.2e-14 at 512, 96 paths each), 2.6 to 3.7 times the
-    error of summing Hermite values per lag: the monomials of an order
-    cancel in the change of basis.  Higher orders cancel more; up to
-    MAX_TERM_ORDER each order keeps within 1e-12 of its largest term.
+    k_max = 6 and eps = 0.01, 0.1, 1: measured at most 1.17e-15 at
+    n_steps = 256 and 1.24e-15 at 512 (96 paths each), 0.26 to 0.96 times
+    the error of summing Hermite values per lag in float64.  Higher orders
+    cancel more in the change of basis (see MAX_TERM_ORDER).
     """
     if k_max < 0 or k_max > MAX_TERM_ORDER:
         raise ValueError(f"order must be in [0, {MAX_TERM_ORDER}]")
@@ -82,52 +96,71 @@ def chaos_terms_many(values: np.ndarray, k_max: int, eps_grid, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if len(u) != d:
         raise ValueError("offset dimension must match the path dimension")
-    tau, weights = triangle_rule(n_nodes - 1)
+    tau = np.arange(n_nodes) / (n_nodes - 1)  # the time gap of each lag
     # the multi-indices alpha and the monomials beta are the same set
     walk, alphas = _monomial_walk(k_max, d)
     order = alphas.sum(axis=1)
     betas = np.vstack([np.zeros((1, d), dtype=int), alphas])  # row 0 is beta = 0
-    # change of basis T[alpha, beta], (n_alpha, 1 + n_alpha)
+    # change of basis T[alpha, beta], (n_alpha, 1 + n_alpha), and its rows
+    # of each order k
     basis = hermite_coefficients(k_max)
     change = np.ones((len(alphas), len(betas)))
     for j in range(d):
         change *= basis[alphas[:, j][:, None], betas[:, j][None, :]]
-    # tau^(-|beta|/2) at the lags L >= 1, (n, 1 + n_alpha)
-    tau_pow = tau[1:, None] ** (-0.5 * betas.sum(axis=1))
+    by_order = [(order == k, change[order == k]) for k in range(1, k_max + 1)]
     n_slots = max((slot + 1 for _, _, slot in walk), default=0)
-    weight_sums = np.array([math.fsum(w) for w in weights])
+    weight_sums = _lag_weight_sums(n_nodes - 1)
+    sq_u = float(np.dot(u, u))
+
+    def heat(s):  # the kernel p^d_s(u)
+        return (2.0 * math.pi * s) ** (-0.5 * d) * np.exp(-sq_u / (2.0 * s))
+
     out = np.empty((len(eps_grid), k_max + 1, n_paths))
-    scalars = []
     for e, eps in enumerate(eps_grid):
-        s = tau + eps
-        kernel = (2.0 * math.pi * s) ** (-0.5 * d) * np.exp(-float(np.dot(u, u)) / (2.0 * s))
         # order 0 is H_0 = 1 on every path, and the only order the diagonal
         # tau = 0 feeds: one value for all paths
-        out[e, 0] = math.fsum(kernel * weight_sums)
-        if not k_max:
-            continue
-        # per-lag scalars of each multi-index, (n, n_alpha)
-        level = hermite_sequence(k_max, u[None, :] / np.sqrt(s[1:])[:, None])
-        level /= _FACTORIALS[: k_max + 1, None, None]
-        coef = kernel[1:, None] * (tau[1:] / s[1:])[:, None] ** (0.5 * order)
-        for j in range(d):
-            coef *= level[alphas[:, j], :, j].T
-        # per order k, lag and monomial: (k_max, n, 1 + n_beta)
-        c = np.stack([coef[:, order == k] @ change[order == k] for k in range(1, k_max + 1)])
-        c *= tau_pow
-        # beta = 0 is the same for every path
-        scalars.append((c[:, :, 1:], c[:, :, 0] @ weight_sums[1:]))
+        out[e, 0] = math.fsum(heat(tau + eps) * weight_sums)
     if not k_max:
         return out
+
+    def coefficients(eps, lags):
+        """Per order k, lag of ``lags`` and monomial beta >= 1 the scalars
+        that contract the lag sums, (k_max, n_lags, n_beta), and per order
+        the sum over the lags of beta = 0, which is the same for every
+        path."""
+        t = tau[lags]
+        s = t + eps
+        # per-lag scalars of each multi-index, (n_lags, n_alpha)
+        level = hermite_sequence(k_max, u / np.sqrt(s)[:, None])
+        level /= _FACTORIALS[: k_max + 1, None, None]
+        coef = heat(s)[:, None] * (t / s)[:, None] ** (0.5 * order)
+        for j in range(d):
+            coef *= level[alphas[:, j], :, j].T
+        c = np.empty((k_max, len(t), len(alphas)))
+        c0 = np.empty(k_max)
+        for k, (of_order, change_k) in enumerate(by_order):
+            ck = coef[:, of_order] @ change_k
+            c[k] = ck[:, 1:]
+            c0[k] = ck[:, 0] @ weight_sums[lags]
+        c *= t[:, None] ** (-0.5 * order)  # tau^(-|beta|/2)
+        return c, c0
+
+    group_lags = max(1, n_nodes // len(walk))
     for rows, v in lag_blocks(values):
         n_cols = v.shape[2]
-        sums = np.empty((n_nodes - 1, len(walk), n_cols))  # eps-free lag sums
+        # eps-free lag sums of one group of lags, and the terms they add to
+        group = np.empty((group_lags, len(walk), n_cols))
+        acc = np.zeros((len(eps_grid), k_max, n_cols))
+        const = np.zeros((len(eps_grid), k_max))
         # per-lag buffers, reused: the increments and one product per depth
         dv_buf = np.empty(d * n_nodes * n_cols)
         prod_bufs = np.empty((n_slots, n_nodes * n_cols))
         prods = [None] * (k_max + 1)
-        for lag in range(1, n_nodes):
+        lag_weights = triangle_rule(n_nodes - 1)
+        next(lag_weights)  # the diagonal feeds order 0 only
+        for lag, w in enumerate(lag_weights, start=1):
             m = n_nodes - lag
+            g = (lag - 1) % group_lags
             dv = np.subtract(v[:, lag:], v[:, :m], out=leading_view(dv_buf, d, m, n_cols))
             for b, (depth, j, slot) in enumerate(walk):
                 if depth == 1:
@@ -135,12 +168,28 @@ def chaos_terms_many(values: np.ndarray, k_max: int, eps_grid, u) -> np.ndarray:
                 else:
                     prods[depth] = np.multiply(prods[depth - 1], dv[j],
                                                out=leading_view(prod_bufs[slot], m, n_cols))
-                np.matmul(weights[lag], prods[depth], out=sums[lag - 1, b])
+                np.matmul(w, prods[depth], out=group[g, b])
+            if g + 1 == group_lags or lag + 1 == n_nodes:
+                # contract the group's lags: one matrix product per eps
+                sums = group[: g + 1].reshape(-1, n_cols)
+                for e, eps in enumerate(eps_grid):
+                    c, c0 = coefficients(eps, slice(lag - g, lag + 1))
+                    acc[e] += c.reshape(k_max, -1) @ sums
+                    const[e] += c0
         nb = rows.stop - rows.start
-        for e, (c, c0) in enumerate(scalars):
-            terms = np.einsum("klb,lbp->kp", c, sums)
-            out[e, 1:, rows] = terms[:, :nb] + c0[:, None]
+        out[:, 1:, rows] = acc[:, :, :nb] + const[:, :, None]
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _lag_weight_sums(n_steps: int) -> np.ndarray:
+    """The exactly rounded sum of each lag's weights of ``triangle_rule``,
+    read-only since the cache shares it.  Summed on every call, the fsum
+    over all (n+1)(n+2)/2 weights took 2 ms of a 35 ms chaos block at 256
+    steps on a 2-CPU Xeon."""
+    sums = np.array([math.fsum(w) for w in triangle_rule(n_steps)])
+    sums.flags.writeable = False
+    return sums
 
 
 def _monomial_walk(k_max: int, d: int):

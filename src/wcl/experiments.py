@@ -58,10 +58,12 @@ MODEL_FIELDS = ("eps_grid", "omega", "dimension", "u")
 # so one block holds 8 * (n_steps + 1) values per dimension: 64 MB at 2^20
 # steps, 128 times the 512 kB a block is sized for.  More is refused.
 MAX_STEPS = 1 << 20
-# The pair-kernel drivers stop sooner.  A chaos block holds a lag-sum table
-# of n * n_walk * P * 8 B, n_walk = 83 at d = 3 and k_max = 6: 40 MB at
-# 256 steps and 41.5 MB at 2^13, where a block is down to P = 8 paths.
-# Past that P stays at 8 and the table grows with n (5.3 GB at 2^20).
+# The pair-kernel drivers stop sooner, for run time: they work through
+# (n+1)(n+2)/2 node pairs per path.  A chaos block holds a fixed number of
+# (n+1) * P buffers, P paths wide, and P is down to 8 at 2^13 steps.  One
+# such block (k_max = 6, three eps) took 18-27 s at d = 1 and 58-84 s at
+# d = 3 on a 2-CPU Xeon, with a 3.6 and 7.8 MB tracemalloc peak, so the
+# driver's 4000 default samples (500 blocks) take 2.5 to 12 CPU hours there.
 PAIR_MAX_STEPS = 1 << 13
 
 

@@ -95,23 +95,19 @@ def interval_weights(n_steps: int) -> np.ndarray:
     return w
 
 
-@functools.lru_cache(maxsize=8)
 def triangle_rule(n_steps: int):
     """Per-lag rule for the triangle {0 <= s <= t <= 1}.
 
-    Returns (tau, weights).  weights[L] holds the weights of the node
-    pairs (i, i + L), i = 0..n_steps - L, whose time gap is
-    tau[L] = L / n_steps: products of trapezoid weights, halved on the
-    diagonal L = 0, summing to exactly 1/2 over all lags.  Read-only,
-    since the cache shares them.
+    Yields, for L = 0..n_steps, the weights of the node pairs (i, i + L),
+    i = 0..n_steps - L, whose time gap is L / n_steps: products of
+    trapezoid weights, halved on the diagonal L = 0, summing to exactly
+    1/2 over all lags.  Each lag's weights are made when it is reached;
+    the whole rule would be (n+1)(n+2)/2 floats, 268 MB at 2^13 steps.
     """
     w1 = interval_weights(n_steps)
-    weights = [w1[: n_steps + 1 - lag] * w1[lag:] for lag in range(n_steps + 1)]
-    weights[0] = 0.5 * weights[0]
-    tau = np.arange(n_steps + 1) / n_steps
-    for a in (tau, *weights):
-        a.flags.writeable = False
-    return tau, tuple(weights)
+    yield 0.5 * (w1 * w1)
+    for lag in range(1, n_steps + 1):
+        yield w1[: n_steps + 1 - lag] * w1[lag:]
 
 
 def lag_blocks(values: np.ndarray):
@@ -234,21 +230,21 @@ def _self_intersection_many(values, eps_grid, u):
     once per lag; only the scaling, exp and weighted sum run per eps,
     with the same operations as for a single eps, so each row does not
     depend on the other eps of the grid.  The work of a lag goes into
-    three (n+1) * P buffers per ``lag_blocks`` block, allocated once.
+    two (n+1) * P buffers per ``lag_blocks`` block, allocated once: the
+    squared distances, and the differences, then the kernel values.
     Measured against a long-double sum over node pairs, the relative
     error is at most 4.8e-15 for d = 1, 2, n_steps = 256 to 2048 and
     eps = 0.01, 0.1, 1.
     """
     _, n_nodes, d = values.shape
-    _, weights = triangle_rule(n_nodes - 1)
     factors = [-0.5 / eps for eps in eps_grid]
     out = np.empty((len(eps_grid), values.shape[0]))
     for rows, v in lag_blocks(values):
         n_cols = v.shape[2]
         acc = np.zeros((len(eps_grid), n_cols))
-        bufs = np.empty((3, n_nodes * n_cols))  # diff, sq, kern: reused per lag
-        for lag, w in enumerate(weights):
-            diff, sq, kern = (leading_view(b, n_nodes - lag, n_cols) for b in bufs)
+        bufs = np.empty((2, n_nodes * n_cols))  # diff (then kern) and sq, reused per lag
+        for lag, w in enumerate(triangle_rule(n_nodes - 1)):
+            diff, sq = (leading_view(b, n_nodes - lag, n_cols) for b in bufs)
             for j in range(d):
                 dj = diff if j else sq
                 np.subtract(v[j, lag:], v[j, : n_nodes - lag], out=dj)
@@ -256,6 +252,7 @@ def _self_intersection_many(values, eps_grid, u):
                 dj *= dj
                 if j:
                     sq += diff
+            kern = diff  # the differences are spent once sq is formed
             for row, c in zip(acc, factors):
                 np.multiply(sq, c, out=kern)
                 np.exp(kern, out=kern)

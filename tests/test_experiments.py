@@ -342,8 +342,8 @@ class TestCliValidation:
 
     @pytest.mark.parametrize("name", ["fac", "chaos"])
     def test_pair_drivers_refuse_steps_above_their_bound(self, tmp_path, capsys, name):
-        # past 2^13 steps a chaos block's lag-sum table grows with n_steps;
-        # only the config check runs, never a grid of that size
+        # past 2^13 steps the pair kernels' node pairs take hours; only the
+        # config check runs, never a grid of that size
         assert PAIR_MAX_STEPS == 1 << 13
         assert ExperimentConfig(name, n_steps=PAIR_MAX_STEPS).n_steps == PAIR_MAX_STEPS
         err = self.assert_usage_error(

@@ -37,17 +37,18 @@ class TestWeights:
 
     def test_triangle_weights_sum_to_half(self):
         for n in (4, 33, 256):
-            _, weights = triangle_rule(n)
+            weights = list(triangle_rule(n))
             assert math.fsum(np.concatenate(weights)) == pytest.approx(0.5, rel=1e-13)
 
-    def test_triangle_tau_is_time_gap(self):
-        grid = TimeGrid(8)
-        tau, weights = triangle_rule(8)
-        for lag in range(9):
-            # lag L weighs the pairs (i, i + L), whose time gap is L / n
-            assert len(weights[lag]) == 9 - lag
-            assert tau[lag] == lag / 8
-            assert np.allclose(grid.times[lag:] - grid.times[: 9 - lag], tau[lag])
+    def test_triangle_lag_weighs_the_pairs_of_its_time_gap(self):
+        # lag L weighs the pairs (i, i + L), by the product of their
+        # trapezoid weights, halved on the diagonal
+        w1 = interval_weights(8)
+        weights = list(triangle_rule(8))
+        assert len(weights) == 9
+        for lag, w in enumerate(weights):
+            pairs = [w1[i] * w1[i + lag] for i in range(9 - lag)]
+            assert np.array_equal(w, np.multiply(pairs, 0.5 if lag == 0 else 1.0))
 
 
 class TestSpecValidation:

@@ -6,6 +6,7 @@ on the grid."""
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -171,6 +172,34 @@ def test_each_path_has_the_same_bits_in_any_batch(d, n_steps, kind, block_elemen
         assert np.array_equal(terms(values), t_whole)
 
 
+def traced_peak(fn):
+    """tracemalloc peak of fn(), after a first call has filled the caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_steps", [256, 512])
+def test_pair_kernels_hold_block_sized_buffers(n_steps):
+    # 64 paths are one block of P = 64 columns, and each kernel's peak is a
+    # fixed number of (n+1) * P float64 buffers at any n_steps.  A table of
+    # every lag's 83 monomial sums (d = 3, k_max = 6) would be 83 of them
+    d, u, n_paths = 3, OFFSETS[3], 64
+    assert processes.row_blocks(n_paths, n_steps + 1) == [slice(0, n_paths)]
+    values = brownian(d, n_steps, 9, n_paths)
+    buffer = (n_steps + 1) * n_paths * 8
+    # the time-major copy of the paths and the increments (d each), five
+    # products and one group of lag sums: 14.4 and 13.2 buffers measured
+    assert traced_peak(lambda: chaos_terms_many(values, 6, EPS_GRID, u)) <= 16 * buffer
+    # the copy and two lag buffers: d + 2.08 and d + 2.05 measured
+    assert traced_peak(lambda: eval_family_many(
+        lambda eps: SelfIntersection(eps, u), EPS_GRID, values)) <= (d + 2.5) * buffer
+
+
 @settings(max_examples=25, deadline=None)
 @given(d=st.sampled_from([1, 2, 3]), n_paths=st.integers(1, 9),
        cuts=st.lists(st.integers(1, 8), max_size=3),
@@ -203,6 +232,16 @@ def test_chaos_row_does_not_depend_on_the_rest_of_the_grid(d, n_paths, eps_grid,
     assert terms.shape == (len(eps_grid), 5, n_paths)
     for row, eps in zip(terms, eps_grid):
         assert np.array_equal(row, chaos_terms_many(values, 4, [eps], u)[0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_chaos_rows_of_the_whole_pool_are_single_eps_calls(d):
+    # a path-free matrix-vector product taken over the rows of several eps
+    # gives the first four rows other bits than a one-eps call
+    values = brownian(d, 64, 3, 5)
+    terms = chaos_terms_many(values, 4, EPS_POOL, OFFSETS[d])
+    for row, eps in zip(terms, EPS_POOL):
+        assert np.array_equal(row, chaos_terms_many(values, 4, [eps], OFFSETS[d])[0])
 
 
 def test_other_families_stack_single_eps_calls():
