@@ -37,12 +37,12 @@ from .functionals import triangle_rule
 from .processes import ProcessModel, TimeGrid, delta_se, mc_moments
 from .processes import sample_values  # noqa: F401  (perfbench wraps each binding)
 
-# Past order 15 the change of basis cancels too much: against a
+# Past order 14 the change of basis cancels too much: against a
 # long-double pair sum at n_steps = 33 (d = 1, 2; eps = 0.01, 0.1, 1;
 # seeds 1000 to 1189, 8 paths each) orders up to 14 kept within 7.3e-13 of
-# the largest term of their order, order 15 reached 2.5e-12, order 16
-# 9.4e-13 and order 17 3.3e-12.
-MAX_TERM_ORDER = 15
+# the largest term of their order, order 15 reached 2.5e-12 (d = 1, seed
+# 1095), order 16 9.4e-13 and order 17 3.3e-12.
+MAX_TERM_ORDER = 14
 MAX_BRIDGE_ORDER = 40
 
 _FACTORIALS = np.array([math.factorial(n) for n in range(MAX_BRIDGE_ORDER + 1)], dtype=float)

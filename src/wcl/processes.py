@@ -49,8 +49,12 @@ MC_CHUNK = 1000
 # study), and the (k, k) co-moments of about 2 x CPUs chunks not yet merged
 MAX_SAMPLES = 10**7
 # Rows times columns per row block of every blocked kernel: sampling, the
-# O(n) path functionals and the pair kernels.  A block temporary then
-# holds about 512 kB, so it stays in cache while it is worked on.
+# O(n) path functionals and the pair kernels.  ``row_blocks`` rounds the
+# rows down to whole groups of _ROW_GROUP, so a float64 block temporary
+# holds 256 to 512 KiB up to 8192 columns, and stays in cache while it is
+# worked on: 498 KiB at 256 steps (248 rows), 384 KiB at 2048 (24 rows,
+# where 31 would fit) and 256 KiB at 4096 (8 rows, where 15 would fit).
+# Past 8192 columns a block has 8 rows and is larger.
 # Timed on the time-major pair kernels at 2^13 to 2^18 and n_steps = 256
 # and 1024, 2^15 to 2^17 were the fastest.
 _BLOCK_ELEMENTS = 1 << 16
@@ -233,9 +237,18 @@ def sample_blocks(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
         z = block_buffer(blocks, n, model.d)
 
         def fill(z, out):
+            # one 1-D running sum per path and coordinate: numpy holds the
+            # GIL through an accumulate along an axis of a 2-D or 3-D
+            # array, but not through a 1-D one, so engine threads overlap.
+            # The calls cost: a 248-path block at 256 steps and d = 2 (496
+            # calls) takes 3.2-4.4 ms to sample, 1.0-1.5 ms of it this fill
+            # (one cumsum: 0.5 ms); an 8-path block at 4096 steps, d = 1,
+            # takes 0.6-0.7 ms, 0.14 ms of it the fill, as with one cumsum
             z *= root_h
             out[:, 0] = 0.0
-            np.cumsum(z, axis=1, out=out[:, 1:])
+            for z_path, out_path in zip(z, out[:, 1:]):
+                for c in range(model.d):
+                    np.add.accumulate(z_path[:, c], out=out_path[:, c])
     elif isinstance(model, Integrator):
         images = model.operator.node_image_matrix()
         if len(images) != n:

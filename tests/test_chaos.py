@@ -203,8 +203,9 @@ class TestKernelError:
     @pytest.mark.parametrize("d", [1, 2])
     def test_every_order_up_to_the_limit(self, d):
         # the change of basis cancels more at higher orders; up to
-        # MAX_TERM_ORDER every order keeps within 1e-12 of its largest term
-        for seed in (5, 6):
+        # MAX_TERM_ORDER every order keeps within 1e-12 of its largest term.
+        # At seed 1095 (d = 1) order 15 is off by 2.5e-12
+        for seed in (5, 6, 1095):
             values, _ = sample_values(BrownianMotion(d), TimeGrid(33), seed, n_paths=8)
             refs = [long_double_terms(values, MAX_TERM_ORDER, eps, self.OFFSETS[d])
                     for eps in self.EPS]
