@@ -75,7 +75,6 @@ class ExperimentConfig:
     seed: int = 12345
     eps_grid: list = field(default_factory=lambda: [1.0, 0.1, 0.01])
     out_dir: str = "."
-    tolerances: dict = field(default_factory=dict)
     omega: float = 2.0 * math.pi
     dimension: int = 1
     u: list = field(default_factory=lambda: [0.5])
@@ -119,15 +118,6 @@ class ExperimentConfig:
         if (not isinstance(self.u, list) or len(self.u) != self.dimension
                 or not all(_is_real(x) and math.isfinite(x) for x in self.u)):
             raise ValueError(f"u must be a list of {self.dimension} finite numbers")
-        if not isinstance(self.tolerances, dict) or not all(
-                _is_real(v) and 0.0 <= v < math.inf for v in self.tolerances.values()):
-            raise ValueError("tolerances must map check names to finite "
-                             "non-negative numbers")
-        known = driver.tolerances
-        unknown = sorted(str(name) for name in self.tolerances if name not in known)
-        if unknown:
-            raise ValueError(f"unknown tolerance name(s) {', '.join(unknown)} for "
-                             f"{self.experiment}; its names are {', '.join(known) or 'none'}")
 
     @classmethod
     def from_dict(cls, data):
@@ -142,7 +132,9 @@ class ExperimentConfig:
         return cls(**data)
 
     def tolerance(self, name, default):
-        return float(self.tolerances.get(name, default))
+        """default, as a float: every gate is fixed in the driver that owns its
+        row, and only perfbench's fac-g stages still call this."""
+        return float(default)
 
 
 @dataclass
@@ -255,8 +247,7 @@ def rice_experiment(config: ExperimentConfig) -> ExperimentReport:
     rows = []
     quad = rice_quadrature(config.omega, 0.0)
     closed = rice_closed_form(config.omega, 0.0)
-    rows.append(ReportRow("rice_quadrature_vs_closed_c0", quad, 0.0, closed,
-                          config.tolerance("rice_quadrature", 1e-9)))
+    rows.append(ReportRow("rice_quadrature_vs_closed_c0", quad, 0.0, closed, 1e-9))
     levels = (0.0, 1.0, 6.0)
 
     def count(values):
@@ -266,11 +257,9 @@ def rice_experiment(config: ExperimentConfig) -> ExperimentReport:
     se = np.sqrt(np.diag(cov))
     for i, level in enumerate(levels[:2]):
         rows.append(ReportRow(f"upcrossings_mc_c{level:g}", mean[i], se[i],
-                              rice_closed_form(config.omega, level),
-                              config.tolerance("rice_bias", 0.02)))
+                              rice_closed_form(config.omega, level), 0.02))
     # deep tail: no upcrossings of level 6 expected at this sample size
-    rows.append(ReportRow("upcrossings_mc_c6", mean[2], se[2], 0.0,
-                          config.tolerance("rice_tail", 1e-3)))
+    rows.append(ReportRow("upcrossings_mc_c6", mean[2], se[2], 0.0, 1e-3))
     return ExperimentReport(config, rows)
 
 
@@ -300,8 +289,7 @@ def kac_experiment(config: ExperimentConfig) -> ExperimentReport:
              3: kac_moment_quadrature(3, rule_nodes=60)}
     for n, quad in quads.items():  # against E[L^n] of the local time L at 0
         exact = math.factorial(n) * 2.0 ** (-0.5 * n) / math.gamma(0.5 * n + 1.0)
-        rows.append(ReportRow(f"kac_quadrature_n{n}", quad, 0.0, exact,
-                              config.tolerance("kac_quadrature", 1e-3)))
+        rows.append(ReportRow(f"kac_quadrature_n{n}", quad, 0.0, exact, 1e-3))
     # band half-width large enough that the grid resolves the occupation
     # time (h << eps) but small enough that level smoothing stays under
     # the 4*SE gate
@@ -314,8 +302,7 @@ def kac_experiment(config: ExperimentConfig) -> ExperimentReport:
     mean, cov = mc_moments(model, grid, config.seed, config.n_samples, moments)
     se = np.sqrt(np.diag(cov))
     for i, n in enumerate(quads):
-        rows.append(ReportRow(f"kac_mc_moment_n{n}", mean[i], se[i], quads[n],
-                              config.tolerance(f"kac_mc_n{n}", 4.0 * se[i])))
+        rows.append(ReportRow(f"kac_mc_moment_n{n}", mean[i], se[i], quads[n], 4.0 * se[i]))
     return ExperimentReport(config, rows)
 
 
@@ -357,8 +344,7 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
     rows = []
     eps = 0.01
     quad = bridge_weighted_second_moment_quadrature(eps)
-    rows.append(ReportRow("bridge_second_moment_quadrature", quad, 0.0, 0.25,
-                          config.tolerance("bridge_limit", 0.02)))
+    rows.append(ReportRow("bridge_second_moment_quadrature", quad, 0.0, 0.25, 0.02))
 
     model = BrownianMotion(1)
     half = grid.index_of(0.5)
@@ -373,15 +359,12 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
     first = mean[1] / mean[0]
     second_se, first_se = delta_se(cov, np.array([[-second, 0.0, 1.0],  # d(mean[j] / mean[0])
                                                   [-first, 1.0, 0.0]]) / mean[0])
-    rows.append(ReportRow("bridge_second_moment_mc", second, second_se, quad,
-                          config.tolerance("bridge_mc", 0.0)))
-    rows.append(ReportRow("bridge_first_moment_mc", first, first_se, 0.0,
-                          config.tolerance("bridge_symmetry", 0.0)))
+    rows.append(ReportRow("bridge_second_moment_mc", second, second_se, quad, 0.0))
+    rows.append(ReportRow("bridge_first_moment_mc", first, first_se, 0.0, 0.0))
 
     eps_deg, delta = 1e-4, 0.1
     mass = degenerate_outside_mass_quadrature(eps_deg, delta)
-    rows.append(ReportRow("degenerate_outside_mass_quadrature", mass, 0.0, 0.0,
-                          config.tolerance("degenerate_mass", 0.01)))
+    rows.append(ReportRow("degenerate_outside_mass_quadrature", mass, 0.0, 0.0, 0.01))
 
     def outside(values):  # importance-weighted MC on the degenerate model
         kern = gauss_kernel_sq(values[:, -1, 0] ** 2, eps_deg)  # eta(1) = xi
@@ -392,8 +375,7 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
                                             config.n_samples, outside)
     mc_mass = far_mean / kern_mean if kern_mean > 0 else 0.0
     mass_se = delta_se(cov, np.array([-mc_mass, 1.0]) / kern_mean) if kern_mean > 0 else None
-    rows.append(ReportRow("degenerate_outside_mass_mc", mc_mass, mass_se, 0.0,
-                          config.tolerance("degenerate_mass", 0.01)))
+    rows.append(ReportRow("degenerate_outside_mass_mc", mc_mass, mass_se, 0.0, 0.01))
     return ExperimentReport(config, rows)
 
 
@@ -415,7 +397,7 @@ def chaos_table(config: ExperimentConfig) -> ExperimentReport:
         mean0 = chaos.self_intersection_mean_quadrature(eps, u, d)
         se0 = math.sqrt(cov[pos[eps], pos[eps]])
         rows.append(ReportRow(f"term0_second_moment_eps{eps:g}", by_eps[eps][0], se0, mean0**2,
-                              config.tolerance("chaos_term0", 4.0 * se0 + 2e-2 * mean0**2)))
+                              4.0 * se0 + 2e-2 * mean0**2))
     # eps-stability of each order across the grid, both eps on the same paths
     eps_sorted = sorted(config.eps_grid, reverse=True)
     for k in range(1, k_max + 1):
@@ -434,8 +416,7 @@ def chaos_table(config: ExperimentConfig) -> ExperimentReport:
     s38 = chaos.sobolev_partial_norm(bridge_moments, -1.0, 38)
     # the series terms decay like n^{-3/2}, so the K=40 partial-sum
     # ratio sits ~2e-3 above 1; gate accordingly
-    rows.append(ReportRow("bridge_gamma-1_partial_sum_ratio", s40 / s38, 0.0, 1.0,
-                          config.tolerance("bridge_series", 5e-3)))
+    rows.append(ReportRow("bridge_gamma-1_partial_sum_ratio", s40 / s38, 0.0, 1.0, 5e-3))
     return ExperimentReport(config, rows)
 
 
@@ -458,8 +439,7 @@ def fac_study_cmd(config: ExperimentConfig) -> ExperimentReport:
             oracle = abs(hermite_eval(n, 0.0)) * (1.0 + eps) ** (-(n + 1) / 2.0) / (
                 math.sqrt(math.factorial(n)) * SQRT_2PI
             )
-            rows.append(ReportRow(f"endpoint_ratio_H{n}_eps{eps:g}", ratio, se, oracle,
-                                  config.tolerance("endpoint_ratio", 0.0)))
+            rows.append(ReportRow(f"endpoint_ratio_H{n}_eps{eps:g}", ratio, se, oracle, 0.0))
         bound = fac.endpoint_hermite_bound(n)
         rows.append(ReportRow(f"endpoint_bound_H{n}", bound))
 
@@ -479,8 +459,7 @@ def fac_study_cmd(config: ExperimentConfig) -> ExperimentReport:
                      if e in coarse_grid)
     rows.append(ReportRow("g_family_sup_ratio", study.sup_ratio))
     plateau = study.sup_ratio / coarse_sup if coarse_sup > 0 else math.inf
-    rows.append(ReportRow("g_family_plateau_factor", plateau, None, 1.0,
-                          config.tolerance("plateau", 1.0)))
+    rows.append(ReportRow("g_family_plateau_factor", plateau, None, 1.0, 1.0))
     os.makedirs(config.out_dir, exist_ok=True)
     study.to_json(os.path.join(config.out_dir, "fac_study.json"))
     study.to_csv(os.path.join(config.out_dir, "fac_study.csv"))
@@ -491,24 +470,20 @@ def fac_study_cmd(config: ExperimentConfig) -> ExperimentReport:
                                       mc=diag_mc, grid=grid)
     analytic_tail = sum(fac.bm_kl_second_moment(k) for k in range(1, 9)) * 2
     rows.append(ReportRow("kl_tail_n1_unweighted", tail.unweighted_tails[0],
-                          tail.unweighted_std_errors[0], analytic_tail,
-                          config.tolerance("kl_tail", 0.0)))
+                          tail.unweighted_std_errors[0], analytic_tail, 0.0))
     hold = fac.holder_moment_diagnostic(
         bm2, family, [1.0, 0.1], m0=2,
         time_pairs=[(0.125, 0.25), (0.25, 0.5), (0.25, 0.75), (0.5, 1.0)],
         mc=diag_mc, grid=grid)
     for eps, expo, se in zip(hold.eps_grid, hold.exponents, hold.exponent_std_errors):
-        rows.append(ReportRow(f"holder_exponent_eps{eps:g}", expo, se, 2.0,
-                              config.tolerance("holder", 0.5)))
+        rows.append(ReportRow(f"holder_exponent_eps{eps:g}", expo, se, 2.0, 0.5))
 
     # integrator operator bounds for the ramp profile
     n_op = min(config.n_steps, 512)
     op = IntegratorOperator.from_profile(lambda s: 1.0 + 0.5 * s, n_op)
     m, big = processes.operator_bounds(op)
-    rows.append(ReportRow("operator_bound_lower", m, 0.0, 1.0,
-                          config.tolerance("operator_bounds", 0.01)))
-    rows.append(ReportRow("operator_bound_upper", big, 0.0, 2.25,
-                          config.tolerance("operator_bounds", 0.01)))
+    rows.append(ReportRow("operator_bound_lower", m, 0.0, 1.0, 0.01))
+    rows.append(ReportRow("operator_bound_upper", big, 0.0, 2.25, 0.01))
     return ExperimentReport(config, rows)
 
 
@@ -534,9 +509,9 @@ def sweep_experiment(config: ExperimentConfig) -> ExperimentReport:
         # p_{t+eps}(0) = 1/sqrt(2 pi s), s = t + eps
         quad = integrate_log(lambda s: 1.0 / np.sqrt(2.0 * math.pi * s), eps, 1.0 + eps, 200)
         rows.append(ReportRow(f"local_time_mean_quadrature_eps{eps:g}", quad, 0.0,
-                              oracle, config.tolerance("sweep_quadrature", 1e-8)))
+                              oracle, 1e-8))
         rows.append(ReportRow(f"local_time_mean_mc_eps{eps:g}", mean[i], se[i], oracle,
-                              config.tolerance("sweep_mc", 4.0 * se[i] + 0.01)))
+                              4.0 * se[i] + 0.01))
     return ExperimentReport(config, rows)
 
 
@@ -545,9 +520,8 @@ def sweep_experiment(config: ExperimentConfig) -> ExperimentReport:
 def selftest_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Fast deterministic battery over every closed-form oracle."""
     rows = []
-    tol = config.tolerance("selftest", 1e-9)
 
-    def check(name, value, oracle, tolerance=tol):
+    def check(name, value, oracle, tolerance=1e-9):
         rows.append(ReportRow(name, float(value), 0.0, float(oracle), tolerance))
 
     check("hermite_H0", hermite_eval(0, 3.7), 1.0)
@@ -586,17 +560,15 @@ def selftest_experiment(config: ExperimentConfig) -> ExperimentReport:
 @dataclass(frozen=True)
 class Driver:
     """One CLI driver: its run, default budget (each runs in under 25 s on a
-    2-CPU host), the MODEL_FIELDS it reads, the tolerance names its rows
-    read, the divisor of n_steps that makes each time it reads off the grid
-    a node (2 for bridge, which reads w(1/2), 8 for fac, whose Hoelder pairs
-    start at t = 1/8) and the largest n_steps it takes.  Calling it runs it
-    and records the runtime."""
+    2-CPU host), the MODEL_FIELDS it reads, the divisor of n_steps that
+    makes each time it reads off the grid a node (2 for bridge, which reads
+    w(1/2), 8 for fac, whose Hoelder pairs start at t = 1/8) and the
+    largest n_steps it takes.  Calling it runs it and records the runtime."""
 
     run: Callable[[ExperimentConfig], ExperimentReport]
     n_samples: int
     n_steps: int
     reads: tuple
-    tolerances: tuple
     step_divisor: int = 1
     max_steps: int = MAX_STEPS
 
@@ -613,20 +585,13 @@ class Driver:
 
 
 DRIVERS = {
-    "rice": Driver(rice_experiment, 20000, 2048, ("omega",),
-                   ("rice_quadrature", "rice_bias", "rice_tail")),
-    "kac": Driver(kac_experiment, 10000, 4096, (),
-                  ("kac_quadrature", "kac_mc_n1", "kac_mc_n2", "kac_mc_n3")),
-    "bridge": Driver(bridge_experiment, 20000, 1024, (),
-                     ("bridge_limit", "bridge_mc", "bridge_symmetry", "degenerate_mass"), 2),
-    "chaos": Driver(chaos_table, 4000, 256, ("eps_grid", "dimension", "u"),
-                    ("chaos_term0", "bridge_series"), max_steps=PAIR_MAX_STEPS),
-    "fac": Driver(fac_study_cmd, 10000, 512, ("eps_grid",),
-                  ("endpoint_ratio", "plateau", "kl_tail", "holder", "operator_bounds"), 8,
-                  PAIR_MAX_STEPS),
-    "sweep": Driver(sweep_experiment, 10000, 4096, ("eps_grid",),
-                    ("sweep_quadrature", "sweep_mc")),
-    "selftest": Driver(selftest_experiment, 100, 256, (), ("selftest",)),
+    "rice": Driver(rice_experiment, 20000, 2048, ("omega",)),
+    "kac": Driver(kac_experiment, 10000, 4096, ()),
+    "bridge": Driver(bridge_experiment, 20000, 1024, (), 2),
+    "chaos": Driver(chaos_table, 4000, 256, ("eps_grid", "dimension", "u"), 1, PAIR_MAX_STEPS),
+    "fac": Driver(fac_study_cmd, 10000, 512, ("eps_grid",), 8, PAIR_MAX_STEPS),
+    "sweep": Driver(sweep_experiment, 10000, 4096, ("eps_grid",)),
+    "selftest": Driver(selftest_experiment, 100, 256, ()),
 }
 # name -> callable, the bindings a profiler may wrap; the facts stay in DRIVERS
 EXPERIMENTS = dict(DRIVERS)

@@ -218,11 +218,12 @@ def sample_blocks(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
 
     Per block, the block's standard normals are drawn into one reused
     buffer in path order, and a linear map per model writes the paths:
-    Brownian increments sqrt(h) z summed along the path; an integrator's
-    increments times its node images, one matrix product per block;
-    xi_1 cos(omega t) + xi_2 sin(omega t); xi t.  ``values`` is a view of
-    one buffer that the next block overwrites, so a caller copies what it
-    keeps.  ``seed`` may be an int or a numpy SeedSequence.
+    Brownian increments sqrt(h) z summed along the paths, one cumsum per
+    block; an integrator's increments times its node images, one matrix
+    product per block; xi_1 cos(omega t) + xi_2 sin(omega t); xi t.
+    ``values`` is a view of one buffer that the next block overwrites, so
+    a caller copies what it keeps.  ``seed`` may be an int or a numpy
+    SeedSequence.
 
     An integrator's path still depends in the last bit on its batch, as
     dgemm rounds a row by the row count, even with rows padded to groups
@@ -237,18 +238,9 @@ def sample_blocks(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
         z = block_buffer(blocks, n, model.d)
 
         def fill(z, out):
-            # one 1-D running sum per path and coordinate: numpy holds the
-            # GIL through an accumulate along an axis of a 2-D or 3-D
-            # array, but not through a 1-D one, so engine threads overlap.
-            # The calls cost: a 248-path block at 256 steps and d = 2 (496
-            # calls) takes 3.2-4.4 ms to sample, 1.0-1.5 ms of it this fill
-            # (one cumsum: 0.5 ms); an 8-path block at 4096 steps, d = 1,
-            # takes 0.6-0.7 ms, 0.14 ms of it the fill, as with one cumsum
             z *= root_h
             out[:, 0] = 0.0
-            for z_path, out_path in zip(z, out[:, 1:]):
-                for c in range(model.d):
-                    np.add.accumulate(z_path[:, c], out=out_path[:, c])
+            np.cumsum(z, axis=1, out=out[:, 1:])
     elif isinstance(model, Integrator):
         images = model.operator.node_image_matrix()
         if len(images) != n:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from wcl import chaos, functionals, processes
+from wcl import chaos, fac, functionals, processes
 from wcl.cli import build_parser, cli_main
 from wcl.experiments import (
     DRIVERS,
@@ -109,11 +109,6 @@ class TestConfig:
         with pytest.raises(KeyError, match="nope"):
             ExperimentConfig("nope")
 
-    def test_tolerance_override(self):
-        cfg = ExperimentConfig("rice", tolerances={"rice_bias": 0.5})
-        assert cfg.tolerance("rice_bias", 0.02) == 0.5
-        assert cfg.tolerance("missing", 0.02) == 0.02
-
 
 class TestReportRows:
     def test_pass_rule(self):
@@ -194,21 +189,6 @@ class TestCli:
         assert (tmp_path / "summary.csv").exists()
 
     @pytest.mark.parametrize("name", sorted(DRIVERS))
-    def test_declared_tolerance_names_are_read(self, tmp_path, monkeypatch, name):
-        # the names a config may set are exactly those the driver's rows read
-        read = set()
-        lookup = ExperimentConfig.tolerance
-
-        def recorded(config, key, default):
-            read.add(key)
-            return lookup(config, key, default)
-
-        monkeypatch.setattr(ExperimentConfig, "tolerance", recorded)
-        cfg = ExperimentConfig(name, n_steps=256, n_samples=100, out_dir=str(tmp_path))
-        DRIVERS[name](cfg)
-        assert read == set(DRIVERS[name].tolerances)
-
-    @pytest.mark.parametrize("name", sorted(DRIVERS))
     def test_declared_model_fields_are_read(self, tmp_path, monkeypatch, name):
         # the model fields a config may set are exactly those the run reads
         read = set()
@@ -286,16 +266,13 @@ class TestCli:
         assert set(evaluated.values()) == {1}
         assert len(evaluated) == n_samples * sum(grids)
 
-    def test_failure_exit_code(self, tmp_path):
-        # impossible tolerance forces a failing row
-        f = tmp_path / "cfg.json"
-        f.write_text(json.dumps({
-            "experiment": "selftest", "n_steps": 256, "n_samples": 100,
-            "out_dir": str(tmp_path),
-            "tolerances": {"selftest": 0.0},
-        }))
-        code = cli_main(["selftest", "--config", str(f), "--quiet"])
+    def test_failure_exit_code(self, tmp_path, monkeypatch):
+        # a wrong closed form fails its one selftest row
+        monkeypatch.setattr(fac, "endpoint_hermite_bound", lambda n: 0.0)
+        code = cli_main(["selftest", "--out", str(tmp_path), "--quiet"])
         assert code == 1
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+        assert [r["name"] for r in rows if not r["passed"]] == ["endpoint_bound_H2"]
 
     def test_flag_overrides_config(self, tmp_path):
         f = tmp_path / "cfg.json"
@@ -390,7 +367,9 @@ class TestCliValidation:
     @pytest.mark.parametrize("name, data", [
         ("sweep", {"omega": 3.0}),
         ("fac", {"u": [0, 0], "dimension": 2}),
-        ("rice", {"u": [0, 0], "dimension": 2})])
+        ("rice", {"u": [0, 0], "dimension": 2}),
+        # every gate is fixed in its driver; no config widens one
+        ("selftest", {"tolerances": {"selftest": 1.0}})])
     def test_unread_config_key(self, tmp_path, capsys, name, data):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(data))
@@ -450,33 +429,6 @@ class TestCliValidation:
         err = self.assert_usage_error(
             ["selftest", "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
         assert "samples" in err and "n_samples" in err
-
-    def test_unknown_tolerance_name(self, tmp_path, capsys):
-        # a misspelt or retired name would otherwise change nothing
-        f = tmp_path / "cfg.json"
-        for name, tolerances in (
-                ("selftest", {"no_such_check": 0.5, "kac_refinment": 1.0}),
-                ("kac", {"kac_refinement": 1.0}),
-                ("fac", {"holder": 0.5, "kl_tails": 0.1})):
-            f.write_text(json.dumps({"tolerances": tolerances}))
-            err = self.assert_usage_error(
-                [name, "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
-            named = err.split(";")[0]  # the refused names, before the known ones
-            assert "tolerance" in named
-            for key in tolerances:
-                assert (key in named) == (key != "holder")
-        assert not (tmp_path / "report.json").exists()
-
-    def test_bad_tolerance(self, tmp_path, capsys):
-        # unchecked, NaN would fail every selftest row, a negative value some
-        # and Infinity none
-        f = tmp_path / "cfg.json"
-        for bad in (math.nan, -1e-9, math.inf):
-            f.write_text(json.dumps({"tolerances": {"selftest": bad}}))
-            err = self.assert_usage_error(
-                ["selftest", "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
-            assert "tolerances" in err
-        assert not (tmp_path / "report.json").exists()
 
     def test_negative_seed(self, tmp_path, capsys):
         # numpy's SeedSequence refuses negative entropy mid-run

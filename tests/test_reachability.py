@@ -30,6 +30,7 @@ INTEGRATORS = "Gaussian integrators in the drivers (ROADMAP item 6)"
 UNREACHED = {
     "processes.sample_values": PERFBENCH,
     "functionals.eval_functional_many": PERFBENCH,
+    "experiments.ExperimentConfig.tolerance": PERFBENCH,
     "functionals.local_time_field": "criterion 6, the occupation identity: a future "
                                     "selftest row (ROADMAP item 8)",
     "chaos.expansion_study_mc": "criterion 10, the chaos structure: a future chaos row "
