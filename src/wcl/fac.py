@@ -427,16 +427,22 @@ def holder_moment_diagnostic(model: ProcessModel, family, eps_grid, m0: int,
         lambda v: np.stack([np.sum((v[:, j, :] - v[:, i, :]) ** 2, axis=1) ** m0
                             for i, j in idx]))
     weighted = weighted / mean_phi[:, None]
-
-    def fit(moments):
-        x = np.log(gaps)
-        y = np.log(moments)
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        dof = max(len(x) - 2, 1)
-        se = math.sqrt(float(np.sum(resid**2)) / dof / float(np.sum((x - x.mean()) ** 2)))
-        return float(slope), se
-
-    un_slope, un_se = fit(incr)
-    slopes, ses = zip(*(fit(m) for m in weighted))
+    un_slope, _, un_se = _loglog_fit(gaps, incr)
+    slopes, _, ses = zip(*(_loglog_fit(gaps, m) for m in weighted))
     return HolderDiagnostic(eps_grid, m0, list(slopes), list(ses), un_slope, un_se)
+
+
+def _loglog_fit(gaps, moments):
+    """(slope, intercept, se of the slope) of the least-squares line of
+    log(moments) on log(gaps), in closed form: slope = Sxy / Sxx over the
+    centred sums, se = sqrt(RSS / (m - 2) / Sxx), with m - 2 taken as 1
+    for two points."""
+    x = np.log(gaps)
+    y = np.log(moments)
+    dx = x - x.mean()
+    sxx = float(np.sum(dx**2))
+    slope = float(np.sum(dx * (y - y.mean()))) / sxx
+    intercept = float(y.mean()) - slope * float(x.mean())
+    resid = y - (slope * x + intercept)
+    dof = max(len(x) - 2, 1)
+    return slope, intercept, math.sqrt(float(np.sum(resid**2)) / dof / sxx)

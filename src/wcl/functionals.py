@@ -88,10 +88,12 @@ def _warn_zero_offset(u):
 
 @functools.lru_cache(maxsize=16)
 def interval_weights(n_steps: int) -> np.ndarray:
-    """Trapezoid weights over the n_steps + 1 grid nodes; sum to 1."""
+    """Trapezoid weights over the n_steps + 1 grid nodes; sum to 1.  Built
+    once per n_steps and shared between callers, so read-only."""
     w = np.full(n_steps + 1, 1.0 / n_steps)
     w[0] *= 0.5
     w[-1] *= 0.5
+    w.flags.writeable = False
     return w
 
 

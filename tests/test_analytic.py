@@ -20,11 +20,27 @@ from wcl.analytic import (
     integrate_log,
     integrate_simplex,
 )
+from wcl.functionals import interval_weights
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # the rule sizes the drivers build, the smallest rules and a larger rule
 LEGENDRE_SIZES = (1, 2, 40, 60, 120, 160, 200, 400, 500)
 HERMITE_SIZES = (80, 200, 400)
+
+
+@pytest.fixture
+def no_matrix(monkeypatch):
+    """np.linalg and np.polynomial (whose root finders solve companion
+    matrices) stubbed so that any use of them fails."""
+    class Unused:
+        def __init__(self, name):
+            self.name = name
+
+        def __getattr__(self, attr):
+            raise AssertionError(f"np.{self.name}.{attr} used")
+
+    for name in ("linalg", "polynomial"):
+        monkeypatch.setattr(np, name, Unused(name))
 
 
 class TestHermite:
@@ -154,19 +170,46 @@ class TestHermiteBound:
         with pytest.raises(ValueError):
             hermite_bound_constant(21)
 
+    @pytest.mark.parametrize("n", (1, 2, 7, 20))
+    def test_makes_no_matrix(self, n, no_matrix):
+        assert 0.0 < hermite_bound_constant(n) <= 1.086435 * math.sqrt(math.factorial(n))
+
 
 def test_import_leaves_out_scipy_optimize(tmp_path):
     # wcl runs on numpy alone: neither the import nor a selftest run, which
-    # builds Gauss-Legendre and Gauss-Hermite rules, loads any of scipy
+    # builds Gauss-Legendre and Gauss-Hermite rules, loads any of scipy.
+    # The selftest, a bridge run and a Holder fit make no LAPACK call (the
+    # gufunc module behind np.linalg raises) and leave numpy.polynomial
+    # unloaded
     src = os.path.dirname(os.path.dirname(wcl.__file__))
-    code = (f"import sys; sys.path.insert(0, {src!r}); import wcl.cli; "
-            "print('scipy.optimize' in sys.modules); "
-            f"wcl.cli.cli_main(['selftest', '--out', {str(tmp_path)!r}, '--quiet']); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.split() == ["False", "[]"]
-    assert (tmp_path / "report.json").exists()
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import numpy.linalg._linalg
+
+
+class NoLapack:
+    def __getattr__(self, name):
+        raise AssertionError(f"LAPACK {{name}} called")
+
+
+numpy.linalg._linalg._umath_linalg = NoLapack()
+import wcl.cli
+print('scipy.optimize' in sys.modules)
+assert wcl.cli.cli_main(['selftest', '--out', {str(tmp_path / "st")!r}, '--quiet']) == 0
+assert wcl.cli.cli_main(['bridge', '--samples', '2000', '--steps', '256',
+                         '--out', {str(tmp_path / "br")!r}, '--quiet']) == 0
+wcl.holder_moment_diagnostic(wcl.BrownianMotion(1), wcl.LocalTime, [1.0], 1,
+                             [(0.25, 0.5), (0.5, 1.0), (0.0, 1.0)],
+                             wcl.MCConfig(200, 0), wcl.TimeGrid(16))
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+print('numpy.polynomial' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "[]", "False"]
+    assert (tmp_path / "st" / "report.json").exists()
+    assert (tmp_path / "br" / "report.json").exists()
 
 
 class TestHeatKernel:
@@ -354,6 +397,12 @@ class TestGaussHermiteRule:
         with pytest.raises(ValueError, match="at most 700 nodes"):
             gauss_hermite_rule(701)
 
+    @pytest.mark.parametrize("n", (1, 2, 5) + HERMITE_SIZES + (700,))
+    def test_makes_no_matrix(self, n, no_matrix):
+        x, w = gauss_hermite_rule.__wrapped__(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+
     @pytest.mark.parametrize("n", HERMITE_SIZES)
     def test_nodes_match_scipy(self, n):
         from scipy.special import roots_hermitenorm  # reference only
@@ -397,6 +446,11 @@ class TestGaussLegendre:
         assert gauss_legendre(50)[0] is x
         with pytest.raises(ValueError):
             w[0] = 0.0
+        # the trapezoid rule of the path functionals is cached the same way
+        w = interval_weights(50)
+        assert interval_weights(50) is w
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
     @pytest.mark.parametrize("n", LEGENDRE_SIZES)
     def test_nodes_match_scipy(self, n):
@@ -415,12 +469,7 @@ class TestGaussLegendre:
             assert np.dot(w, x ** (2 * k)) == pytest.approx(2.0 / (2 * k + 1), rel=1e-12), k
 
     @pytest.mark.parametrize("n", LEGENDRE_SIZES)
-    def test_makes_no_matrix(self, n, monkeypatch):
-        class NoLinalg:
-            def __getattr__(self, name):
-                raise AssertionError(f"np.linalg.{name} called")
-
-        monkeypatch.setattr(np, "linalg", NoLinalg())
+    def test_makes_no_matrix(self, n, no_matrix):
         x, w = gauss_legendre.__wrapped__(n)
         assert x.shape == w.shape == (n,)
 

@@ -373,6 +373,22 @@ class TestKLDiagnostics:
                                      grid=grid)
 
 
+    def test_closed_form_fit_matches_polyfit(self):
+        # the driver's four time pairs; np.polyfit (an SVD least-squares
+        # solve) is the reference only
+        gaps = np.array([b - a for a, b in ((0.125, 0.25), (0.25, 0.5), (0.25, 0.75),
+                                            (0.5, 1.0))])
+        rng = np.random.default_rng(31)
+        for scale in (0.0, 0.05, 1.0):
+            moments = 3.0 * gaps**2 * np.exp(scale * rng.standard_normal(4))
+            slope, intercept, se = fac._loglog_fit(gaps, moments)
+            (ref_slope, ref_intercept), cov = np.polyfit(np.log(gaps), np.log(moments), 1,
+                                                         cov=True)
+            assert slope == pytest.approx(ref_slope, rel=1e-14, abs=1e-14)
+            assert intercept == pytest.approx(ref_intercept, rel=1e-14, abs=1e-14)
+            assert se == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-14, abs=1e-14)
+
+
 class TestEndpointBound:
     def test_values(self):
         assert endpoint_hermite_bound(0) == pytest.approx(1.0 / SQRT_2PI, rel=1e-14)
