@@ -12,7 +12,7 @@ import numpy as np
 
 from wcl.analytic import integrate_simplex
 from wcl.functionals import LocalTime, eval_family_many, indicator_local_time_many
-from wcl.processes import BrownianMotion, TimeGrid, mc_moments, replica_seed, sample_values
+from wcl.processes import BrownianMotion, TimeGrid, mc_moments
 
 grid = TimeGrid(4096)
 model = BrownianMotion(1)
@@ -32,10 +32,17 @@ for eps, mean, se in zip(eps_grid, means, np.sqrt(np.diag(cov))):
 # the same limit; its second Kac moment comes from a simplex integral.
 print()
 print("Band indicator, eps = 0.01, vs the Kac moment integrals")
-values, _ = sample_values(model, grid, replica_seed(seed, 0), n_paths=2000)
-ind = indicator_local_time_many(values, 0.0, 0.01)
-print(f"  MC first moment   {ind.mean():.4f}")
-print(f"  MC second moment  {(ind**2).mean():.4f}")
+
+
+def band_moments(values):
+    band = indicator_local_time_many(values, 0.0, 0.01)
+    return np.stack([band, band**2])
+
+
+(first, second_mc), band_cov = mc_moments(model, grid, seed, 2000, band_moments)
+first_se, second_se = np.sqrt(np.diag(band_cov))
+print(f"  MC first moment   {first:.4f} +/- {first_se:.4f}")
+print(f"  MC second moment  {second_mc:.4f} +/- {second_se:.4f}")
 
 second = 2.0 * (2.0 * math.pi) ** -1.0 * integrate_simplex(
     lambda t1, t2: 1.0 / np.sqrt(t1 * (t2 - t1)), 2, 80)

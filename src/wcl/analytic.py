@@ -221,6 +221,20 @@ def _legendre(n, x):
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
+def _newton(f, x, what):
+    """Newton's method on all the roots x at once, in place, where f(x)
+    gives f and f' on an array: the one loop of the Gauss-Legendre and
+    Gauss-Hermite rules and the Hermite bounds.  On (-1, 1) its stop rule
+    (see _NEWTON_STEP) is absolute.  ArithmeticError names ``what``."""
+    for _ in range(_MAX_NEWTON_SWEEPS):
+        value, slope = f(x)
+        move = value / slope
+        x -= move
+        if np.all(np.abs(move) <= _NEWTON_STEP * np.maximum(1.0, x)):
+            return x
+    raise ArithmeticError(f"Newton's method did not find the {what}")
+
+
 @functools.lru_cache(maxsize=32)
 def gauss_legendre(n):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], built once
@@ -239,14 +253,7 @@ def gauss_legendre(n):
     if n < 1:
         raise ValueError(f"a Gauss rule needs at least one node, got {n}")
     x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(_MAX_NEWTON_SWEEPS):
-        p, dp = _legendre(n, x)
-        step = p / dp
-        x -= step
-        if np.max(np.abs(step)) <= _NEWTON_STEP:
-            break
-    else:
-        raise ArithmeticError(f"Newton's method did not find the {n} Legendre nodes")
+    _newton(lambda x: _legendre(n, x), x, f"{n} Legendre nodes")
     _, dp = _legendre(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     x.flags.writeable = False
@@ -273,15 +280,7 @@ def _positive_roots(f, count, n):
     start = grid[np.flatnonzero(sign[:-1] != sign[1:])] + 0.5 * step
     if len(start) != count:
         raise ArithmeticError(f"found {len(start)} of {count} positive roots")
-    x = start.copy()
-    for _ in range(_MAX_NEWTON_SWEEPS):
-        value, slope = f(x)
-        move = value / slope
-        x -= move
-        if np.all(np.abs(move) <= _NEWTON_STEP * np.maximum(1.0, x)):
-            break
-    else:
-        raise ArithmeticError(f"Newton's method did not find the {count} positive roots")
+    x = _newton(f, start.copy(), f"{count} positive roots")
     if np.any(np.abs(x - start) > 0.5 * step):
         raise ArithmeticError("Newton's method left a root's bracket")
     return x

@@ -33,10 +33,9 @@ def build_parser():
 
 
 def build_config(args) -> ExperimentConfig:
-    """One validated config: the experiment's default budget, overridden
-    by the config file, overridden by the flags."""
-    driver = DRIVERS[args.experiment]
-    data = {"n_samples": driver.n_samples, "n_steps": driver.n_steps}
+    """One validated config: the config file, overridden by the flags; a
+    budget neither sets is the experiment's default."""
+    data = {}
     if args.config:
         with open(args.config) as fh:
             try:

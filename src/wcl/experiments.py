@@ -53,7 +53,7 @@ from .processes import (
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # the config fields of the sampled model; a driver takes those it reads
-MODEL_FIELDS = ("eps_grid", "omega", "dimension", "u")
+MODEL_FIELDS = ("eps_grid", "omega", "u")
 # The engine samples in blocks of at least 8 paths (processes._ROW_GROUP),
 # so one block holds 8 * (n_steps + 1) values per dimension: 64 MB at 2^20
 # steps, 128 times the 512 kB a block is sized for.  More is refused.
@@ -69,20 +69,27 @@ PAIR_MAX_STEPS = 1 << 13
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings.  An unset budget (n_steps, n_samples) is the
+    driver's, from its DRIVERS record; the dimension of the offset ``u``
+    is that of the sampled Brownian motion."""
+
     experiment: str
-    n_steps: int = 2048
-    n_samples: int = 10000
+    n_steps: int | None = None
+    n_samples: int | None = None
     seed: int = 12345
     eps_grid: list = field(default_factory=lambda: [1.0, 0.1, 0.01])
     out_dir: str = "."
     omega: float = 2.0 * math.pi
-    dimension: int = 1
     u: list = field(default_factory=lambda: [0.5])
 
     def __post_init__(self):
         """One-line ValueError for an invalid setting; KeyError for an unknown experiment."""
         driver = DRIVERS[self.experiment]
-        for name in ("n_steps", "n_samples", "seed", "dimension"):
+        if self.n_steps is None:
+            self.n_steps = driver.n_steps
+        if self.n_samples is None:
+            self.n_samples = driver.n_samples
+        for name in ("n_steps", "n_samples", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -113,11 +120,10 @@ class ExperimentConfig:
         # to a zero variance
         if not (_is_real(self.omega) and 1e-12 <= self.omega <= 1e12):
             raise ValueError(f"omega must lie in [1e-12, 1e12], got {self.omega!r}")
-        if self.dimension not in (1, 2, 3):
-            raise ValueError("dimension must be 1, 2 or 3")
-        if (not isinstance(self.u, list) or len(self.u) != self.dimension
+        if (not isinstance(self.u, list) or not 1 <= len(self.u) <= 3
                 or not all(_is_real(x) and math.isfinite(x) for x in self.u)):
-            raise ValueError(f"u must be a list of {self.dimension} finite numbers")
+            raise ValueError("u must be a list of 1, 2 or 3 finite numbers, "
+                             "one per dimension")
 
     @classmethod
     def from_dict(cls, data):
@@ -309,27 +315,11 @@ def kac_experiment(config: ExperimentConfig) -> ExperimentReport:
 # -------------------------------------------------------------- Bridge
 
 def bridge_weighted_second_moment_quadrature(eps: float) -> float:
-    """Exact 2-D quadrature value of
-    E[w(1/2)^2 p_eps(w(1))] / E[p_eps(w(1))]; w(1/2) = w(1)/2 + zeta
-    with zeta ~ N(0, 1/4) independent of w(1).
-
-    The w(1) axis uses Gauss-Legendre on a window scaled to the product
-    of the prior and the kernel, so small eps stays fully resolved; the
-    smooth zeta axis uses Gauss-Hermite.
-    """
-    half_width = 10.0 * math.sqrt(eps / (1.0 + eps))
-    y, wy = gauss_legendre(200)
-    y = half_width * y
-    wy = half_width * wy
-    prior = gauss_kernel_sq(y**2, 1.0)
-    kern = gauss_kernel_sq(y**2, eps)
-    x, wz = gauss_hermite_rule(80)
-    zeta = 0.5 * x
-    w1 = y[:, None]
-    weight = np.outer(wy * prior * kern, wz)
-    num = float(np.sum(weight * (0.5 * w1 + zeta[None, :]) ** 2))
-    den = float(np.sum(weight))
-    return num / den
+    """E[w(1/2)^2 p_eps(w(1))] / E[p_eps(w(1))] in closed form.  Weighted
+    by p_eps(w(1)), w(1) is N(0, eps / (1 + eps)), and w(1/2) = w(1)/2 + zeta
+    with zeta ~ N(0, 1/4) independent of w(1), so the value is
+    eps / (4 (1 + eps)) + 1/4 = 1/2 - 1 / (4 (1 + eps))."""
+    return 0.5 - 0.25 / (1.0 + eps)
 
 
 def degenerate_outside_mass_quadrature(eps: float, delta: float) -> float:
@@ -382,8 +372,8 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
 # --------------------------------------------------------------- Chaos
 
 def chaos_table(config: ExperimentConfig) -> ExperimentReport:
-    d = config.dimension
     u = list(config.u)
+    d = len(u)
     model = BrownianMotion(d)
     grid = TimeGrid(config.n_steps)
     rows = []
@@ -588,7 +578,7 @@ DRIVERS = {
     "rice": Driver(rice_experiment, 20000, 2048, ("omega",)),
     "kac": Driver(kac_experiment, 10000, 4096, ()),
     "bridge": Driver(bridge_experiment, 20000, 1024, (), 2),
-    "chaos": Driver(chaos_table, 4000, 256, ("eps_grid", "dimension", "u"), 1, PAIR_MAX_STEPS),
+    "chaos": Driver(chaos_table, 4000, 256, ("eps_grid", "u"), 1, PAIR_MAX_STEPS),
     "fac": Driver(fac_study_cmd, 10000, 512, ("eps_grid",), 8, PAIR_MAX_STEPS),
     "sweep": Driver(sweep_experiment, 10000, 4096, ("eps_grid",)),
     "selftest": Driver(selftest_experiment, 100, 256, ()),

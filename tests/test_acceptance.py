@@ -191,7 +191,7 @@ def test_criterion_07_bridge_universality(announce):
     rows = driver_rows("bridge", n_samples=20000, n_steps=1024, seed=12345)
     quad = rows["bridge_second_moment_quadrature"].estimate
     ok = abs(quad - 0.25) <= 0.02
-    details = [f"2-D quadrature {quad:.5f} vs 0.25 within 0.02"]
+    details = [f"closed-form weighted moment {quad:.5f} vs 0.25 within 0.02"]
     # the MC ratio estimate of the same weighted moment, delta-method se
     mc = rows["bridge_second_moment_mc"]
     assert mc.oracle == quad

@@ -48,11 +48,27 @@ class TestOracles:
         assert kac_moment_quadrature(3, rule_nodes=120) == pytest.approx(expect, rel=1e-6)
 
     def test_bridge_quadrature_limit(self):
-        # exact value 0.25 (1 + eps / (1 + eps)); tends to Var B(1/2) = 1/4
+        # E[w(1/2)^2 p_eps(w(1))] / E[p_eps(w(1))] by scipy's adaptive 2-D
+        # quadrature over w(1) = y ~ N(0, 1) and w(1/2) - y/2 = zeta ~
+        # N(0, 1/4), with the densities written out here; it tends to
+        # Var B(1/2) = 1/4
+        from scipy.integrate import dblquad  # reference only
+
+        def density(x, var):
+            return math.exp(-x * x / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+
         for eps in (0.5, 0.1, 0.01):
-            expect = 0.25 * (1.0 + eps / (1.0 + eps))
+            # 12 sd of the weighted law of w(1), N(0, eps / (1 + eps)), and of zeta
+            half = 12.0 * math.sqrt(eps / (1.0 + eps))
+
+            def weight(zeta, y):
+                return density(y, 1.0) * density(y, eps) * density(zeta, 0.25)
+
+            num, den = (dblquad(f, -half, half, -6.0, 6.0, epsabs=0.0, epsrel=1e-12)[0]
+                        for f in (lambda z, y: (0.5 * y + z) ** 2 * weight(z, y), weight))
             assert bridge_weighted_second_moment_quadrature(eps) == pytest.approx(
-                expect, rel=1e-9)
+                num / den, rel=1e-9)
+        assert bridge_weighted_second_moment_quadrature(1e-12) == pytest.approx(0.25)
 
     def test_degenerate_mass_vanishes(self):
         big = degenerate_outside_mass_quadrature(1.0, 0.1)
@@ -87,6 +103,12 @@ class TestConfig:
     def test_defaults_and_validation(self):
         cfg = ExperimentConfig("selftest")
         assert cfg.eps_grid == [1.0, 0.1, 0.01]
+        # an unset budget is the driver's, as on the command line
+        cfg = ExperimentConfig("fac")
+        assert (cfg.n_steps, cfg.n_samples) == (512, 10000)
+        for name, driver in DRIVERS.items():
+            cfg = ExperimentConfig(name)
+            assert (cfg.n_steps, cfg.n_samples) == (driver.n_steps, driver.n_samples)
         with pytest.raises(ValueError):
             ExperimentConfig("rice", n_steps=100)
         with pytest.raises(ValueError):
@@ -108,6 +130,26 @@ class TestConfig:
     def test_unknown_experiment(self):
         with pytest.raises(KeyError, match="nope"):
             ExperimentConfig("nope")
+
+    def test_chaos_dimension_is_that_of_u(self, tmp_path, monkeypatch):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"u": [0.4, 0.3]}))
+        models = []
+        table = chaos.chaos_term_table
+
+        def recorded(model, *args, **kwargs):
+            models.append(model)
+            return table(model, *args, **kwargs)
+
+        monkeypatch.setattr(chaos, "chaos_term_table", recorded)
+        assert cli_main(["chaos", "--config", str(f), "--steps", "256", "--samples", "100",
+                         "--out", str(tmp_path), "--quiet"]) in (0, 1)
+        assert [m.d for m in models] == [2]
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert "dimension" not in data["config"] and data["config"]["u"] == [0.4, 0.3]
+        row = data["rows"][0]
+        assert row["name"] == "term0_second_moment_eps1"
+        assert row["oracle"] == chaos.self_intersection_mean_quadrature(1.0, [0.4, 0.3], 2) ** 2
 
 
 class TestReportRows:
@@ -369,7 +411,9 @@ class TestCliValidation:
         ("fac", {"u": [0, 0], "dimension": 2}),
         ("rice", {"u": [0, 0], "dimension": 2}),
         # every gate is fixed in its driver; no config widens one
-        ("selftest", {"tolerances": {"selftest": 1.0}})])
+        ("selftest", {"tolerances": {"selftest": 1.0}}),
+        # the dimension is len(u)
+        ("chaos", {"dimension": 2})])
     def test_unread_config_key(self, tmp_path, capsys, name, data):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(data))
@@ -378,6 +422,15 @@ class TestCliValidation:
         refused, keys = err.strip().split("; ")
         assert refused.endswith(f"{name} takes no config key(s) {', '.join(sorted(data))}")
         assert keys == f"its keys are {', '.join(DRIVERS[name].keys())}"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("u", [[1, 2, 3, 4], []])
+    def test_u_outside_one_to_three_dimensions(self, tmp_path, capsys, u):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"u": u}))
+        err = self.assert_usage_error(
+            ["chaos", "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
+        assert "u must be a list of 1, 2 or 3" in err
         assert not (tmp_path / "report.json").exists()
 
     def test_config_for_another_experiment(self, tmp_path, capsys):

@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from wcl.analytic import gauss_kernel_sq
 from wcl.functionals import (
     EndpointKernel,
     LocalTime,
     SelfIntersection,
+    eval_family_many,
     eval_functional_many,
     indicator_local_time_many,
     interval_weights,
@@ -87,6 +89,17 @@ class TestClosedFormValues:
     def test_endpoint_kernel_zero_end(self):
         assert eval_functional_many(EndpointKernel(1.0), zero_path())[0] == pytest.approx(
             0.3989422804014327, rel=1e-12)
+
+    def test_endpoint_kernel_reads_the_last_node(self):
+        # every node differs from its neighbours, so reading w(1 - h) for
+        # w(1) changes every value
+        values = np.linspace(-2.0, 3.0, 4 * 65).reshape(4, 65, 1)
+        eps_grid = (1.0, 0.1, 0.01)
+        family = eval_family_many(EndpointKernel, eps_grid, values)
+        for row, eps in zip(family, eps_grid):
+            expect = gauss_kernel_sq(values[:, -1, 0] ** 2, eps)
+            assert np.array_equal(eval_functional_many(EndpointKernel(eps), values), expect)
+            assert np.array_equal(row, expect)
 
     def test_local_time_zero_path(self):
         for eps in (0.01, 0.5, 2.0):
