@@ -1,12 +1,12 @@
 """Exact analytic building blocks: Hermite polynomials, the Gaussian
-heat kernel and Gauss-Legendre / Gauss-Hermite quadrature.
+heat kernel and Gauss-Legendre quadrature.
 
 Everything here is deterministic and closed-form (or a convergent
 quadrature of a closed form), so these routines double as oracles for
-the statistical modules.  Gauss-Legendre and Gauss-Hermite rules and the
-Hermite bound constants come from Newton's method on three-term
-recurrences, with no matrix and no call into LAPACK; the simplex rule
-holds only slab-sized arrays.
+the statistical modules.  Gauss-Legendre rules and the Hermite bound
+constants come from Newton's method on three-term recurrences, with no
+matrix and no call into LAPACK; the simplex rule holds only slab-sized
+arrays.
 """
 
 from __future__ import annotations
@@ -18,11 +18,6 @@ import numpy as np
 
 MAX_HERMITE_DEGREE = 60
 MAX_BOUND_DEGREE = 20
-# Gauss-Hermite rule sizes: gauss_hermite_rule brackets the nodes on
-# (0, sqrt(4n + 2)), where exp(-x^2/4) >= exp(-n - 1/2) is a normal float
-# for n <= 707; from 766 nodes it underflows at the largest node, and
-# Newton's method fails there
-MAX_HERMITE_NODES = 700
 
 
 def hermite_sequence(n_max, x):
@@ -223,9 +218,9 @@ def _legendre(n, x):
 
 def _newton(f, x, what):
     """Newton's method on all the roots x at once, in place, where f(x)
-    gives f and f' on an array: the one loop of the Gauss-Legendre and
-    Gauss-Hermite rules and the Hermite bounds.  On (-1, 1) its stop rule
-    (see _NEWTON_STEP) is absolute.  ArithmeticError names ``what``."""
+    gives f and f' on an array: the one loop of the Gauss-Legendre rules
+    and the Hermite bounds.  On (-1, 1) its stop rule (see _NEWTON_STEP)
+    is absolute.  ArithmeticError names ``what``."""
     for _ in range(_MAX_NEWTON_SWEEPS):
         value, slope = f(x)
         move = value / slope
@@ -267,12 +262,12 @@ def _positive_roots(f, count, n):
     midpoints of the sign changes of f on a grid of step pi / (4 sqrt(2n + 1))
     over (0, sqrt(4n + 2)).
 
-    Made for the zeros and the critical points of the Hermite function
-    psi = H_n(x) exp(-x^2/4).  From psi'' = (x^2/4 - n - 1/2) psi, both lie
-    below the turning point sqrt(4n + 2), and the zeros are at least
-    pi / sqrt(n + 1/2) apart (Sturm comparison), 5.7 grid steps; the
-    critical points interlace with them.  A missed bracket or a root that
-    leaves its bracket raises ArithmeticError.
+    Made for hermite_bound_constant: the critical points of the Hermite
+    function psi = H_n(x) exp(-x^2/4).  From psi'' = (x^2/4 - n - 1/2) psi,
+    they lie below the turning point sqrt(4n + 2) and interlace with the
+    zeros of psi, which are at least pi / sqrt(n + 1/2) apart (Sturm
+    comparison), 5.7 grid steps.  A missed bracket or a root that leaves
+    its bracket raises ArithmeticError.
     """
     step = 0.25 * math.pi / math.sqrt(2 * n + 1)
     grid = np.arange(0.5 * step, math.sqrt(4 * n + 2), step)
@@ -284,49 +279,3 @@ def _positive_roots(f, count, n):
     if np.any(np.abs(x - start) > 0.5 * step):
         raise ArithmeticError("Newton's method left a root's bracket")
     return x
-
-
-def _hermite_functions(n, x):
-    """p_n(x) and p_{n-1}(x) for n >= 1, where p_k = H_k(x) exp(-x^2/4) /
-    sqrt(k!), by sqrt(k) p_k = x p_{k-1} - sqrt(k - 1) p_{k-2}.  The p_k
-    stay under 1.09 (Cramer's bound, see hermite_bound_constant)."""
-    p_prev, p = np.zeros_like(x), np.exp(-0.25 * x * x)
-    for k in range(1, n + 1):
-        p_prev, p = p, (x * p - math.sqrt(k - 1) * p_prev) / math.sqrt(k)
-    return p, p_prev
-
-
-@functools.lru_cache(maxsize=32)
-def gauss_hermite_rule(n):
-    """Nodes (ascending) and weights for E[g(Z)], Z standard normal
-    (probabilists' scaling), built once per n and shared between callers,
-    so read-only.
-
-    The nodes are the roots of p_n (see _hermite_functions): Newton's
-    method with p_n' = sqrt(n) p_{n-1} - x p_n / 2 on the positive ones
-    (see _positive_roots), mirrored, and 0 for odd n.  The weights are
-    exp(-x^2/2) / (n p_{n-1}(x)^2) (Christoffel-Darboux).  No matrix is
-    made.  Four Newton sweeps at every size from 2 to 700; from 5 to 700
-    nodes the nodes are within 3.1e-14 relative of scipy's
-    roots_hermitenorm, as close as the Golub-Welsch eigen-solve this
-    replaced, and the even moments up to E Z^60 within 4e-15 relative.
-    It takes 1 to 2 ms at 80 nodes, 3 to 5 ms at 200 and 14 ms at 700.
-    The eigen-solve took 5 to 7 ms at 80 and 40 ms at 200 with OpenBLAS's
-    default of one thread per CPU, and 0.3 to 0.6 and 1.7 to 2.1 ms on
-    one thread (2-CPU Xeon)."""
-    if n < 1:
-        raise ValueError(f"a Gauss rule needs at least one node, got {n}")
-    if n > MAX_HERMITE_NODES:
-        raise ValueError(f"a Gauss-Hermite rule has at most {MAX_HERMITE_NODES} nodes, got {n}")
-
-    def p_n(x):
-        p, p_prev = _hermite_functions(n, x)
-        return p, math.sqrt(n) * p_prev - 0.5 * x * p
-
-    positive = _positive_roots(p_n, n // 2, n)
-    x = np.concatenate((-positive[::-1], np.zeros(n % 2), positive))
-    _, p_prev = _hermite_functions(n, x)
-    w = np.exp(-0.5 * x * x) / (n * p_prev * p_prev)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w

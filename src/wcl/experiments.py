@@ -15,14 +15,13 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from . import analytic, chaos, fac, processes
 from .analytic import (
-    gauss_hermite_rule,
     gauss_kernel_sq,
     gauss_legendre,
     hermite_coefficients,
@@ -71,7 +70,8 @@ PAIR_MAX_STEPS = 1 << 13
 class ExperimentConfig:
     """One run's settings.  An unset budget (n_steps, n_samples) is the
     driver's, from its DRIVERS record; the dimension of the offset ``u``
-    is that of the sampled Brownian motion."""
+    is that of the sampled Brownian motion.  ``out_dir`` may be any
+    os.PathLike; it is kept as a str."""
 
     experiment: str
     n_steps: int | None = None
@@ -124,6 +124,10 @@ class ExperimentConfig:
                 or not all(_is_real(x) and math.isfinite(x) for x in self.u)):
             raise ValueError("u must be a list of 1, 2 or 3 finite numbers, "
                              "one per dimension")
+        if isinstance(self.out_dir, os.PathLike):
+            self.out_dir = os.fspath(self.out_dir)
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ValueError(f"out_dir must be a non-empty path, got {self.out_dir!r}")
 
     @classmethod
     def from_dict(cls, data):
@@ -171,9 +175,10 @@ class ExperimentReport:
 
     def to_dict(self):
         # runtime is deliberately omitted: identical configs must give
-        # byte-identical files
+        # byte-identical files.  The config is the keys its driver takes.
         return {
-            "config": asdict(self.config),
+            "config": {k: getattr(self.config, k)
+                       for k in DRIVERS[self.config.experiment].keys()},
             "rows": [
                 {
                     "name": r.name,
@@ -538,11 +543,15 @@ def selftest_experiment(config: ExperimentConfig) -> ExperimentReport:
           1.0 / (4.0 * math.pi))
     check("endpoint_bound_H2", fac.endpoint_hermite_bound(2),
           1.0 / (math.sqrt(2.0) * SQRT_2PI))
-    # endpoint pairing closed form vs direct Gauss-Hermite quadrature
+    # endpoint pairing closed form vs E[H_2(Z) p_eps(Z)] by Gauss-Legendre
+    # over [-10, 10], outside which the integrand is below 1e-90
     eps = 0.3
-    x, w = gauss_hermite_rule(200)
-    direct = float(np.dot(w, hermite_eval(2, x) * gauss_kernel_sq(x**2, eps)))
-    check("endpoint_pairing_H2_quadrature", direct,
+
+    def pairing(t):
+        x = 20.0 * t - 10.0
+        return 20.0 * hermite_eval(2, x) * gauss_kernel_sq(x**2, eps) * gauss_kernel_sq(x**2, 1.0)
+
+    check("endpoint_pairing_H2_quadrature", integrate_interval(pairing, 200),
           hermite_eval(2, 0.0) * (1.0 + eps) ** -1.5 / SQRT_2PI, 1e-10)
     return ExperimentReport(config, rows)
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from wcl.analytic import (
-    gauss_hermite_rule,
     gauss_kernel_sq,
     hermite_bound_constant,
     hermite_eval,
@@ -158,13 +157,14 @@ def test_criterion_05_kac_moments(announce):
 def test_criterion_06_occupation_identity(announce):
     # lhs = sum_x W_x f(x) ell_eps(x): the local-time field on a 200-node
     # Gauss-Legendre rule in x over [min v - 12 sqrt(eps), max v + 12 sqrt(eps)];
-    # rhs = sum_k w_k E f(v_k + sqrt(eps) Z): a 5-node Gauss-Hermite rule,
-    # exact for f of degree <= 9.  The sides share no code; both sum
+    # rhs = sum_k w_k E f(v_k + sqrt(eps) Z): numpy's 5-node Gauss-Hermite
+    # rule, exact for f of degree <= 9.  The sides share no code; both sum
     # against the trapezoid weights w in t.
     grid = TimeGrid(128)
     eps = 0.01
     x, wx = np.polynomial.legendre.leggauss(200)
-    z, wz = gauss_hermite_rule(5)
+    z, wz = np.polynomial.hermite_e.hermegauss(5)
+    wz = wz / math.sqrt(2.0 * math.pi)
     w = np.full(129, 1.0 / 128)
     w[[0, -1]] *= 0.5
     rng = np.random.default_rng(314)

@@ -9,7 +9,6 @@ import pytest
 
 import wcl
 from wcl.analytic import (
-    gauss_hermite_rule,
     gauss_kernel_sq,
     gauss_legendre,
     hermite_bound_constant,
@@ -25,7 +24,6 @@ from wcl.functionals import interval_weights
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # the rule sizes the drivers build, the smallest rules and a larger rule
 LEGENDRE_SIZES = (1, 2, 40, 60, 120, 160, 200, 400, 500)
-HERMITE_SIZES = (80, 200, 400)
 
 
 @pytest.fixture
@@ -177,7 +175,7 @@ class TestHermiteBound:
 
 def test_import_leaves_out_scipy_optimize(tmp_path):
     # wcl runs on numpy alone: neither the import nor a selftest run, which
-    # builds Gauss-Legendre and Gauss-Hermite rules, loads any of scipy.
+    # builds Gauss-Legendre rules and Hermite bounds, loads any of scipy.
     # The selftest, a bridge run and a Holder fit make no LAPACK call (the
     # gufunc module behind np.linalg raises) and leave numpy.polynomial
     # unloaded
@@ -371,55 +369,6 @@ class TestQuadrature:
             integrate_simplex(lambda *ts: 1.0, 5, 10)
 
 
-class TestGaussHermiteRule:
-    def test_built_once_and_read_only(self):
-        x, w = gauss_hermite_rule(50)
-        assert gauss_hermite_rule(50)[0] is x
-        with pytest.raises(ValueError):
-            w[0] = 0.0
-
-    def test_moments(self):
-        x, w = gauss_hermite_rule(40)
-        assert np.sum(w) == pytest.approx(1.0, rel=1e-12)
-        assert np.dot(w, x**2) == pytest.approx(1.0, rel=1e-12)
-        assert np.dot(w, x**4) == pytest.approx(3.0, rel=1e-12)
-
-    def test_high_order_stable(self):
-        x, w = gauss_hermite_rule(400)
-        assert np.all(np.isfinite(w))
-        assert np.dot(w, x**2) == pytest.approx(1.0, rel=1e-10)
-
-    def test_largest_rule_is_finite_and_larger_refused(self):
-        # from 766 nodes the weights were NaN: exp(-x^2/4) underflows at the
-        # largest node
-        _, w = gauss_hermite_rule(700)
-        assert np.all(np.isfinite(w)) and abs(np.sum(w) - 1.0) <= 1e-14
-        with pytest.raises(ValueError, match="at most 700 nodes"):
-            gauss_hermite_rule(701)
-
-    @pytest.mark.parametrize("n", (1, 2, 5) + HERMITE_SIZES + (700,))
-    def test_makes_no_matrix(self, n, no_matrix):
-        x, w = gauss_hermite_rule.__wrapped__(n)
-        assert x.shape == w.shape == (n,)
-        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
-
-    @pytest.mark.parametrize("n", HERMITE_SIZES)
-    def test_nodes_match_scipy(self, n):
-        from scipy.special import roots_hermitenorm  # reference only
-
-        x, _ = gauss_hermite_rule(n)
-        ref, _ = roots_hermitenorm(n)
-        assert np.all(np.abs(x - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
-
-    @pytest.mark.parametrize("n", HERMITE_SIZES)
-    def test_even_moments(self, n):
-        # E Z^(2k) = (2k - 1)!!, exact for 2k <= 2n - 1
-        x, w = gauss_hermite_rule(n)
-        for k in range(31):
-            assert np.dot(w, x ** (2 * k)) == pytest.approx(
-                math.prod(range(1, 2 * k, 2)), rel=1e-12)
-
-
 def long_double_legendre(n):
     """Gauss-Legendre nodes and weights in long double: Newton's method on
     P_n from numpy's nodes, and the weights 2 (1 - x^2) / (n P_{n-1}(x))^2."""
@@ -486,6 +435,5 @@ class TestGaussLegendre:
 
 
 def test_rule_needs_a_node():
-    for build in (gauss_legendre, gauss_hermite_rule):
-        with pytest.raises(ValueError, match="at least one node"):
-            build(0)
+    with pytest.raises(ValueError, match="at least one node"):
+        gauss_legendre(0)

@@ -131,6 +131,25 @@ class TestConfig:
         with pytest.raises(KeyError, match="nope"):
             ExperimentConfig("nope")
 
+    def test_out_dir_is_any_path(self, tmp_path):
+        # a pathlib.Path is kept as a str, and the report is written whole
+        cfg = ExperimentConfig("selftest", out_dir=tmp_path / "out")
+        assert cfg.out_dir == str(tmp_path / "out")
+        report = DRIVERS["selftest"](cfg)
+        report.write()
+        data = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert data["config"]["out_dir"] == cfg.out_dir
+        lines = (tmp_path / "out" / "summary.csv").read_text().strip().splitlines()
+        assert len(lines) == len(report.rows) + 1
+        for out_dir in (5, None, [str(tmp_path)], b"out", ""):
+            with pytest.raises(ValueError, match="out_dir must be a non-empty path"):
+                ExperimentConfig("selftest", out_dir=out_dir)
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_report_config_is_the_drivers_keys(self, name):
+        report = ExperimentReport(ExperimentConfig(name), [])
+        assert sorted(report.to_dict()["config"]) == sorted(DRIVERS[name].keys())
+
     def test_chaos_dimension_is_that_of_u(self, tmp_path, monkeypatch):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps({"u": [0.4, 0.3]}))
@@ -498,6 +517,15 @@ class TestCliValidation:
                 ["sweep", "--eps-grid", grid, "--out", str(tmp_path), "--quiet"], capsys)
             assert "eps_grid" in err and "distinct" in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("out_dir", [5, None, ["out"]])
+    def test_out_dir_of_the_wrong_type(self, tmp_path, capsys, monkeypatch, out_dir):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"out_dir": out_dir}))
+        monkeypatch.chdir(tmp_path)
+        err = self.assert_usage_error(["selftest", "--config", str(f), "--quiet"], capsys)
+        assert "out_dir must be a non-empty path" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_out_that_is_not_a_directory(self, tmp_path, capsys):
         # a file, or a path under one: refused before the driver runs, not

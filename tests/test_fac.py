@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcl import fac, functionals
-from wcl.analytic import gauss_hermite_rule
 from wcl.fac import (
     MAX_POLY_DEGREE,
     FacStudyReport,
@@ -206,12 +205,13 @@ class TestExactNorm:
                 math.factorial(n), rel=1e-12)
 
     def test_matches_gauss_hermite_rule(self):
-        # E P^2 by a tensor Gauss-Hermite rule in z, with the point values
-        # X = L z for L the Cholesky factor of their covariance; five nodes
-        # per axis integrate the degree-8 integrand exactly
+        # E P^2 by a tensor Gauss-Hermite rule in z (numpy's), with the point
+        # values X = L z for L the Cholesky factor of their covariance; five
+        # nodes per axis integrate the degree-8 integrand exactly
         grid = TimeGrid(8)
         op = IntegratorOperator.from_profile(lambda s: 1.0 + 0.5 * s, 8)
-        z1, w1 = gauss_hermite_rule(5)
+        z1, w1 = np.polynomial.hermite_e.hermegauss(5)
+        w1 = w1 / math.sqrt(2.0 * math.pi)
         rng = np.random.default_rng(41)
         for model in (BrownianMotion(2), Integrator(op)):
             d = model.d

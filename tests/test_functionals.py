@@ -194,7 +194,7 @@ class TestOccupationIdentity:
     """sum_x W_x f(x) ell_eps(x), the field integrated against a polynomial f
     on a Gauss-Legendre rule in x, at closed forms of its other side
     sum_k w_k E f(v_k + sqrt(eps) Z); on random paths against numpy's
-    Hermite rule here and against gauss_hermite_rule in criterion 6."""
+    Hermite rule, 7 nodes here and 5 in criterion 6."""
 
     @staticmethod
     def field_integral(values, eps, coeffs):
