@@ -23,9 +23,12 @@ def build_parser():
         p.add_argument("--config", help="JSON config file, an object with any of the "
                        f"keys {', '.join(driver.keys())}; flags override it")
         p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--samples", type=int, help="Monte Carlo sample count")
-        p.add_argument("--steps", type=int, help="time grid steps")
+        p.add_argument("--out", dest="out_dir", help="output directory")
+        if "n_samples" in driver.reads:
+            p.add_argument("--samples", dest="n_samples", type=int,
+                           help="Monte Carlo sample count")
+        if "n_steps" in driver.reads:
+            p.add_argument("--steps", dest="n_steps", type=int, help="time grid steps")
         if "eps_grid" in driver.reads:
             p.add_argument("--eps-grid", help="comma-separated eps values in [1e-12, 1e12]")
         p.add_argument("--quiet", action="store_true", help="suppress row printout")
@@ -34,19 +37,17 @@ def build_parser():
 
 def build_config(args) -> ExperimentConfig:
     """One validated config: the config file, overridden by the flags; a
-    budget neither sets is the experiment's default."""
+    key the driver reads that neither sets is the driver's default."""
     data = {}
     if args.config:
         with open(args.config) as fh:
             try:
-                loaded = json.load(fh)
+                data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{args.config}: {exc}") from None
-        if not isinstance(loaded, dict):
+        if not isinstance(data, dict):
             raise ValueError(f"{args.config} must hold a JSON object")
-        data.update(loaded)
-    flags = {"seed": args.seed, "out_dir": args.out, "n_samples": args.samples,
-             "n_steps": args.steps}
+    flags = {k: getattr(args, k, None) for k in ("seed", "out_dir", "n_samples", "n_steps")}
     if getattr(args, "eps_grid", None) is not None:
         try:
             flags["eps_grid"] = [float(v) for v in args.eps_grid.split(",")]

@@ -9,13 +9,14 @@ report files.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -51,8 +52,8 @@ from .processes import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-# the config fields of the sampled model; a driver takes those it reads
-MODEL_FIELDS = ("eps_grid", "omega", "u")
+# the default eps grid of the drivers that read one (chaos, fac, sweep)
+EPS_GRID = [1.0, 0.1, 0.01]
 # The engine samples in blocks of at least 8 paths (processes._ROW_GROUP),
 # so one block holds 8 * (n_steps + 1) values per dimension: 64 MB at 2^20
 # steps, 128 times the 512 kB a block is sized for.  More is refused.
@@ -68,61 +69,64 @@ PAIR_MAX_STEPS = 1 << 13
 
 @dataclass
 class ExperimentConfig:
-    """One run's settings.  An unset budget (n_steps, n_samples) is the
-    driver's, from its DRIVERS record; the dimension of the offset ``u``
-    is that of the sampled Brownian motion.  ``out_dir`` may be any
-    os.PathLike; it is kept as a str."""
+    """One run's settings.  A key its driver reads (Driver.reads) is the
+    driver's default when unset; one it does not read stays None, and
+    setting it is an error.  len(u) is the dimension of the sampled
+    Brownian motion.  ``out_dir`` may be any os.PathLike; it is kept as a str."""
 
     experiment: str
     n_steps: int | None = None
     n_samples: int | None = None
     seed: int = 12345
-    eps_grid: list = field(default_factory=lambda: [1.0, 0.1, 0.01])
+    eps_grid: list | None = None
     out_dir: str = "."
-    omega: float = 2.0 * math.pi
-    u: list = field(default_factory=lambda: [0.5])
+    omega: float | None = None
+    u: list | None = None
 
     def __post_init__(self):
         """One-line ValueError for an invalid setting; KeyError for an unknown experiment."""
         driver = DRIVERS[self.experiment]
-        if self.n_steps is None:
-            self.n_steps = driver.n_steps
-        if self.n_samples is None:
-            self.n_samples = driver.n_samples
-        for name in ("n_steps", "n_samples", "seed"):
+        _refuse_unread(self.experiment, [k for k, v in vars(self).items() if v is not None])
+        for key, default in driver.reads.items():
+            if getattr(self, key) is None:
+                setattr(self, key, copy.copy(default))
+        # from here on, an optional key is None exactly when the driver does not read it
+        for name in [k for k in ("n_steps", "n_samples", "seed") if k in driver.keys()]:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 256 <= self.n_steps <= driver.max_steps:
+        if self.n_steps is not None and not 256 <= self.n_steps <= driver.max_steps:
             raise ValueError(f"n_steps must lie in [256, {driver.max_steps}] for "
                              f"{self.experiment}, got {self.n_steps}")
-        if self.n_steps % driver.step_divisor:
+        if self.n_steps is not None and self.n_steps % driver.step_divisor:
             raise ValueError(f"{self.experiment} needs n_steps divisible by "
                              f"{driver.step_divisor}, got {self.n_steps}")
-        if not 100 <= self.n_samples <= processes.MAX_SAMPLES:
+        if self.n_samples is not None and not 100 <= self.n_samples <= processes.MAX_SAMPLES:
             raise ValueError(f"n_samples must lie in [100, {processes.MAX_SAMPLES}], "
                              f"got {self.n_samples}")
-        if not isinstance(self.eps_grid, list) or not self.eps_grid:
-            raise ValueError("eps_grid must be a non-empty list")
-        # across this range the oracles' log map s = eps * ((1 + eps) / eps)^x
-        # and the kernel (2 pi s)^(-d/2), d <= 3, stay finite
-        for eps in self.eps_grid:
-            if not (_is_real(eps) and 1e-12 <= eps <= 1e12):
-                raise ValueError(f"eps_grid values must lie in [1e-12, 1e12], got {eps!r}")
-        # report rows are named by f"{eps:g}", so equal labels would collide
-        labels = [f"{eps:g}" for eps in self.eps_grid]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"eps_grid values must be distinct to 6 significant "
-                             f"digits, got {', '.join(labels)}")
+        if self.eps_grid is not None:
+            if not isinstance(self.eps_grid, list) or not self.eps_grid:
+                raise ValueError("eps_grid must be a non-empty list")
+            # across this range the oracles' log map s = eps * ((1 + eps) / eps)^x
+            # and the kernel (2 pi s)^(-d/2), d <= 3, stay finite
+            for eps in self.eps_grid:
+                if not (_is_real(eps) and 1e-12 <= eps <= 1e12):
+                    raise ValueError(f"eps_grid values must lie in [1e-12, 1e12], got {eps!r}")
+            # report rows are named by f"{eps:g}", so equal labels would collide
+            labels = [f"{eps:g}" for eps in self.eps_grid]
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"eps_grid values must be distinct to 6 significant "
+                                 f"digits, got {', '.join(labels)}")
         # past this range rice's oracle overflows (omega^2) or underflows
         # to a zero variance
-        if not (_is_real(self.omega) and 1e-12 <= self.omega <= 1e12):
+        if self.omega is not None and not (_is_real(self.omega) and 1e-12 <= self.omega <= 1e12):
             raise ValueError(f"omega must lie in [1e-12, 1e12], got {self.omega!r}")
-        if (not isinstance(self.u, list) or not 1 <= len(self.u) <= 3
-                or not all(_is_real(x) and math.isfinite(x) for x in self.u)):
-            raise ValueError("u must be a list of 1, 2 or 3 finite numbers, "
+        # past this range |u|^2 overflows in the chaos kernel and its oracle
+        if self.u is not None and not (isinstance(self.u, list) and 1 <= len(self.u) <= 3
+                                       and all(_is_real(x) and abs(x) <= 1e12 for x in self.u)):
+            raise ValueError("u must be a list of 1, 2 or 3 numbers in [-1e12, 1e12], "
                              "one per dimension")
         if isinstance(self.out_dir, os.PathLike):
             self.out_dir = os.fspath(self.out_dir)
@@ -134,11 +138,7 @@ class ExperimentConfig:
         """Config from a mapping of field names; a key its driver does not take is an error."""
         if not isinstance(data, dict):
             raise ValueError("a config must be a JSON object")
-        names = DRIVERS[data["experiment"]].keys()
-        unknown = sorted(set(data) - set(names))
-        if unknown:
-            raise ValueError(f"{data['experiment']} takes no config key(s) "
-                             f"{', '.join(unknown)}; its keys are {', '.join(names)}")
+        _refuse_unread(data["experiment"], data)
         return cls(**data)
 
     def tolerance(self, name, default):
@@ -157,6 +157,8 @@ class ReportRow:
 
     @property
     def passed(self) -> bool | None:
+        if not (math.isfinite(self.estimate) and math.isfinite(self.std_error or 0.0)):
+            return False  # gated or not
         if self.oracle is None:
             return None
         gate = max(self.tolerance or 0.0, 3.0 * (self.std_error or 0.0))
@@ -175,10 +177,10 @@ class ExperimentReport:
 
     def to_dict(self):
         # runtime is deliberately omitted: identical configs must give
-        # byte-identical files.  The config is the keys its driver takes.
+        # byte-identical files.  The config is the keys its driver takes,
+        # the only ones that are not None.
         return {
-            "config": {k: getattr(self.config, k)
-                       for k in DRIVERS[self.config.experiment].keys()},
+            "config": {k: v for k, v in vars(self.config).items() if v is not None},
             "rows": [
                 {
                     "name": r.name,
@@ -223,6 +225,14 @@ class ExperimentReport:
         print(f"{self.config.experiment}: "
               f"{'all passed' if self.all_passed else 'FAILURES'} "
               f"({self.runtime:.1f} s)")
+
+
+def _refuse_unread(experiment, keys):
+    """One-line ValueError if ``keys`` holds a key the experiment's driver does not take."""
+    names = DRIVERS[experiment].keys()
+    if unread := sorted(set(keys) - set(names)):
+        raise ValueError(f"{experiment} takes no config key(s) {', '.join(unread)}; "
+                         f"its keys are {', '.join(names)}")
 
 
 def _is_real(x) -> bool:
@@ -345,7 +355,7 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
     half = grid.index_of(0.5)
 
     def weighted(values):  # the three means of the ratio estimates
-        kern = gauss_kernel_sq(values[:, -1, 0] ** 2, eps)
+        kern = eval_family_many(EndpointKernel, [eps], values)[0]
         x_half = values[:, half, 0]
         return np.stack([kern, kern * x_half, kern * x_half**2])
 
@@ -362,7 +372,7 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
     rows.append(ReportRow("degenerate_outside_mass_quadrature", mass, 0.0, 0.0, 0.01))
 
     def outside(values):  # importance-weighted MC on the degenerate model
-        kern = gauss_kernel_sq(values[:, -1, 0] ** 2, eps_deg)  # eta(1) = xi
+        kern = eval_family_many(EndpointKernel, [eps_deg], values)[0]  # eta(1) = xi
         far = np.max(np.abs(values[:, :, 0]), axis=1) > delta
         return np.stack([kern, kern * far])
 
@@ -377,19 +387,18 @@ def bridge_experiment(config: ExperimentConfig) -> ExperimentReport:
 # --------------------------------------------------------------- Chaos
 
 def chaos_table(config: ExperimentConfig) -> ExperimentReport:
-    u = list(config.u)
-    d = len(u)
+    d = len(config.u)
     model = BrownianMotion(d)
     grid = TimeGrid(config.n_steps)
     rows = []
     k_max = 6
-    means, cov = chaos.chaos_term_table(model, k_max, config.eps_grid, u,
+    means, cov = chaos.chaos_term_table(model, k_max, config.eps_grid, config.u,
                                         config.n_samples, config.seed, grid)
     # (eps, order k) is row pos[eps] + k of cov
     by_eps = dict(zip(config.eps_grid, means))
     pos = {eps: i * (k_max + 1) for i, eps in enumerate(config.eps_grid)}
     for eps in config.eps_grid:
-        mean0 = chaos.self_intersection_mean_quadrature(eps, u, d)
+        mean0 = chaos.self_intersection_mean_quadrature(eps, config.u, d)
         se0 = math.sqrt(cov[pos[eps], pos[eps]])
         rows.append(ReportRow(f"term0_second_moment_eps{eps:g}", by_eps[eps][0], se0, mean0**2,
                               4.0 * se0 + 2e-2 * mean0**2))
@@ -558,16 +567,14 @@ def selftest_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 @dataclass(frozen=True)
 class Driver:
-    """One CLI driver: its run, default budget (each runs in under 25 s on a
-    2-CPU host), the MODEL_FIELDS it reads, the divisor of n_steps that
-    makes each time it reads off the grid a node (2 for bridge, which reads
-    w(1/2), 8 for fac, whose Hoelder pairs start at t = 1/8) and the
-    largest n_steps it takes.  Calling it runs it and records the runtime."""
+    """One CLI driver: its run, the optional config keys it reads with their
+    defaults (each runs in under 25 s on a 2-CPU host), the divisor of
+    n_steps that makes each time it reads off the grid a node (2 for bridge,
+    which reads w(1/2), 8 for fac, whose Hoelder pairs start at t = 1/8) and
+    the largest n_steps it takes.  Calling it runs it and records the runtime."""
 
     run: Callable[[ExperimentConfig], ExperimentReport]
-    n_samples: int
-    n_steps: int
-    reads: tuple
+    reads: dict
     step_divisor: int = 1
     max_steps: int = MAX_STEPS
 
@@ -578,19 +585,22 @@ class Driver:
         return report
 
     def keys(self) -> list:
-        """The config keys it takes: all fields but the model fields it does not read."""
+        """The config keys it takes: experiment, seed, out_dir and those it reads."""
         return [f.name for f in fields(ExperimentConfig)
-                if f.name not in MODEL_FIELDS or f.name in self.reads]
+                if f.default is not None or f.name in self.reads]
 
 
 DRIVERS = {
-    "rice": Driver(rice_experiment, 20000, 2048, ("omega",)),
-    "kac": Driver(kac_experiment, 10000, 4096, ()),
-    "bridge": Driver(bridge_experiment, 20000, 1024, (), 2),
-    "chaos": Driver(chaos_table, 4000, 256, ("eps_grid", "u"), 1, PAIR_MAX_STEPS),
-    "fac": Driver(fac_study_cmd, 10000, 512, ("eps_grid",), 8, PAIR_MAX_STEPS),
-    "sweep": Driver(sweep_experiment, 10000, 4096, ("eps_grid",)),
-    "selftest": Driver(selftest_experiment, 100, 256, ()),
+    "rice": Driver(rice_experiment, dict(n_samples=20000, n_steps=2048, omega=2.0 * math.pi)),
+    "kac": Driver(kac_experiment, dict(n_samples=10000, n_steps=4096)),
+    "bridge": Driver(bridge_experiment, dict(n_samples=20000, n_steps=1024), 2),
+    "chaos": Driver(chaos_table, dict(n_samples=4000, n_steps=256, eps_grid=EPS_GRID, u=[0.5]),
+                    1, PAIR_MAX_STEPS),
+    "fac": Driver(fac_study_cmd, dict(n_samples=10000, n_steps=512, eps_grid=EPS_GRID),
+                  8, PAIR_MAX_STEPS),
+    "sweep": Driver(sweep_experiment, dict(n_samples=10000, n_steps=4096, eps_grid=EPS_GRID)),
+    # reads no seed, but takes one: perfbench passes --seed (ROADMAP item 1)
+    "selftest": Driver(selftest_experiment, {}),
 }
 # name -> callable, the bindings a profiler may wrap; the facts stay in DRIVERS
 EXPERIMENTS = dict(DRIVERS)

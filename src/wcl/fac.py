@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import threading
@@ -248,19 +249,10 @@ def random_poly(rng: np.random.Generator, degree: int, grid: TimeGrid,
     ks = rng.integers(1, grid.n_steps + 1, size=n_points)
     times = tuple(float(k) * grid.h for k in ks)
     coords = tuple(int(c) for c in rng.integers(1, d + 1, size=n_points))
-    exps = [e for e in _exponent_vectors(n_points, degree)]
+    exps = [e for e in itertools.product(range(degree + 1), repeat=n_points) if sum(e) <= degree]
     chosen = rng.choice(len(exps), size=min(len(exps), max(2, degree + 1)), replace=False)
     monomials = tuple((exps[i], float(rng.standard_normal())) for i in chosen)
     return PolyFunctional(times, coords, monomials)
-
-
-def _exponent_vectors(n_points: int, max_total: int):
-    if n_points == 0:
-        yield ()
-        return
-    for first in range(max_total + 1):
-        for rest in _exponent_vectors(n_points - 1, max_total - first):
-            yield (first,) + rest
 
 
 @dataclass

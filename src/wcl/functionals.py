@@ -37,8 +37,8 @@ from .processes import _ROW_GROUP, block_buffer, row_blocks
 
 
 @dataclass(frozen=True)
-class LocalTime:
-    """Phi_eps(f) = int_0^1 p_eps(f(t)) dt; scalar paths only."""
+class _Smoothed:
+    """A functional smoothed at scale eps > 0."""
 
     eps: float
 
@@ -48,27 +48,24 @@ class LocalTime:
 
 
 @dataclass(frozen=True)
-class SelfIntersection:
+class LocalTime(_Smoothed):
+    """Phi_eps(f) = int_0^1 p_eps(f(t)) dt; scalar paths only."""
+
+
+@dataclass(frozen=True)
+class SelfIntersection(_Smoothed):
     """G_eps(f) = int_{s<t} p_eps^d(f(t) - f(s) - u) ds dt."""
 
-    eps: float
     u: tuple
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        super().__post_init__()
         _warn_zero_offset(self.u)
 
 
 @dataclass(frozen=True)
-class EndpointKernel:
+class EndpointKernel(_Smoothed):
     """Phi_eps(f) = p_eps(f(1)); scalar paths only."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
 
 
 FunctionalSpec = LocalTime | SelfIntersection | EndpointKernel

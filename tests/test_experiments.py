@@ -11,8 +11,8 @@ from wcl.cli import build_parser, cli_main
 from wcl.experiments import (
     DRIVERS,
     EXPERIMENTS,
+    EPS_GRID,
     MAX_STEPS,
-    MODEL_FIELDS,
     PAIR_MAX_STEPS,
     ExperimentConfig,
     ExperimentReport,
@@ -25,6 +25,14 @@ from wcl.experiments import (
     selftest_experiment,
 )
 from wcl.processes import MAX_SAMPLES
+
+# the optional config keys: each driver takes those of its ``reads`` record
+OPTIONAL_KEYS = ("n_samples", "n_steps", "eps_grid", "omega", "u")
+# a valid value of each, for every driver that reads it
+SETTINGS = {"n_samples": 5000, "n_steps": 1024, "eps_grid": [0.5], "omega": 3.0,
+            "u": [0.1, 0.2]}
+UNREAD = [(name, key) for name in sorted(DRIVERS) for key in OPTIONAL_KEYS
+          if key not in DRIVERS[name].reads]
 
 
 class TestOracles:
@@ -101,14 +109,24 @@ class TestOracles:
 
 class TestConfig:
     def test_defaults_and_validation(self):
-        cfg = ExperimentConfig("selftest")
-        assert cfg.eps_grid == [1.0, 0.1, 0.01]
-        # an unset budget is the driver's, as on the command line
+        cfg = ExperimentConfig("sweep")
+        assert cfg.eps_grid == [1.0, 0.1, 0.01] == EPS_GRID
+        # an unset key the driver reads is the driver's default, as on the
+        # command line; a key it does not read stays None
         cfg = ExperimentConfig("fac")
         assert (cfg.n_steps, cfg.n_samples) == (512, 10000)
         for name, driver in DRIVERS.items():
             cfg = ExperimentConfig(name)
-            assert (cfg.n_steps, cfg.n_samples) == (driver.n_steps, driver.n_samples)
+            assert {k: getattr(cfg, k) for k in OPTIONAL_KEYS} == {
+                k: driver.reads.get(k) for k in OPTIONAL_KEYS}
+        assert DRIVERS["selftest"].keys() == ["experiment", "seed", "out_dir"]
+        # the (driver, key) pairs a config may set, experiment aside
+        assert sum(len(DRIVERS[name].keys()) - 1 for name in DRIVERS) == 31
+        # each config holds its own copy of a default list
+        ExperimentConfig("sweep").eps_grid.append(1e-3)
+        ExperimentConfig("chaos").u.append(0.3)
+        assert ExperimentConfig("sweep").eps_grid == EPS_GRID == [1.0, 0.1, 0.01]
+        assert ExperimentConfig("chaos").u == [0.5]
         with pytest.raises(ValueError):
             ExperimentConfig("rice", n_steps=100)
         with pytest.raises(ValueError):
@@ -145,6 +163,16 @@ class TestConfig:
             with pytest.raises(ValueError, match="out_dir must be a non-empty path"):
                 ExperimentConfig("selftest", out_dir=out_dir)
 
+    @pytest.mark.parametrize("name, key", UNREAD)
+    def test_unread_key_is_refused(self, name, key):
+        # a driver takes only the keys it reads, in Python as on the CLI
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(name, **{key: SETTINGS[key]})
+        message = str(exc.value)
+        assert len(message.splitlines()) == 1
+        assert message == (f"{name} takes no config key(s) {key}; "
+                           f"its keys are {', '.join(DRIVERS[name].keys())}")
+
     @pytest.mark.parametrize("name", sorted(DRIVERS))
     def test_report_config_is_the_drivers_keys(self, name):
         report = ExperimentReport(ExperimentConfig(name), [])
@@ -179,6 +207,17 @@ class TestReportRows:
         # 3 sigma beats a tighter tolerance
         assert ReportRow("a", 1.0, 0.1, 1.2, 0.0).passed is True
 
+    @pytest.mark.parametrize("estimate, std_error", [
+        (math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf), (-math.inf, None)])
+    def test_non_finite_row_fails(self, estimate, std_error):
+        # gated or not: an inf std_error would otherwise open a gate of 3 * inf
+        assert ReportRow("a", estimate, std_error, 1.0, 0.02).passed is False
+        assert ReportRow("a", estimate, std_error).passed is False
+        report = ExperimentReport(ExperimentConfig("selftest"), [
+            ReportRow("ok", 1.0, 0.0, 1.0, 0.1), ReportRow("info", estimate, std_error)])
+        assert not report.all_passed
+        assert report.to_dict()["rows"][1]["passed"] is False
+
     def test_all_passed_ignores_informational_rows(self):
         report = ExperimentReport(ExperimentConfig("selftest"), [
             ReportRow("info", 1.0),
@@ -189,8 +228,7 @@ class TestReportRows:
 
 class TestSelftest:
     def test_all_rows_pass(self):
-        report = selftest_experiment(ExperimentConfig("selftest", n_steps=256,
-                                                      n_samples=100))
+        report = selftest_experiment(ExperimentConfig("selftest"))
         assert report.all_passed
         assert [r.name for r in report.rows] == [
             "hermite_H0", "hermite_H2_at_0", "hermite_H3_at_2", "hermite_bound_a1",
@@ -201,8 +239,7 @@ class TestSelftest:
             "endpoint_pairing_H2_quadrature"]
 
     def test_report_files(self, tmp_path):
-        cfg = ExperimentConfig("selftest", n_steps=256, n_samples=100,
-                               out_dir=str(tmp_path))
+        cfg = ExperimentConfig("selftest", out_dir=str(tmp_path))
         report = selftest_experiment(cfg)
         report.write()
         data = json.loads((tmp_path / "report.json").read_text())
@@ -212,8 +249,10 @@ class TestSelftest:
         assert lines[0] == "name,estimate,std_error,oracle,tolerance,passed"
         assert len(lines) == len(report.rows) + 1
 
-    @pytest.mark.parametrize("name, n_samples", [("selftest", 100), ("rice", 2100)])
-    def test_byte_identical_reports(self, tmp_path, monkeypatch, name, n_samples):
+    @pytest.mark.parametrize("name, settings", [
+        ("selftest", {}), ("rice", {"n_steps": 256, "n_samples": 2100})],
+        ids=["selftest", "rice-2100"])
+    def test_byte_identical_reports(self, tmp_path, monkeypatch, name, settings):
         # identical configs must give byte-identical files, Monte Carlo
         # drivers over several replica chunks included
         outs = []
@@ -221,7 +260,7 @@ class TestSelftest:
             d = tmp_path / sub
             d.mkdir()
             monkeypatch.chdir(d)  # the config's out_dir is "."
-            cfg = ExperimentConfig(name, n_steps=256, n_samples=n_samples)
+            cfg = ExperimentConfig(name, **settings)
             EXPERIMENTS[name](cfg).write()
             outs.append((d / "report.json").read_bytes())
         assert outs[0] == outs[1]
@@ -243,15 +282,17 @@ class TestCli:
         assert cli_main([]) == 2
 
     def test_selftest_run_exit_zero(self, tmp_path):
-        code = cli_main(["selftest", "--out", str(tmp_path), "--steps", "256",
-                         "--samples", "100", "--quiet"])
+        code = cli_main(["selftest", "--out", str(tmp_path), "--quiet"])
         assert code == 0
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "summary.csv").exists()
 
     @pytest.mark.parametrize("name", sorted(DRIVERS))
     def test_declared_model_fields_are_read(self, tmp_path, monkeypatch, name):
-        # the model fields a config may set are exactly those the run reads
+        # the optional keys a config may set, budgets included, are exactly
+        # those the run reads, and every driver reads its seed but
+        # selftest, which takes one because perfbench passes --seed to
+        # every driver it runs (ROADMAP item 1)
         read = set()
         lookup = ExperimentConfig.__getattribute__
 
@@ -259,10 +300,13 @@ class TestCli:
             read.add(key)
             return lookup(config, key)
 
-        cfg = ExperimentConfig(name, n_steps=256, n_samples=100, out_dir=str(tmp_path))
+        budget = {k: v for k, v in [("n_steps", 256), ("n_samples", 100)]
+                  if k in DRIVERS[name].reads}
+        cfg = ExperimentConfig(name, **budget, out_dir=str(tmp_path))
         monkeypatch.setattr(ExperimentConfig, "__getattribute__", recorded)
         DRIVERS[name](cfg)
-        assert read & set(MODEL_FIELDS) == set(DRIVERS[name].reads)
+        seed = set() if name == "selftest" else {"seed"}
+        assert read & {*OPTIONAL_KEYS, "seed"} == set(DRIVERS[name].reads) | seed
 
     def test_fac_small_budget_runs_to_a_report(self, tmp_path):
         # 100 samples leave the endpoint ratios' H_4 rows heavy-tailed: the
@@ -337,9 +381,7 @@ class TestCli:
 
     def test_flag_overrides_config(self, tmp_path):
         f = tmp_path / "cfg.json"
-        f.write_text(json.dumps({
-            "experiment": "selftest", "n_steps": 256, "n_samples": 100,
-        }))
+        f.write_text(json.dumps({"experiment": "selftest", "seed": 5}))
         code = cli_main(["selftest", "--config", str(f), "--out", str(tmp_path),
                          "--seed", "77", "--quiet"])
         assert code == 0
@@ -359,7 +401,7 @@ class TestCliValidation:
 
     def test_steps_below_minimum(self, tmp_path, capsys):
         err = self.assert_usage_error(
-            ["selftest", "--steps", "8", "--out", str(tmp_path), "--quiet"], capsys)
+            ["kac", "--steps", "8", "--out", str(tmp_path), "--quiet"], capsys)
         assert "n_steps" in err
         assert not (tmp_path / "report.json").exists()
 
@@ -425,6 +467,14 @@ class TestCliValidation:
         assert "unrecognized arguments: --eps-grid" in err and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--steps", "--samples"])
+    def test_unread_budget_flag(self, tmp_path, capsys, flag):
+        # selftest reads no budget, so it has neither flag
+        assert cli_main(["selftest", flag, "1024", "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("name, data", [
         ("sweep", {"omega": 3.0}),
         ("fac", {"u": [0, 0], "dimension": 2}),
@@ -432,7 +482,9 @@ class TestCliValidation:
         # every gate is fixed in its driver; no config widens one
         ("selftest", {"tolerances": {"selftest": 1.0}}),
         # the dimension is len(u)
-        ("chaos", {"dimension": 2})])
+        ("chaos", {"dimension": 2}),
+        # and every optional key of every driver that does not read it
+        *[(name, {key: SETTINGS[key]}) for name, key in UNREAD]])
     def test_unread_config_key(self, tmp_path, capsys, name, data):
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(data))
@@ -450,6 +502,17 @@ class TestCliValidation:
         err = self.assert_usage_error(
             ["chaos", "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
         assert "u must be a list of 1, 2 or 3" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("u", [[1e200, 0], [1e155, 1e155], [0.5, -1.5e12]])
+    def test_u_out_of_range(self, tmp_path, capsys, u):
+        # |u|^2 would overflow in the chaos kernel and leave NaN rows
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"u": u}))
+        err = self.assert_usage_error(
+            ["chaos", "--samples", "100", "--config", str(f), "--out", str(tmp_path),
+             "--quiet"], capsys)
+        assert "u must be a list of 1, 2 or 3 numbers in [-1e12, 1e12]" in err
         assert not (tmp_path / "report.json").exists()
 
     def test_config_for_another_experiment(self, tmp_path, capsys):
@@ -499,15 +562,14 @@ class TestCliValidation:
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps({"samples": 200}))
         err = self.assert_usage_error(
-            ["selftest", "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
+            ["kac", "--config", str(f), "--out", str(tmp_path), "--quiet"], capsys)
         assert "samples" in err and "n_samples" in err
 
     def test_negative_seed(self, tmp_path, capsys):
         # numpy's SeedSequence refuses negative entropy mid-run
-        for name in ("rice", "selftest"):
+        for argv in (["rice", "--steps", "256", "--samples", "100"], ["selftest"]):
             err = self.assert_usage_error(
-                [name, "--seed", "-1", "--steps", "256", "--samples", "100",
-                 "--out", str(tmp_path), "--quiet"], capsys)
+                [*argv, "--seed", "-1", "--out", str(tmp_path), "--quiet"], capsys)
             assert "seed" in err
         assert not (tmp_path / "report.json").exists()
 

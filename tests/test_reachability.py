@@ -21,8 +21,9 @@ import wcl
 from wcl import analytic, chaos, cli, experiments, fac, functionals, processes
 
 SRC = os.path.dirname(os.path.realpath(wcl.__file__))
-# a budget that enters the same bodies as the drivers' default budgets
-BUDGET = ["--samples", "100", "--steps", "256", "--seed", "7"]
+# a budget that enters the same bodies as the drivers' default budgets,
+# each flag given to the drivers that read its key
+BUDGET = {"n_samples": ["--samples", "100"], "n_steps": ["--steps", "256"]}
 
 PERFBENCH = "perfbench wraps it, and its tests assert the binding (ROADMAP item 1)"
 INTEGRATORS = "Gaussian integrators in the drivers (ROADMAP item 6)"
@@ -84,7 +85,9 @@ def run_drivers(tmp_path, monkeypatch):
     for i, name in enumerate(experiments.DRIVERS):
         out = str(tmp_path / name)
         quiet = ["--quiet"] if i else []  # the first prints its rows
-        monkeypatch.setattr(sys, "argv", ["wcl", name, *BUDGET, "--out", out, *quiet])
+        budget = [flag for key in experiments.DRIVERS[name].reads for flag in BUDGET.get(key, [])]
+        monkeypatch.setattr(sys, "argv", ["wcl", name, *budget, "--seed", "7", "--out", out,
+                                          *quiet])
         # threading.setprofile: a body entered only on an engine helper
         # thread counts too
         sys.setprofile(profile)
