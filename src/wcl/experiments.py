@@ -56,7 +56,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 EPS_GRID = [1.0, 0.1, 0.01]
 # The engine samples in blocks of at least 8 paths (processes._ROW_GROUP),
 # so one block holds 8 * (n_steps + 1) values per dimension: 64 MB at 2^20
-# steps, 128 times the 512 kB a block is sized for.  More is refused.
+# steps, 128 times the 512 kB a block is sized for, plus a transient 64 MB
+# copy while a Brownian block is summed (tracemalloc, BM(1): 64 MB held
+# between blocks, a 128 MB peak).  More is refused.
 MAX_STEPS = 1 << 20
 # The pair-kernel drivers stop sooner, for run time: they work through
 # (n+1)(n+2)/2 node pairs per path.  A chaos block holds a fixed number of
@@ -128,6 +130,13 @@ class ExperimentConfig:
                                        and all(_is_real(x) and abs(x) <= 1e12 for x in self.u)):
             raise ValueError("u must be a list of 1, 2 or 3 numbers in [-1e12, 1e12], "
                              "one per dimension")
+        # past this offset (E G_eps)^2, the term-0 oracle, is subnormal or 0, and
+        # so is every term-0 estimate: its gate would pass 0 against 0
+        for eps in self.eps_grid if self.u is not None else ():
+            if (chaos.self_intersection_mean_quadrature(eps, self.u, len(self.u)) ** 2
+                    < np.finfo(float).smallest_normal):
+                raise ValueError(f"u = {self.u} is too far from 0 for eps = {eps:g}: "
+                                 f"(E G_eps)^2 underflows, so the chaos gates would check nothing")
         if isinstance(self.out_dir, os.PathLike):
             self.out_dir = os.fspath(self.out_dir)
         if not isinstance(self.out_dir, str) or not self.out_dir:

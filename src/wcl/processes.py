@@ -19,10 +19,11 @@ starts at xi_1.  A single path is a batch of one.
 Every model is a linear image of i.i.d. standard normals, and
 ``sample_blocks`` is one loop for all: per row block of
 ``row_blocks(n_paths, n_steps + 1)`` it maps the block's normals into one
-reused block buffer, so no chunk-sized temporary is made.  The draws of
-one Generator split into consecutive calls are the same stream, so every
-path is bit for bit the one an unblocked draw gives.  ``sample_values``
-copies the blocks into one array.
+reused block buffer, so no chunk-sized temporary is made; Brownian
+normals are drawn into the path block itself.  The draws of one Generator
+split into consecutive calls are the same stream, so every path is bit
+for bit the one an unblocked draw gives.  ``sample_values`` copies the
+blocks into one array.
 
 ``mc_moments`` is the package's one Monte Carlo engine: every estimate
 samples its replica chunks through it, and each chunk streams through
@@ -216,10 +217,13 @@ def sample_blocks(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
     ``row_blocks(n_paths, n_steps + 1)`` block, values being the
     (len(rows), n_steps + 1, d) paths of ``rows``.
 
-    Per block, the block's standard normals are drawn into one reused
-    buffer in path order, and a linear map per model writes the paths:
-    Brownian increments sqrt(h) z summed along the paths, one cumsum per
-    block; an integrator's increments times its node images, one matrix
+    Per block, each model's fill draws the block's standard normals in
+    path order and a linear map writes the paths.  Brownian normals are
+    drawn into the path block itself, its last nb * n * d slots, scaled
+    there to increments sqrt(h) z and summed along the paths by one cumsum
+    per block, which numpy runs from a transient copy freed before the
+    block is yielded.  The other models draw into a reused buffer of their
+    own: an integrator's increments times its node images, one matrix
     product per block; xi_1 cos(omega t) + xi_2 sin(omega t); xi t.
     ``values`` is a view of one buffer that the next block overwrites, so
     a caller copies what it keeps.  ``seed`` may be an int or a numpy
@@ -234,45 +238,50 @@ def sample_blocks(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):
     n = grid.n_steps
     blocks = row_blocks(n_paths, n + 1)
     root_h = math.sqrt(grid.h)
+    rng = np.random.default_rng(seed)
     if isinstance(model, BrownianMotion):
-        z = block_buffer(blocks, n, model.d)
+        d = model.d
 
-        def fill(z, out):
-            z *= root_h
-            out[:, 0] = 0.0
-            np.cumsum(z, axis=1, out=out[:, 1:])
+        def fill(out):
+            nb = len(out)
+            # the block's last nb * n * d slots, contiguous: its increments
+            tail = out.reshape(-1)[nb * d:]
+            rng.standard_normal(out=tail)
+            tail *= root_h
+            # numpy sees the overlap and sums from a transient copy
+            np.cumsum(tail.reshape(nb, n, d), axis=1, out=out[:, 1:])
+            out[:, 0] = 0.0  # last: these slots held increments until the sum
     elif isinstance(model, Integrator):
         images = model.operator.node_image_matrix()
         if len(images) != n:
             raise ValueError(f"operator has {len(images)} cells but the grid has {n} steps")
         z = block_buffer(blocks, n, model.d)
 
-        def fill(z, out):  # one (nb * d, n) @ (n, n + 1) product
-            z *= root_h
-            out[...] = np.tensordot(z, images, axes=(1, 0)).transpose(0, 2, 1)
+        def fill(out):  # one (nb * d, n) @ (n, n + 1) product
+            dw = rng.standard_normal(out=z[: len(out)])
+            dw *= root_h
+            out[...] = np.tensordot(dw, images, axes=(1, 0)).transpose(0, 2, 1)
     elif isinstance(model, SmoothStationary):
         c, s = np.cos(model.omega * grid.times), np.sin(model.omega * grid.times)
         z = block_buffer(blocks, 2)
         term = block_buffer(blocks, n + 1)
 
-        def fill(z, out):
-            v = out[:, :, 0]
-            np.multiply(z[:, :1], c, out=v)
-            v += np.multiply(z[:, 1:], s, out=term[: len(z)])
+        def fill(out):
+            xi, v = rng.standard_normal(out=z[: len(out)]), out[:, :, 0]
+            np.multiply(xi[:, :1], c, out=v)
+            v += np.multiply(xi[:, 1:], s, out=term[: len(out)])
     elif isinstance(model, DegenerateLine):
         z = block_buffer(blocks, 1)
 
-        def fill(z, out):
-            np.multiply(z, grid.times, out=out[:, :, 0])
+        def fill(out):
+            np.multiply(rng.standard_normal(out=z[: len(out)]), grid.times, out=out[:, :, 0])
     else:
         raise TypeError(f"unknown model {model!r}")
-    rng = np.random.default_rng(seed)
     buf = block_buffer(blocks, n + 1, model.d)
     for rows in blocks:
-        nb = rows.stop - rows.start
-        rng.standard_normal(out=z[:nb])
-        fill(z[:nb], buf[:nb])
-        yield rows, buf[:nb]
+        block = buf[: rows.stop - rows.start]
+        fill(block)
+        yield rows, block
 
 
 def sample_values(model: ProcessModel, grid: TimeGrid, seed, n_paths=1):

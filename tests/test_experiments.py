@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from wcl import chaos, fac, functionals, processes
@@ -172,6 +173,20 @@ class TestConfig:
         assert len(message.splitlines()) == 1
         assert message == (f"{name} takes no config key(s) {key}; "
                            f"its keys are {', '.join(DRIVERS[name].keys())}")
+
+    def test_offset_whose_chaos_gates_check_nothing(self):
+        # at u = 40, E G_eps is 1.3e-179 at eps = 1 and 0 at eps = 0.01, so each
+        # term-0 row would pass 0 +/- 0 against an oracle of 0.  On the default
+        # grid u = 26 is the last whole offset whose (E G_eps)^2 is a normal
+        # double at every eps (2.7e-302 at 0.01); at 27 it is 0 there
+        assert ExperimentConfig("chaos").u == [0.5]
+        assert ExperimentConfig("chaos", u=[26]).u == [26]
+        for u, eps in (([40], 1.0), ([27], 0.01), ([0.5, 0.5, 40.0], 1.0)):
+            with pytest.raises(ValueError) as exc:
+                ExperimentConfig("chaos", u=u)
+            message = str(exc.value)
+            assert len(message.splitlines()) == 1
+            assert message.startswith(f"u = {u} is too far from 0 for eps = {eps:g}: ")
 
     @pytest.mark.parametrize("name", sorted(DRIVERS))
     def test_report_config_is_the_drivers_keys(self, name):
@@ -514,6 +529,33 @@ class TestCliValidation:
              "--quiet"], capsys)
         assert "u must be a list of 1, 2 or 3 numbers in [-1e12, 1e12]" in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("u, eps", [([40], "1"), ([27], "0.01")])
+    def test_u_too_far_for_the_chaos_gates(self, tmp_path, capsys, u, eps):
+        # (E G_eps)^2 underflows, and every term-0 row would pass 0 against 0
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"u": u}))
+        err = self.assert_usage_error(
+            ["chaos", "--samples", "100", "--config", str(f), "--out", str(tmp_path),
+             "--quiet"], capsys)
+        assert f"u = {u} is too far from 0 for eps = {eps}" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("u", [[26], None])
+    def test_u_the_chaos_gates_still_check(self, tmp_path, u):
+        # u = 26, the last whole offset accepted on the default grid, and the
+        # default 0.5 run to a report whose term-0 oracles are normal doubles
+        argv = ["chaos", "--samples", "100", "--steps", "256", "--out", str(tmp_path), "--quiet"]
+        if u is not None:
+            f = tmp_path / "cfg.json"
+            f.write_text(json.dumps({"u": u}))
+            argv += ["--config", str(f)]
+        assert cli_main(argv) in (0, 1)
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert data["config"]["u"] == (u or [0.5])
+        oracles = [row["oracle"] for row in data["rows"] if row["name"].startswith("term0_")]
+        assert len(oracles) == 3
+        assert all(o >= np.finfo(float).smallest_normal for o in oracles)
 
     def test_config_for_another_experiment(self, tmp_path, capsys):
         f = tmp_path / "cfg.json"

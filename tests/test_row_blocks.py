@@ -48,10 +48,10 @@ MB = 1 << 20
 
 
 def n_paths_for(kind, n_cols):
-    """1, a block's rows - 1, + 0, + 1, or a whole replica chunk."""
+    """1, a block's rows - 1, + 0, + 1 to 7, or a whole replica chunk."""
     block = row_blocks(2 * (65536 // n_cols + 4), n_cols)[0].stop
-    return {"one": 1, "block - 1": block - 1, "block": block,
-            "block + 1": block + 1, "chunk": MC_CHUNK}[kind]
+    return {"one": 1, "block - 1": block - 1, "block": block, "chunk": MC_CHUNK,
+            **{f"block + {r}": block + r for r in range(1, 8)}}[kind]
 
 
 def brownian_reference(seed, n_steps, n_paths, d):
@@ -115,6 +115,18 @@ class TestBlockedSampling:
     @settings(max_examples=40, deadline=None)
     @given(n_steps=st.sampled_from(N_STEPS), d=st.sampled_from([1, 2, 3]),
            kind=st.sampled_from(PATH_COUNTS), seed=st.integers(0, 2**32 - 1))
+    # a block's rows + r, r = 1 to 7, are one block of 8k + r rows, its
+    # normals drawn into the last slots of the path block: every r, d = 3
+    # and 4096 steps
+    @example(n_steps=256, d=2, kind="block + 1", seed=1)
+    @example(n_steps=256, d=3, kind="block + 2", seed=2)
+    @example(n_steps=256, d=1, kind="block + 3", seed=3)
+    @example(n_steps=256, d=2, kind="block + 4", seed=4)
+    @example(n_steps=256, d=3, kind="block + 5", seed=5)
+    @example(n_steps=256, d=1, kind="block + 6", seed=6)
+    @example(n_steps=256, d=2, kind="block + 7", seed=7)
+    @example(n_steps=4096, d=3, kind="block + 5", seed=8)
+    @example(n_steps=4096, d=3, kind="chunk", seed=9)
     def test_brownian_matches_one_draw(self, n_steps, d, kind, seed):
         n_paths = n_paths_for(kind, n_steps + 1)
         values, deriv = sample_values(BrownianMotion(d), TimeGrid(n_steps), seed, n_paths)
@@ -309,6 +321,32 @@ class TestBlockedFunctionals:
         assert_same_bits(np.concatenate(parts), whole)
         with mock.patch.object(processes, "_BLOCK_ELEMENTS", block_elements):
             assert_same_bits(f(values), whole)
+
+
+class TestOneBlockBuffer:
+    def test_engine_holds_the_path_block_alone(self):
+        # BM(2) at 256 steps, the fac driver's G_eps paths: 500 paths in
+        # blocks of 248 and 252 rows, 257 x 2 values each, in one buffer of
+        # 256 rows (1.05 MB).  While the statistic runs, the engine holds that
+        # buffer and no other block-sized array: the normals are drawn into
+        # it, and the transient copy of the sum is gone
+        grid, block = TimeGrid(256), 256 * 257 * 2 * 8
+        held = []
+
+        def statistic(values):
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+            return values[:, -1, 0]
+
+        # the first draw imports parts of numpy.random
+        mc_moments(BrownianMotion(2), grid, 5, 8, lambda values: values[:, -1, 0])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mc_moments(BrownianMotion(2), grid, 5, 500, statistic)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 2
+        assert all(block <= h < 1.5 * block for h in held), held
 
 
 class TestNoChunkTemporaries:
